@@ -133,19 +133,24 @@ class CudaContext:
 
         The source is snapshotted at issue time (the DMA engine owns the
         buffer for the duration), the destination is written at the
-        simulated completion instant.
+        simulated completion instant.  The snapshot is deferred, so the
+        bytes are copied once, source to destination, unless the source
+        is overwritten while the copy is in flight.
         """
         if nbytes == 0:
             return 0
         spec = self._spec_for(dst, src, nbytes)
         payload = src.snapshot(nbytes)
-        dst._check(nbytes)  # fail fast before charging time
-        an = analytic_execute(self.sim, spec)
-        if an is not None:
-            yield an
-        else:
-            yield from spec.execute(self.sim)
-        dst.write(payload)
+        try:
+            dst._check(nbytes)  # fail fast before charging time
+            an = analytic_execute(self.sim, spec)
+            if an is not None:
+                yield an
+            else:
+                yield from spec.execute(self.sim)
+            dst.write(payload)
+        finally:
+            payload.release()
         return nbytes
 
     def memcpy_async(self, dst: Ptr, src: Ptr, nbytes: int, stream: Optional[Stream] = None) -> Process:

@@ -8,6 +8,14 @@ UVA that makes symmetric-address bookkeeping easy to audit in tests).
 :class:`Ptr` is ``allocation + offset`` with pointer arithmetic, typed
 array views, and bounds-checked raw access.  All data movement in the
 simulator ultimately goes through :meth:`Ptr.read` / :meth:`Ptr.write`.
+
+Only :meth:`Ptr.write`, :meth:`Ptr.fill` and :meth:`Ptr.as_array` mutate
+memory.  That invariant is what lets a timed transfer's payload be a
+deferred :class:`Snapshot`: it reads through to its source until one of
+those three is about to change the bytes it covers, and only then copies
+them out.  ``as_array`` hands out a mutable view the model cannot watch,
+so it *escapes* its allocation: snapshots of an escaped allocation are
+copied eagerly.
 """
 
 from __future__ import annotations
@@ -37,7 +45,10 @@ class MemKind(enum.Enum):
 class Allocation:
     """A contiguous, byte-backed memory region."""
 
-    __slots__ = ("space", "kind", "node_id", "device_id", "owner", "size", "_data", "base", "freed", "tag")
+    __slots__ = (
+        "space", "kind", "node_id", "device_id", "owner", "size", "_data", "base", "freed", "tag",
+        "pending", "escaped",
+    )
 
     def __init__(
         self,
@@ -64,6 +75,10 @@ class Allocation:
         self.base = base
         self.freed = False
         self.tag = tag
+        #: Unmaterialised snapshots still reading through to this buffer.
+        self.pending: list = []
+        #: Set once :meth:`Ptr.as_array` has handed out a mutable view.
+        self.escaped = False
 
     @property
     def data(self) -> np.ndarray:
@@ -82,12 +97,85 @@ class Allocation:
     def ptr(self, offset: int = 0) -> "Ptr":
         return Ptr(self, offset)
 
+    def materialise(self, lo: int, hi: int) -> None:
+        """Copy out every pending snapshot overlapping ``[lo, hi)``; the
+        caller is about to overwrite that range."""
+        hit = False
+        for snap in self.pending:
+            if snap.offset < hi and lo < snap.offset + snap.nbytes:
+                snap.materialise()
+                hit = True
+        if hit:
+            self.pending = [s for s in self.pending if s.data is None]
+
     def contains_va(self, va: int) -> bool:
         return self.base <= va < self.base + self.size
 
     def __repr__(self) -> str:  # pragma: no cover
         dev = f" gpu{self.device_id}" if self.device_id is not None else ""
         return f"<Allocation {self.kind.value}{dev} n{self.node_id} size={self.size} va=0x{self.base:x}>"
+
+
+class Snapshot:
+    """A transfer payload: ``nbytes`` of memory as they were when taken.
+
+    While *pending* (``data is None``) it holds no copy and reads through
+    to its source allocation, where it is registered in
+    :attr:`Allocation.pending`; the first write over its range copies it
+    out first (:meth:`Allocation.materialise`).  Delivering a pending
+    snapshot with :meth:`Ptr.write` is therefore one copy, source to
+    destination.  Slicing (``payload[lo:hi]``) gives a view that reads
+    through to its parent.  The transfer that took a snapshot must
+    :meth:`release` it once it has delivered or died, or every later
+    write to the source allocation keeps scanning it.
+    """
+
+    __slots__ = ("alloc", "offset", "nbytes", "data", "parent")
+
+    def __init__(
+        self, alloc: Optional[Allocation], offset: int, nbytes: int, parent: "Optional[Snapshot]" = None
+    ):
+        self.alloc = alloc
+        self.offset = offset
+        self.nbytes = nbytes
+        self.data: Optional[np.ndarray] = None
+        self.parent = parent
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __getitem__(self, key: slice) -> "Snapshot":
+        lo, hi, step = key.indices(self.nbytes)
+        if step != 1:
+            raise CudaError("payload snapshots slice contiguously")
+        return Snapshot(None, lo, max(hi - lo, 0), parent=self)
+
+    def array(self) -> np.ndarray:
+        """The payload bytes as a uint8 array (a view: do not mutate)."""
+        data = self.data
+        if data is not None:
+            return data
+        lo = self.offset
+        if self.parent is not None:
+            return self.parent.array()[lo : lo + self.nbytes]
+        if self.alloc is None:
+            raise CudaError("payload snapshot used after release")
+        return self.alloc.data[lo : lo + self.nbytes]
+
+    def materialise(self) -> None:
+        """Copy the bytes out of the source (the caller unregisters)."""
+        lo = self.offset
+        self.data = self.alloc.data[lo : lo + self.nbytes].copy()
+
+    def release(self) -> None:
+        """Drop the payload: its transfer delivered or died."""
+        alloc = self.alloc
+        if alloc is None:
+            return
+        if self.data is None:
+            alloc.pending.remove(self)
+        self.alloc = None
+        self.data = None
 
 
 class Ptr:
@@ -160,50 +248,75 @@ class Ptr:
         """Zero-copy read-only view of ``nbytes`` at this pointer.
 
         Unlike :meth:`read` this does NOT snapshot: the view aliases the
-        allocation, so it is only safe while the source is provably
-        stable (e.g. a staging slot held until the consuming write
-        completes).  The staging/pipeline paths use it to avoid copying
-        every chunk twice.
+        allocation and sees every later write to it.  No data path uses
+        it; timed transfers take a :meth:`snapshot`, which costs no copy
+        unless the source is overwritten in flight.
         """
         self._check(nbytes)
         view = self.alloc.data[self.offset : self.offset + nbytes]
         view.flags.writeable = False
         return view
 
-    def snapshot(self, nbytes: int) -> np.ndarray:
-        """Like :meth:`read` but returns a uint8 ndarray copy.
+    def snapshot(self, nbytes: int) -> Snapshot:
+        """The ``nbytes`` at this pointer as of now, as a :class:`Snapshot`.
 
-        The data-movement hot paths snapshot sources at issue time and
-        write destinations at completion; an ndarray round-trips into
-        :meth:`write` without the ``bytes`` ⇄ array conversions.
+        Every timed transfer takes its payload this way at issue time and
+        writes it at completion.  No bytes are copied unless something
+        overwrites the source range before the snapshot is released (or
+        the allocation has escaped through :meth:`as_array`).
         """
         self._check(nbytes)
-        return self.alloc.data[self.offset : self.offset + nbytes].copy()
+        alloc = self.alloc
+        snap = Snapshot(alloc, self.offset, nbytes)
+        if alloc.escaped:
+            snap.materialise()
+        else:
+            alloc.pending.append(snap)
+        return snap
 
     def write(self, payload) -> None:
-        """Write raw bytes (``bytes``/``memoryview``/uint8 ndarray) here."""
-        n = len(payload)
+        """Write a :class:`Snapshot`, ``bytes``/``memoryview`` or uint8
+        ndarray here; pending snapshots of the range are copied out first."""
+        snap = type(payload) is Snapshot
+        n = payload.nbytes if snap else len(payload)
         self._check(n)
-        if isinstance(payload, np.ndarray):
-            self.alloc.data[self.offset : self.offset + n] = payload
-        else:
-            self.alloc.data[self.offset : self.offset + n] = np.frombuffer(payload, dtype=np.uint8)
+        alloc = self.alloc
+        lo = self.offset
+        if alloc.pending:
+            alloc.materialise(lo, lo + n)
+        if snap:
+            payload = payload.array()
+        elif not isinstance(payload, np.ndarray):
+            payload = np.frombuffer(payload, dtype=np.uint8)
+        alloc.data[lo : lo + n] = payload
 
     def as_array(self, dtype, count: Optional[int] = None) -> np.ndarray:
-        """A mutable numpy view (used by compute kernels and tests)."""
+        """A mutable numpy view (used by compute kernels and tests).
+
+        The model cannot see writes through the view, so this copies out
+        every pending snapshot of the allocation and marks it escaped.
+        """
         dtype = np.dtype(dtype)
         if count is None:
             count = self.remaining // dtype.itemsize
         nbytes = count * dtype.itemsize
         self._check(nbytes)
-        return self.alloc.data[self.offset : self.offset + nbytes].view(dtype)
+        alloc = self.alloc
+        if alloc.pending:
+            alloc.materialise(0, alloc.size)
+        alloc.escaped = True
+        return alloc.data[self.offset : self.offset + nbytes].view(dtype)
 
     def fill(self, value: int, nbytes: Optional[int] = None) -> None:
         """memset equivalent."""
         if nbytes is None:
             nbytes = self.remaining
         self._check(nbytes)
-        self.alloc.data[self.offset : self.offset + nbytes] = value
+        alloc = self.alloc
+        lo = self.offset
+        if alloc.pending:
+            alloc.materialise(lo, lo + nbytes)
+        alloc.data[lo : lo + nbytes] = value
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Ptr {self.alloc.kind.value} va=0x{self.va:x} (+{self.offset})>"
@@ -241,6 +354,12 @@ class MemorySpace:
         if alloc.freed:
             raise CudaError("double free")
         alloc.freed = True
+
+    def materialise_pending(self) -> None:
+        """Copy out every pending snapshot in the space."""
+        for alloc in self._allocs:
+            if alloc.pending:
+                alloc.materialise(0, alloc.size)
 
     def resolve(self, va: int) -> Ptr:
         """Reverse-map a virtual address to a live pointer."""

@@ -182,7 +182,11 @@ class Verbs:
         become visible at the target, before the ack returns.
         ``posted`` (optional) is succeeded once the work request is
         posted and the payload snapshotted — the point at which the
-        source buffer is reusable (OpenSHMEM put-return semantics).
+        source buffer is reusable (OpenSHMEM put-return semantics).  The
+        payload is a deferred :class:`~repro.cuda.memory.Snapshot`:
+        delivery copies straight from the source unless the source was
+        overwritten after the post, and the snapshot is released when the
+        write delivers or dies.
         """
         self._check_local(ep, local)
         remote_mr.check_range(remote_offset, nbytes)
@@ -203,9 +207,10 @@ class Verbs:
                 sim, "rdma_write", "ib", f"ib:pe{ep.owner}",
                 nbytes=nbytes, target_node=remote_mr.node_id,
             )
+        payload = None
         try:
             yield sim.timeout(p.rdma_post_overhead, name="rdma_write:post")
-            payload = local.read(nbytes)  # source buffer reusable from here on
+            payload = local.snapshot(nbytes)  # source buffer reusable from here on
             if posted is not None and not posted.triggered:
                 posted.succeed(sim.now)
 
@@ -219,6 +224,8 @@ class Verbs:
                 delivered.succeed(sim.now)
             yield sim.timeout(p.rdma_ack_latency, name="rdma_write:ack")
         finally:
+            if payload is not None:
+                payload.release()
             if tracer is not None:
                 tracer.end(sim, span)
         return nbytes
@@ -294,6 +301,7 @@ class Verbs:
                 sim, "rdma_read", "ib", f"ib:pe{ep.owner}",
                 nbytes=nbytes, source_node=remote_mr.node_id,
             )
+        payload = None
         try:
             yield sim.timeout(p.rdma_post_overhead, name="rdma_read:post")
             ep.hca.count_tx()
@@ -310,7 +318,7 @@ class Verbs:
                 path = src_pcie.p2p(src_hca_id, src_ptr.device_id, nbytes, read=True)
             else:
                 path = src_pcie.hca_host_leg(src_hca_id, nbytes, to_host=False)
-            payload = src_ptr.read(nbytes)
+            payload = src_ptr.snapshot(nbytes)
             src_hca.count_tx()
             path.extend(self.hw.fabric.wire(src_hca, ep.hca, nbytes))
             path.extend(self._local_leg(ep, local, nbytes, read=False))
@@ -320,6 +328,8 @@ class Verbs:
             ep.hca.count_rx()
             local.write(payload)
         finally:
+            if payload is not None:
+                payload.release()
             if tracer is not None:
                 tracer.end(sim, span)
         return nbytes

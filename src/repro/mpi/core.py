@@ -184,7 +184,9 @@ class MpiWorld:
             if send.buf.kind is MemKind.DEVICE:
                 yield from src_ctx.cuda.memcpy(sslot.ptr, send.buf + offset, csize)
             else:
-                sslot.ptr.write((send.buf + offset).read(csize))
+                payload = (send.buf + offset).snapshot(csize)
+                sslot.ptr.write(payload)
+                payload.release()
             dslot = yield from dst_pool.acquire()
             ev = sim.event("mpi:chunk")
             sim.process(
@@ -209,7 +211,9 @@ class MpiWorld:
             if recv.buf.kind is MemKind.DEVICE:
                 yield from dst_ctx.cuda.memcpy(recv.buf + offset, dslot.ptr, csize)
             else:
-                (recv.buf + offset).write(dslot.ptr.read(csize))
+                payload = dslot.ptr.snapshot(csize)
+                (recv.buf + offset).write(payload)
+                payload.release()
         finally:
             dst_pool.release(dslot)
         ev.succeed()

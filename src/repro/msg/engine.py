@@ -331,16 +331,19 @@ class MsgEngine:
                 nbytes=p.msg_rts_bytes, target_pe=send.pe,
             )
 
-        payload = send.buf.read(send.nbytes)
-        if same_node:
-            yield from job.contexts[send.pe].cuda.memcpy(
-                recv.buf, send.buf, send.nbytes
-            )
-        elif send.transport == "ud":
-            yield from self._ud_staged(send, recv)
-        else:
-            yield from self._rc_bulk(send, recv)
-        recv.buf.write(payload)
+        payload = send.buf.snapshot(send.nbytes)
+        try:
+            if same_node:
+                yield from job.contexts[send.pe].cuda.memcpy(
+                    recv.buf, send.buf, send.nbytes
+                )
+            elif send.transport == "ud":
+                yield from self._ud_staged(send, recv)
+            else:
+                yield from self._rc_bulk(send, recv)
+            recv.buf.write(payload)
+        finally:
+            payload.release()
         send.done.succeed(sim.now)
         recv.done.succeed((send.pe, send.tag))
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cuda.memory import Snapshot
 from repro.errors import LinkDown
 from repro.hardware.links import LinkDirection, TransferSpec
 from repro.simulator import Event, Simulator
@@ -232,7 +233,7 @@ class AnalyticFlow:
         # a scheduler push at t_post — the same extra hop the event
         # path's ``posted.succeed`` inserts before the caller resumes.
         self.posted: Optional[Event] = Event(sim, name="an:posted") if gate else None
-        self.payload: Optional[bytes] = None
+        self.payload: Optional[Snapshot] = None
         self._granted: List[Tuple[LinkDirection, object]] = []
         self._marks: List[Tuple[LinkDirection, int]] = []
         self._idx = 0
@@ -264,6 +265,8 @@ class AnalyticFlow:
 
     def _die(self, exc: BaseException) -> None:
         self._dead = True
+        if self.payload is not None:
+            self.payload.release()
         for d, req in self._granted:
             d.resource.release(req)
         self._granted = []
@@ -272,7 +275,7 @@ class AnalyticFlow:
     def _at_posted(self, _ev: Event) -> None:
         sim = self.sim
         try:
-            self.payload = self.src.read(self.nbytes)
+            self.payload = self.src.snapshot(self.nbytes)
         except BaseException as exc:  # surfaces where the event path's would
             self._die(exc)
             gate = self.posted
@@ -361,6 +364,7 @@ class AnalyticFlow:
         except BaseException as exc:
             self._die(exc)
             return
+        self.payload.release()
         if self.notify is not None:
             delivered = Event(sim, name="an:delivered")
             delivered.callbacks.append(self._deliver)

@@ -153,7 +153,13 @@ class ShmemJob:
         procs = [
             self.sim.process(wrapper(ctx), name=f"pe{ctx.pe}.main") for ctx in self.contexts
         ]
-        self.sim.run(until=until)
+        try:
+            self.sim.run(until=until)
+        except BaseException:
+            # The run died with transfers still in flight; give their
+            # payloads their own bytes so none reads through any more.
+            self.space.materialise_pending()
+            raise
         self.sim.flush_stats()  # fold engine counters into the global tally
         if self.runtime.health is not None:
             self.runtime.health.finalize(self.sim.now)

@@ -198,13 +198,14 @@ class ProxyDaemon:
                 write_specs[c], dst_hca = verbs.write_path(
                     self.endpoint, slot_ptr, req.dst_mr, c
                 )
-            payload = req.src_ptr.snapshot(req.nbytes)
+            req.src_ptr._check(req.nbytes)
         except Exception:
             return None  # let the event path raise at the accurate instant
         cdirs = copy_specs[chunks[0]].directions()
         wdirs = write_specs[chunks[0]].directions()
         if not claimable(cdirs, wdirs):
             return None
+        payload = req.src_ptr.snapshot(req.nbytes)
 
         plan = plan_pipeline(
             sim.now, chunks, pool.depth, copy_specs, write_specs,
@@ -229,6 +230,7 @@ class ProxyDaemon:
                 ep_hca.count_tx()
                 dst_hca.count_rx()
             dst.write(payload)
+            payload.release()
 
         wrel.callbacks.append(at_wire)
 

@@ -614,7 +614,7 @@ class Runtime:
             first_specs = {c: ctx.cuda._spec_for(slot_ptr, orig_src, c) for c in sizes}
             second_specs = {c: ctx.cuda._spec_for(final_dst, slot_ptr, c) for c in sizes}
             final_dst._check(nbytes)
-            payload = orig_src.snapshot(nbytes)
+            orig_src._check(nbytes)
         except Exception:
             return None  # let the event path raise at the accurate instant
         dirs = merged_directions(
@@ -622,6 +622,7 @@ class Runtime:
         )
         if not claimable(dirs):
             return None
+        payload = orig_src.snapshot(nbytes)
 
         t_end = plan_staged(sim.now, chunks, first_specs, second_specs)
         holds = claim(dirs)
@@ -635,6 +636,7 @@ class Runtime:
                 first_specs[c].count_transfer()
                 second_specs[c].count_transfer()
             final_dst.write(payload)
+            payload.release()
 
         done.callbacks.append(finish)
         n = len(chunks)
@@ -985,13 +987,14 @@ class Runtime:
                 write_specs[c], dst_hca = self.verbs.write_path(
                     ctx.endpoint, slot_ptr, mr, c
                 )
-            payload = src.snapshot(nbytes)
+            src._check(nbytes)
         except Exception:
             return None  # let the event path raise at the accurate instant
         cdirs = copy_specs[chunks[0]].directions()
         wdirs = write_specs[chunks[0]].directions()
         if not claimable(cdirs, wdirs):
             return None
+        payload = src.snapshot(nbytes)
 
         plan = plan_pipeline(
             sim.now, chunks, pool.depth, copy_specs, write_specs,
@@ -1041,8 +1044,11 @@ class Runtime:
                 lo=offset,
                 hi=offset + c,
                 recycle=(i >= first_recycled),
+                last=(i == n - 1),
             ) -> None:
                 tgt.write(payload[lo:hi])
+                if last:  # acks land in chunk order (FIFO wire)
+                    payload.release()
                 if recycle:
                     pool.release(slots.pop())
                 self._notify(pe)
