@@ -20,8 +20,8 @@ The sweep runs each experiment in :mod:`repro.reporting.experiments`
 writes a JSON report with per-target wall-times and engine event
 counters — ``fastpath_batches > 0`` is the proof that the batched
 transfer fast paths carried the sweep.  Unless ``--no-tier1`` is given
-(or ``--smoke``, which implies it), it also times the tier-1 pytest
-suite and records the speedup against the pre-optimization baseline.
+(or ``--smoke``, which implies it), it also records the measured wall
+time of the tier-1 pytest suite.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.bench.runner import SweepRunner  # noqa: E402
 from repro.reporting.artifacts import write_json_artifact  # noqa: E402
 from repro.reporting.experiments import EXPERIMENTS  # noqa: E402
-
-#: Tier-1 wall time of the pre-optimization tree on the same workload
-#: (measured before the engine/fast-path work; see DESIGN.md
-#: "Performance engineering").
-TIER1_BASELINE_SECONDS = 20.6
 
 #: A fast, representative subset for CI smoke runs.  The four-way
 #: targets keep the three existing designs in the same comparison as
@@ -282,11 +277,7 @@ def main(argv=None) -> int:
 
     if not (args.no_tier1 or args.smoke):
         tier1 = time_tier1()
-        doc["tier1"] = {
-            "wall_seconds": tier1,
-            "baseline_seconds": TIER1_BASELINE_SECONDS,
-            "speedup": TIER1_BASELINE_SECONDS / tier1,
-        }
+        doc["tier1"] = {"wall_seconds": tier1}
 
     write_json_artifact(args.output, doc)
 
@@ -295,23 +286,21 @@ def main(argv=None) -> int:
         f"{len(report.targets)} targets in {sweep_wall:.1f}s wall "
         f"({report.cache_hits} cached, {report.cache_misses} run, "
         f"pool={report.jobs}); engine: {totals.get('processed', 0)} events, "
-        f"{totals.get('fastpath_batches', 0)} batched pipelines "
-        f"(~{totals.get('fastpath_events_saved', 0)} events elided)"
+        f"{totals.get('fastpath_batches', 0)} batched pipelines"
     )
     if args.profile:
-        print(f"{'target':<12} {'run s':>8} {'events':>9} {'saved':>8} "
-              f"{'batch':>6} {'flows':>7} {'contend':>8} {'collect':>8} {'vec':>8}")
+        print(f"{'target':<12} {'run s':>8} {'events':>9} "
+              f"{'batch':>6} {'flows':>7} {'contend':>8} {'collect':>8}")
         for t in report.targets:
             prof = t.profile
             if not prof:
                 continue
             tiers, ev = prof["tiers"], prof["events"]
             print(f"{t.exp_id:<12} {prof['phases']['run']:>8.3f} "
-                  f"{ev['processed']:>9} {ev['saved']:>8} "
+                  f"{ev['processed']:>9} "
                   f"{tiers['fastpath_batches']:>6} {tiers['analytic_flows']:>7} "
                   f"{tiers['contended_windows']:>8} "
-                  f"{tiers['collective_closed_forms']:>8} "
-                  f"{tiers['vectorised_events']:>8}")
+                  f"{tiers['collective_closed_forms']:>8}")
     if "crossover" in doc:
         xo = doc["crossover"]
         er, rate = xo["eager_rendezvous"], xo["rc_ud_rate"]
@@ -331,11 +320,7 @@ def main(argv=None) -> int:
             f"({'within' if fb['within_one_percent'] else 'OVER'} the 1% budget)"
         )
     if "tier1" in doc:
-        t1 = doc["tier1"]
-        print(
-            f"tier-1: {t1['wall_seconds']:.1f}s vs {t1['baseline_seconds']:.1f}s "
-            f"baseline ({t1['speedup']:.2f}x)"
-        )
+        print(f"tier-1: {doc['tier1']['wall_seconds']:.1f}s wall")
     print(f"report: {args.output}")
     if failed:
         print(f"FAILED targets: {failed}", file=sys.stderr)

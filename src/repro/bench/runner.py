@@ -70,24 +70,22 @@ def target_cache_key(
 
 #: Per-tier counter names exported by ``--profile`` (subset of
 #: ``SimStats``): tier-0/1 quiescent batches, tier-2 contended-window
-#: flows, closed-form collective rounds, and the vectorised event lane.
+#: flows, and closed-form collective rounds.
 PROFILE_TIER_KEYS = (
     "fastpath_batches",
     "analytic_flows",
     "contended_windows",
     "collective_closed_forms",
-    "vectorised_events",
 )
 
 
 def _profile_from_stats(stats: Dict[str, int]) -> Dict[str, object]:
-    """The per-tier events-processed-vs-saved breakdown of one run."""
+    """The per-tier counters and scheduler event totals of one run."""
     return {
         "tiers": {k: stats.get(k, 0) for k in PROFILE_TIER_KEYS},
         "events": {
             "scheduled": stats.get("scheduled", 0),
             "processed": stats.get("processed", 0),
-            "saved": stats.get("fastpath_events_saved", 0),
             "resumed_fast": stats.get("resumed_fast", 0),
         },
     }

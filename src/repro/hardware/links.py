@@ -323,15 +323,27 @@ class TransferSpec:
 class AnalyticTransfer:
     """Callback-driven closed-form replay of one :meth:`TransferSpec.execute`.
 
-    The generic tier of the analytic engine: any ``yield from
-    spec.execute(sim)`` whose caller only needs the completion (memcpy,
-    memset, copy-based puts, MPI eager delivery) can instead commit one
-    of these and yield :attr:`completion`.  The replay acquires the very
-    same FIFO resources at the same instants as the generator would —
-    contended windows price themselves bit-identically — but elides the
-    per-hop generator resumes and the setup/hold ``Timeout``
-    allocations, scheduling its instants on the simulator's vectorised
-    wake lane instead.
+    The one link-hold machine of the analytic engine's tier 2: any
+    ``yield from spec.execute(sim)`` whose caller only needs the
+    completion (memcpy, memset, copy-based puts, MPI eager delivery)
+    can instead commit one of these and yield :attr:`completion`, and
+    :class:`~repro.shmem.fastpath.AnalyticFlow` wraps one per signaled
+    RDMA write.  The replay acquires the very same FIFO resources at the
+    same instants as the generator would — contended windows price
+    themselves bit-identically — but elides the per-hop generator
+    resumes and the setup/hold ``Timeout`` allocations, scheduling its
+    setup and hold-end instants as absolute wake-ups instead.
+
+    Timeline (same float operations in the same order as ``execute``):
+
+    * ``t_req = now + spec.setup`` — hop directions requested in global
+      acquisition order, one request per scheduler step; a queued
+      request suspends the acquisition exactly where the generator
+      would block, resuming in the holder's release callback;
+    * ``t_end = last_grant + spec.duration()`` — per-direction byte and
+      transfer counters bumped, holds released (waking queued
+      transfers/processes URGENT, as ``execute``'s ``finally`` does),
+      :attr:`completion` fired with the byte count.
 
     Failure semantics mirror ``execute`` exactly: a matching failure at
     request or grant time, or a failure window overlapping the hold,
@@ -357,11 +369,20 @@ class AnalyticTransfer:
         "contended",
     )
 
-    def __init__(self, sim: Simulator, spec: TransferSpec):
+    def __init__(
+        self,
+        sim: Simulator,
+        spec: TransferSpec,
+        dirs: Optional[Sequence[LinkDirection]] = None,
+        duration: Optional[float] = None,
+    ):
         self.sim = sim
         self.spec = spec
-        self.dirs = spec.directions()
-        self.duration = spec.duration()
+        # Commit sites with a route cache pass the spec's (topology-pure)
+        # acquisition order and pipelined duration instead of
+        # recomputing them per transfer.
+        self.dirs = spec.directions() if dirs is None else dirs
+        self.duration = spec.duration() if duration is None else duration
         self.completion = Event(sim, name="an-x:done")
         self._granted: List[Tuple[LinkDirection, object]] = []
         self._marks: List[Tuple[LinkDirection, int]] = []
@@ -371,7 +392,7 @@ class AnalyticTransfer:
         self.contended = False
         if spec.setup:
             self._booting = False
-            w = sim.wake_at_lane(sim.now + spec.setup, name="an-x:setup")
+            w = sim.wake_at(sim.now + spec.setup, name="an-x:setup")
             w.callbacks.append(self._acquire)
         else:
             # No setup leg: ``execute`` requests synchronously at the
@@ -414,10 +435,16 @@ class AnalyticTransfer:
         self._fire(exc=exc)
 
     def _acquire(self, ev: Optional[Event]) -> None:
-        # One resource request per scheduler step — granted requests
-        # re-enter from their own pop, matching the generator's
-        # ``yield req`` cadence (see AnalyticFlow._acquire for why
-        # inline chaining flips FIFO grants under 3-way contention).
+        # First entry arrives from the setup wake-up (or synchronously
+        # from the constructor); re-entries arrive from each request's
+        # own pop — granted or queued — so the transfer takes exactly
+        # one resource request per scheduler step, the same cadence as
+        # the generator it replays (which yields after *every*
+        # ``request()``, immediate grant or not).  Chaining consecutive
+        # immediate grants inline here would jump ahead of same-instant
+        # parties whose resumes already sat in the ready queue, flipping
+        # a FIFO grant on a shared direction once three or more
+        # transfers contend.
         if self._dead:
             return
         dirs = self.dirs
@@ -444,7 +471,7 @@ class AnalyticTransfer:
             return
         self._marks = [(d, d.fail_mark) for d in dirs]
         sim = self.sim
-        end = sim.wake_at_lane(sim.now + self.duration, name="an-x:end")
+        end = sim.wake_at(sim.now + self.duration, name="an-x:end")
         end.callbacks.append(self._finish)
 
     def _finish(self, _ev: Event) -> None:
@@ -494,9 +521,7 @@ def analytic_execute(sim: Simulator, spec: TransferSpec) -> Optional[Event]:
             # The generator would have raised before its first yield —
             # synchronously, in the caller's frame.  Do the same.
             raise tr.boot_exc
-        st = sim.stats
-        st.analytic_flows += 1
-        st.fastpath_events_saved += 2 + len(tr.dirs)
+        sim.stats.analytic_flows += 1
         return tr.completion
     return None
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cuda.memory import Snapshot
-from repro.errors import LinkDown
-from repro.hardware.links import LinkDirection, TransferSpec
+from repro.hardware.links import AnalyticTransfer, LinkDirection, TransferSpec
 from repro.simulator import Event, Simulator
 
 
@@ -118,43 +117,39 @@ class AnalyticFlow:
 
     This is the contended-window tier of the analytic engine: unlike
     the quiescence-gated planners above, it does *not* require idle
-    links.  The flow acquires the very same FIFO ``Resource`` slots the
-    event path would — hop directions requested in the same global
-    order, queued grants arriving at the same FIFO hand-off instants,
-    all holds released together at the end of the pipelined window — so
-    a link shared by N concurrent flows prices its bandwidth-sharing
-    schedule (the sorted sequence of grant/complete windows over the
-    active-flow set) exactly as the event-by-event engine does, down to
-    the last ulp.  What the closed form elides is the *machinery*: no
-    ``Process`` wrapping a generator per put, no per-hop generator
-    resumes, no dispatch/lookup/post/setup ``Timeout`` allocations —
-    only a handful of absolutely-timed wake-ups on the simulator's
-    vectorised lane, chained through resource-grant callbacks.
+    links.  A flow is a post/ack wrapper around one
+    :class:`~repro.hardware.links.AnalyticTransfer`, which holds the
+    write's path through the very same FIFO ``Resource`` slots the
+    event path would — so a link shared by N concurrent flows prices
+    its bandwidth-sharing schedule exactly as the event-by-event engine
+    does, down to the last ulp.  The flow adds only what a one-sided
+    write has on top of the link hold: the post instant, the payload
+    snapshot and the posted gates before it; the HCA counters, the
+    payload write, the delivery notification and the ack after it.
+    What the closed form elides is the *machinery*: no ``Process``
+    wrapping a generator per put, no per-hop generator resumes, no
+    dispatch/lookup/post/setup/ack ``Timeout`` allocations — only a
+    handful of absolutely-timed wake-ups.
 
     Timeline (same float operations in the same order as
     ``Verbs.rdma_write`` + ``TransferSpec.execute``):
 
     * ``t_post = base + rdma_post_overhead`` — payload snapshotted,
       source HCA tx counted, ``posted`` fires (the put-return instant
-      the caller yields on);
-    * ``t_req = t_post + path.setup`` — hop directions requested in
-      global acquisition order; a queued request suspends the
-      acquisition exactly where the event-path generator would block,
-      resuming in the holder's release callback;
-    * ``t_end = last_grant + path.duration()`` — per-direction byte
-      and transfer counters bumped, holds released (waking queued
-      flows/processes URGENT, as ``execute``'s ``finally`` does),
-      payload written, target HCA rx counted, delivery notified;
+      the caller yields on), and the transfer is constructed;
+    * ``t_end``, the transfer's hold end — its completion fires
+      synchronously inside that pop: target HCA rx counted, payload
+      written, delivery notified;
     * ``t_ack = t_end + rdma_ack_latency`` — ``completion`` fires with
       the byte count (what ``shmem_quiet`` waits on).
 
     Any exception in a timed callback (e.g. a source read racing a
-    free) fails ``posted``/``completion`` at the instant the event
-    path's process would have died, so error surfacing is preserved.
-    The commit sites gate hard — fastpath on, no tracer/trace, no
-    faults, no health tracker, no RC transport — and decline on any
-    setup-time validation error so the event path raises at the
-    accurate instant.
+    free, or a ``LinkDown`` from the transfer) fails
+    ``posted``/``completion`` at the instant the event path's process
+    would have died, so error surfacing is preserved.  The commit sites
+    gate hard — fastpath on, no tracer/trace, no faults, no health
+    tracker, no RC transport — and decline on any setup-time validation
+    error so the event path raises at the accurate instant.
     """
 
     __slots__ = (
@@ -175,11 +170,6 @@ class AnalyticFlow:
         "sync_complete",
         "posted",
         "payload",
-        "_granted",
-        "_marks",
-        "_idx",
-        "_dead",
-        "contended",
     )
 
     def __init__(
@@ -204,11 +194,10 @@ class AnalyticFlow:
     ):
         self.sim = sim
         self.spec = spec
-        # The commit site may pass the spec's (topology-pure, hence
-        # cacheable) acquisition order and pipelined duration to avoid
-        # recomputing them per flow.
-        self.dirs = spec.directions() if dirs is None else dirs
-        self.duration = spec.duration() if duration is None else duration
+        # Cached acquisition order and pipelined duration, handed on to
+        # the transfer (it computes them when these are None).
+        self.dirs = dirs
+        self.duration = duration
         self.src = src
         self.dst_ptr = dst_ptr
         self.nbytes = nbytes
@@ -234,13 +223,7 @@ class AnalyticFlow:
         # path's ``posted.succeed`` inserts before the caller resumes.
         self.posted: Optional[Event] = Event(sim, name="an:posted") if gate else None
         self.payload: Optional[Snapshot] = None
-        self._granted: List[Tuple[LinkDirection, object]] = []
-        self._marks: List[Tuple[LinkDirection, int]] = []
-        self._idx = 0
-        self._dead = False
-        self.contended = False
-        t_post = base + post_overhead
-        w = sim.wake_at_lane(t_post, name="an:post")
+        w = sim.wake_at(base + post_overhead, name="an:post")
         w.callbacks.append(self._at_posted)
 
     def _fire(self, value=None, exc: Optional[BaseException] = None) -> None:
@@ -264,12 +247,8 @@ class AnalyticFlow:
             c.succeed(value)
 
     def _die(self, exc: BaseException) -> None:
-        self._dead = True
         if self.payload is not None:
             self.payload.release()
-        for d, req in self._granted:
-            d.resource.release(req)
-        self._granted = []
         self._fire(exc=exc)
 
     def _at_posted(self, _ev: Event) -> None:
@@ -291,72 +270,24 @@ class AnalyticFlow:
         if ext is not None and not ext._triggered:
             ext.succeed(sim.now)
         self.src_hca.count_tx()
-        # Allocated here — not at commit — so its scheduler sequence
-        # number is drawn at the same instant the event path allocates
-        # its setup timeout (tie order among same-instant events).
-        req = sim.wake_at_lane(sim.now + self.spec.setup, name="an:req")
-        req.callbacks.append(self._acquire)
+        # Constructed here — not at commit — so its setup wake-up draws
+        # its scheduler sequence number at the same instant the event
+        # path allocates its setup timeout (tie order among same-instant
+        # events).
+        tr = AnalyticTransfer(sim, self.spec, self.dirs, self.duration)
+        if tr.boot_exc is not None:
+            # Zero setup and a direction already down: the event path's
+            # write raises here, at the post instant.
+            self._die(tr.boot_exc)
+            return
+        tr.completion.callbacks.append(self._finish)
 
-    def _acquire(self, ev: Event) -> None:
-        # First entry arrives from the t_req wake-up; re-entries arrive
-        # from each request's own pop — granted or queued — so the flow
-        # takes exactly one resource request per scheduler step, the
-        # same cadence as the generator it replays (which yields after
-        # *every* ``request()``, immediate grant or not).  Chaining
-        # consecutive immediate grants inline here would jump ahead of
-        # same-instant parties whose resumes already sat in the ready
-        # queue, flipping a FIFO grant on a shared direction once three
-        # or more flows contend.
-        if self._dead:
+    def _finish(self, ev: Event) -> None:
+        exc = ev._exc
+        if exc is not None:
+            ev.defuse()
+            self._die(exc)
             return
-        dirs = self.dirs
-        spec = self.spec
-        granted = self._granted
-        i = self._idx
-        if i and granted:
-            d = dirs[i - 1]
-            if d.blocks(spec.leg_label(d)):
-                self._die(LinkDown(f"link direction {d.name} went down", direction=d))
-                return
-        if i < len(dirs):
-            d = dirs[i]
-            if d.blocks(spec.leg_label(d)):
-                self._die(LinkDown(f"link direction {d.name} is down", direction=d))
-                return
-            req = d.resource.request()
-            granted.append((d, req))
-            self._idx = i + 1
-            if not req._triggered and not self.contended:
-                self.contended = True
-                self.sim.stats.contended_windows += 1
-            req.callbacks.append(self._acquire)
-            return
-        self._marks = [(d, d.fail_mark) for d in dirs]
-        sim = self.sim
-        end = sim.wake_at_lane(sim.now + self.duration, name="an:end")
-        end.callbacks.append(self._finish)
-
-    def _finish(self, _ev: Event) -> None:
-        if self._dead:
-            return
-        spec = self.spec
-        for d, mark in self._marks:
-            if d.failed_since(mark, spec.leg_label(d)):
-                self._die(
-                    LinkDown(
-                        f"link direction {d.name} failed mid-transfer; payload lost",
-                        direction=d,
-                        in_flight=True,
-                    )
-                )
-                return
-        nbytes = self.nbytes
-        for d in self.dirs:
-            d.bytes_moved += nbytes
-            d.transfers += 1
-        for d, req in self._granted:
-            d.resource.release(req)
-        self._granted = []
         self.dst_hca.count_rx()
         sim = self.sim
         try:
@@ -372,7 +303,7 @@ class AnalyticFlow:
         ext = self.ext_delivered
         if ext is not None and not ext._triggered:
             ext.succeed(sim.now)
-        ack = sim.wake_at_lane(sim.now + self.ack_latency, name="an:ack")
+        ack = sim.wake_at(sim.now + self.ack_latency, name="an:ack")
         ack.callbacks.append(self._complete)
 
     def _deliver(self, _ev: Event) -> None:

@@ -243,7 +243,6 @@ class ProxyDaemon:
             ack.callbacks.append(lambda _ev: pool.release(slots.pop()))
             last = ack
         sim.stats.fastpath_batches += 1
-        sim.stats.fastpath_events_saved += 16 * n
         return last
 
     def _chunk_direct(self, req, slot, offset, csize, ev) -> Generator:

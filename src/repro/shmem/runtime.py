@@ -639,9 +639,7 @@ class Runtime:
             payload.release()
 
         done.callbacks.append(finish)
-        n = len(chunks)
         sim.stats.fastpath_batches += 1
-        sim.stats.fastpath_events_saved += 14 * n - 1
         return done
 
     # --- RDMA-based puts (return at post; completion tracked) ----------
@@ -716,7 +714,6 @@ class Runtime:
         )
         ctx.track(flow.completion)
         sim.stats.analytic_flows += 1
-        sim.stats.fastpath_events_saved += 9
         if ctx.in_collective:
             sim.stats.collective_closed_forms += 1
         return flow.posted, route, t0
@@ -1058,7 +1055,6 @@ class Runtime:
             offset += c
         ctx.track(last_ack)
         sim.stats.fastpath_batches += 1
-        sim.stats.fastpath_events_saved += 16 * n
         return ret
 
     def _put_host_pipeline(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:

@@ -36,8 +36,6 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Union
 
-import numpy as np
-
 
 class SimulationError(RuntimeError):
     """Raised for illegal engine usage (double-trigger, bad yield, ...)."""
@@ -49,10 +47,6 @@ NORMAL = 1
 #: same instant (e.g. resource hand-off).
 URGENT = 0
 
-#: Live entries in the vectorised lane's hot run before it is migrated
-#: into the cold numpy arrays with one bulk lexsort.
-_LANE_MIGRATE = 256
-
 
 class SimStats:
     """Engine counters; read via :attr:`Simulator.stats`.
@@ -60,10 +54,9 @@ class SimStats:
     ``scheduled``/``processed`` count every unit of scheduler work
     (heap entries, ready-queue events, and process resumptions alike),
     so a drop between two equivalent runs is direct evidence that a
-    fast path elided events.  ``fastpath_batches`` counts batched
-    pipeline transfers that took the closed-form path and
-    ``fastpath_events_saved`` estimates how many per-chunk events each
-    batch replaced.
+    fast path elided events (compare ``processed`` with
+    :attr:`Simulator.fastpath` on and off).  ``fastpath_batches`` counts
+    batched pipeline transfers that took the closed-form path.
 
     The tiered analytic engine adds its own population counters:
     ``analytic_flows`` counts RDMA operations replayed by the
@@ -71,9 +64,10 @@ class SimStats:
     resumes), ``contended_windows`` counts the subset whose link grant
     was queued behind other traffic (the contended-window pricing
     case), ``collective_closed_forms`` counts analytic commits issued
-    from inside a collective round, and ``vectorised_events`` counts
-    wake-ups that went through the simulator's numpy wake lane instead
-    of the per-event binary heap.
+    from inside a collective round.  ``vectorised_events`` is always 0:
+    it counted the numpy wake lane, which is gone, and stays only
+    because the benchmark's traced run maps every counter by name
+    (``perfbench/tracing.py``) and reports incorrect on a missing one.
 
     The reliability counters (``retries`` .. ``degraded_time``) are only
     ever non-zero when a :class:`repro.faults.FaultPlan` is attached:
@@ -102,7 +96,6 @@ class SimStats:
         "processed",
         "resumed_fast",
         "fastpath_batches",
-        "fastpath_events_saved",
         "analytic_flows",
         "contended_windows",
         "collective_closed_forms",
@@ -385,25 +378,6 @@ class Simulator:
     def __init__(self) -> None:
         self._queue: List[tuple] = []
         self._ready: Deque[Union[Event, tuple]] = deque()
-        # Vectorised wake lane: absolutely-timed wake-ups created by the
-        # analytic fast paths.  New entries land in ``_lane_pend``; at
-        # the next drain they merge into the sorted *hot* run (timsort
-        # exploits the presorted runs), and once the hot run exceeds
-        # ``_LANE_MIGRATE`` live entries the whole run migrates into the
-        # cold numpy arrays with a single lexsorted bulk merge — one
-        # vector op absorbing a homogeneous run of events that would
-        # otherwise each pay a heap push/pop.  Pops advance positional
-        # cursors.  Global ordering against the heap is preserved
-        # exactly: all structures share ``_seq``, and ``step`` always
-        # fires the lowest ``(time, seq)`` head.
-        self._lane_t = np.empty(0, dtype=np.float64)
-        self._lane_s = np.empty(0, dtype=np.int64)
-        self._lane_e = np.empty(0, dtype=object)
-        self._lane_n: int = 0
-        self._lane_pos: int = 0
-        self._lane_hot: List[tuple] = []
-        self._lane_hot_pos: int = 0
-        self._lane_pend: List[tuple] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._active_process: Optional[Process] = None
@@ -446,13 +420,7 @@ class Simulator:
         absolutely-timed wake-ups cannot reorder any grant or wake-up
         another party would have observed.
         """
-        return (
-            not self._ready
-            and not self._queue
-            and not self._lane_pend
-            and self._lane_pos >= self._lane_n
-            and self._lane_hot_pos >= len(self._lane_hot)
-        )
+        return not self._ready and not self._queue
 
     # -- event construction --------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -464,10 +432,10 @@ class Simulator:
     def wake_at(self, when: float, value: Any = None, name: str = "") -> Event:
         """An event firing at absolute time ``when`` (NORMAL priority).
 
-        Used by the batched transfer fast paths, whose completion times
-        are computed in absolute terms: scheduling ``timeout(when - now)``
-        would re-round the float and could drift off the event-accurate
-        path by one ulp.
+        Used by the batched and analytic transfer fast paths, whose
+        instants are computed in absolute terms: scheduling
+        ``timeout(when - now)`` would re-round the float and could drift
+        off the event-accurate path by one ulp.
         """
         if when < self._now:
             raise SimulationError(f"wake_at({when!r}) is in the past (now={self._now!r})")
@@ -478,98 +446,6 @@ class Simulator:
         self.stats.scheduled += 1
         heapq.heappush(self._queue, (when, self._seq, ev))
         return ev
-
-    def wake_at_lane(self, when: float, value: Any = None, name: str = "") -> Event:
-        """Like :meth:`wake_at`, but lands in the vectorised wake lane.
-
-        The analytic flows schedule their posted/grant/complete/ack
-        instants through here; entries accumulate in a pending batch
-        and are merged into the sorted lane with a single numpy lexsort
-        at the next drain, replacing one heap push per event with a
-        bulk operation.  Ordering is identical to :meth:`wake_at`: the
-        lane shares the global ``seq`` counter and ``step`` merges both
-        structures by ``(time, seq)``.
-        """
-        if when < self._now:
-            raise SimulationError(f"wake_at_lane({when!r}) is in the past (now={self._now!r})")
-        ev = Event(self, name or "lane")
-        ev._triggered = True
-        ev._value = value
-        self._seq += 1
-        self.stats.scheduled += 1
-        self._lane_pend.append((when, self._seq, ev))
-        return ev
-
-    def _lane_flush(self) -> None:
-        """Merge pending wake-ups into the sorted hot run (timsort).
-
-        Small bursts stay in the hot python list — timsort's run
-        detection makes the merge nearly free — and once the live run
-        exceeds :data:`_LANE_MIGRATE` entries the whole run migrates
-        into the cold numpy arrays with one vectorised lexsort, so the
-        per-burst cost never includes a numpy call.
-        """
-        pend = self._lane_pend
-        self._lane_pend = []
-        self.stats.vectorised_events += len(pend)
-        pend.sort()
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        if hp:
-            del hot[:hp]
-            self._lane_hot_pos = 0
-        if hot:
-            if pend[0] >= hot[-1]:
-                hot.extend(pend)
-            else:
-                hot.extend(pend)
-                hot.sort()
-        else:
-            self._lane_hot = hot = pend
-        if len(hot) >= _LANE_MIGRATE:
-            self._lane_migrate()
-
-    def _lane_migrate(self) -> None:
-        """Bulk-absorb the hot run into the cold numpy lane (one lexsort)."""
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        n = len(hot) - hp
-        pt = np.fromiter((hot[i][0] for i in range(hp, len(hot))), dtype=np.float64, count=n)
-        ps = np.fromiter((hot[i][1] for i in range(hp, len(hot))), dtype=np.int64, count=n)
-        pe = np.empty(n, dtype=object)
-        for i in range(n):
-            pe[i] = hot[hp + i][2]
-        self._lane_hot = []
-        self._lane_hot_pos = 0
-        pos = self._lane_pos
-        if pos < self._lane_n:
-            pt = np.concatenate((self._lane_t[pos : self._lane_n], pt))
-            ps = np.concatenate((self._lane_s[pos : self._lane_n], ps))
-            pe = np.concatenate((self._lane_e[pos : self._lane_n], pe))
-        order = np.lexsort((ps, pt))
-        self._lane_t = pt[order]
-        self._lane_s = ps[order]
-        self._lane_e = pe[order]
-        self._lane_n = len(order)
-        self._lane_pos = 0
-
-    def _next_when(self) -> float:
-        """Time of the earliest heap/lane entry (+inf when both empty)."""
-        if self._lane_pend:
-            self._lane_flush()
-        q = self._queue[0][0] if self._queue else float("inf")
-        pos = self._lane_pos
-        if pos < self._lane_n:
-            lt = float(self._lane_t[pos])
-            if lt < q:
-                q = lt
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        if hp < len(hot):
-            ht = hot[hp][0]
-            if ht < q:
-                q = ht
-        return q
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
@@ -614,37 +490,6 @@ class Simulator:
                 self.trace._on_fire(self._now, item)
             item._run_callbacks()
             return
-        if self._lane_pend:
-            self._lane_flush()
-        hot = self._lane_hot
-        hp = self._lane_hot_pos
-        pos = self._lane_pos
-        lt = ls = None
-        use_hot = False
-        if pos < self._lane_n:
-            lt = self._lane_t[pos]
-            ls = self._lane_s[pos]
-        if hp < len(hot):
-            h = hot[hp]
-            if lt is None or (h[0], h[1]) < (lt, ls):
-                lt = h[0]
-                ls = h[1]
-                use_hot = True
-        if lt is not None:
-            head = self._queue[0] if self._queue else None
-            if head is None or (lt, ls) < (head[0], head[1]):
-                if use_hot:
-                    self._lane_hot_pos = hp + 1
-                    event = h[2]
-                else:
-                    self._lane_pos = pos + 1
-                    event = self._lane_e[pos]
-                    self._lane_e[pos] = None
-                self._now = float(lt)
-                if self.trace is not None:
-                    self.trace._on_fire(self._now, event)
-                event._run_callbacks()
-                return
         when, _seq, event = heapq.heappop(self._queue)
         self._now = when
         if self.trace is not None:
@@ -658,14 +503,8 @@ class Simulator:
         is a runaway-loop backstop.
         """
         count = 0
-        while (
-            self._ready
-            or self._queue
-            or self._lane_pend
-            or self._lane_pos < self._lane_n
-            or self._lane_hot_pos < len(self._lane_hot)
-        ):
-            if not self._ready and until is not None and self._next_when() > until:
+        while self._ready or self._queue:
+            if not self._ready and until is not None and self._queue[0][0] > until:
                 self._now = until
                 return self._now
             self.step()
@@ -678,7 +517,7 @@ class Simulator:
         """Time of the next scheduled event, or +inf if the queue is empty."""
         if self._ready:
             return self._now
-        return self._next_when()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def flush_stats(self) -> SimStats:
         """Fold this simulator's counters into :data:`GLOBAL_STATS`.

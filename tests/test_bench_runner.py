@@ -46,9 +46,9 @@ def test_totals_aggregates_every_tier_counter():
 
 
 def test_profile_breakdown_covers_every_tier_key():
-    prof = _profile_from_stats({"processed": 3, "fastpath_events_saved": 9})
+    prof = _profile_from_stats({"processed": 3})
     assert set(prof["tiers"]) == set(PROFILE_TIER_KEYS)
-    assert prof["events"]["saved"] == 9
+    assert prof["events"]["processed"] == 3
     assert prof["tiers"]["analytic_flows"] == 0
 
 

@@ -15,6 +15,7 @@ import pytest
 import repro.bench.latency as lat
 from repro.errors import ConfigurationError
 from repro.hardware.links import chunked
+from repro.hardware.params import wilkes_params
 from repro.shmem import Domain, ShmemJob
 from repro.units import KiB, MiB
 
@@ -313,8 +314,20 @@ def _ab_run_stats(make_job, program):
     return on[4]
 
 
-@pytest.mark.parametrize("flows", [2, 3, 5, 8])
-def test_contended_flows_share_one_link_identical(flows):
+#: No HCA post/receive overhead: ``rdma_write`` specs then have zero
+#: setup, so a tier-2 flow requests its first link direction
+#: synchronously at the post instant instead of from a setup wake-up.
+_ZERO_HCA = wilkes_params(hca_tx_overhead=0.0, hca_rx_overhead=0.0)
+
+
+@pytest.mark.parametrize("flows,params", [
+    pytest.param(2, None, id="2"),
+    pytest.param(3, None, id="3"),
+    pytest.param(5, None, id="5"),
+    pytest.param(8, None, id="8"),
+    pytest.param(3, _ZERO_HCA, id="3-zero-hca"),
+])
+def test_contended_flows_share_one_link_identical(flows, params):
     """2..8 concurrent analytic flows queueing on one HCA port with
     asymmetric sizes: FIFO grant hand-offs must price bit-identically."""
 
@@ -334,7 +347,9 @@ def test_contended_flows_share_one_link_identical(flows):
         return (ctx.now, sym.read(64 * KiB) if ctx.pe >= half else None)
 
     stats = _ab_run_stats(
-        lambda: ShmemJob(nodes=2, pes_per_node=flows, design="enhanced-gdr"),
+        lambda: ShmemJob(
+            nodes=2, pes_per_node=flows, design="enhanced-gdr", params=params
+        ),
         main,
     )
     assert stats.analytic_flows > 0       # tier 2 committed real puts
@@ -370,6 +385,43 @@ def test_mid_window_fault_fallback_identical():
 
     stats = _ab_run_stats(
         lambda: ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr"),
+        main,
+    )
+    assert stats.analytic_flows > 0
+
+
+def test_zero_setup_flow_down_at_post_identical():
+    """With zero HCA overhead a flow requests its first direction
+    synchronously at the post instant; a direction already down there
+    must fail the put with the event path's exception at the same
+    instant."""
+    from repro.errors import LinkDown
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(16 * KiB, domain=Domain.GPU)
+        src = ctx.cuda.malloc(8 * KiB)
+        src.fill(0x42, 8 * KiB)
+        yield from ctx.barrier_all()
+        out = None
+        if ctx.my_pe() == 0:
+            # The source GPU's PCIe read direction: first in the write
+            # path's acquisition order.
+            leg = ctx.job.hw.nodes[0].pcie.gpu_links[0].rev
+            yield from ctx.putmem(sym, src, 2 * KiB, pe=ctx.npes - 1)
+            yield from ctx.quiet()
+            leg.fail()
+            try:
+                yield from ctx.putmem(sym, src, 2 * KiB, pe=ctx.npes - 1)
+                yield from ctx.quiet()
+                out = "unexpected-success"
+            except LinkDown as exc:
+                out = ("failed", str(exc), ctx.now)
+                leg.repair()
+        yield from ctx.barrier_all()
+        return out
+
+    stats = _ab_run_stats(
+        lambda: ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr", params=_ZERO_HCA),
         main,
     )
     assert stats.analytic_flows > 0
@@ -413,12 +465,13 @@ def test_collective_closed_form_identical(coll):
     assert stats.collective_closed_forms > 0
 
 
-@pytest.mark.parametrize("design,ppn", [
-    ("enhanced-gdr", 3),
-    ("enhanced-gdr", 4),
-    ("device-initiated", 4),
+@pytest.mark.parametrize("design,ppn,params", [
+    pytest.param("enhanced-gdr", 3, None, id="enhanced-gdr-3"),
+    pytest.param("enhanced-gdr", 4, None, id="enhanced-gdr-4"),
+    pytest.param("device-initiated", 4, None, id="device-initiated-4"),
+    pytest.param("enhanced-gdr", 3, _ZERO_HCA, id="enhanced-gdr-3-zero-hca"),
 ])
-def test_three_way_contention_grant_order_identical(design, ppn):
+def test_three_way_contention_grant_order_identical(design, ppn, params):
     """Regression: a GPU alltoall at 3+ PEs per node piles flows with
     *overlapping but distinct* direction sets onto shared links.  The
     analytic flows used to chain consecutive immediate grants inline
@@ -438,7 +491,7 @@ def test_three_way_contention_grant_order_identical(design, ppn):
         return (ctx.now, dst.read(568 * n))
 
     stats = _ab_run_stats(
-        lambda: ShmemJob(nodes=2, pes_per_node=ppn, design=design),
+        lambda: ShmemJob(nodes=2, pes_per_node=ppn, design=design, params=params),
         main,
     )
     assert stats.contended_windows > 0  # the grant queues really formed
