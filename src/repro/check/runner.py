@@ -10,10 +10,11 @@ times, protocol counts, probe series, per-link byte counters, and the
 full :class:`~repro.obs.metrics.MetricsSnapshot`.
 
 A run can be steered into any of the three execution modes under test:
-``fastpath=False`` forces the event-accurate path, ``trace=True``
-attaches a :class:`~repro.obs.spans.SpanTracer` plus an event
-:class:`~repro.simulator.monitor.Trace` (which also disarms the fast
-paths), and ``Workload.faults`` arms a survivable seeded fault plan.
+``fastpath=False`` disarms the batched tiers and the tier-2 RDMA-write
+flows, ``trace=True`` attaches a :class:`~repro.obs.spans.SpanTracer`
+plus an event :class:`~repro.simulator.monitor.Trace` (which disarms
+them too), and ``Workload.faults`` arms a survivable seeded fault plan.
+Link holds run the same machine in every mode.
 
 ``corrupt_uid`` is the harness' self-test hook: after the program
 body finishes, the PE that executed that op flips one byte of the

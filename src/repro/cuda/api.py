@@ -16,7 +16,7 @@ from typing import Generator, Optional
 from repro.errors import CudaError
 from repro.cuda import ipc as ipc_mod
 from repro.cuda.memory import MemKind, MemorySpace, Ptr
-from repro.hardware.links import TransferSpec, analytic_execute
+from repro.hardware.links import TransferSpec
 from repro.hardware.node import Node
 from repro.simulator import Process, Resource, Simulator
 
@@ -143,11 +143,7 @@ class CudaContext:
         payload = src.snapshot(nbytes)
         try:
             dst._check(nbytes)  # fail fast before charging time
-            an = analytic_execute(self.sim, spec)
-            if an is not None:
-                yield an
-            else:
-                yield from spec.execute(self.sim)
+            yield from spec.execute(self.sim)
             dst.write(payload)
         finally:
             payload.release()
@@ -162,11 +158,7 @@ class CudaContext:
         """Timed ``cudaMemset`` (charged like a device-local fill)."""
         spec = self.node.pcie.d2d_local(self.device_id, nbytes) if ptr.kind is MemKind.DEVICE \
             else self.node.pcie.host_copy(nbytes)
-        an = analytic_execute(self.sim, spec)
-        if an is not None:
-            yield an
-        else:
-            yield from spec.execute(self.sim)
+        yield from spec.execute(self.sim)
         ptr.fill(value, nbytes)
         return nbytes
 

@@ -9,8 +9,11 @@ Attaching the injector (``FaultPlan.attach(job)`` /
   :class:`~repro.ib.rc.RCTransport` so every wire crossing gains RC
   retry semantics — and a :class:`~repro.faults.health.HealthTracker`
   consulted by the runtime's protocol selection;
-* flips ``sim.faults_active`` so the analytic fastpaths decline (their
-  closed-form plans cannot price mid-transfer failures).
+* flips ``sim.faults_active`` so the batched tiers and the tier-2
+  RDMA-write flows decline: RC retry and failover live in the per-op
+  generators.  Link holds are unchanged — every transfer checks for
+  failures at request, grant and hold end whether or not a plan is
+  attached.
 
 Nothing in the workload changes: the same program generator runs, the
 faults arrive underneath it.

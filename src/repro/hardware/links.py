@@ -8,9 +8,10 @@ explicitly, exactly like the real runtimes do).
 
 :class:`TransferSpec` is the unit the topology layers hand back: a
 latency, an effective bandwidth, and the set of link directions the
-transfer must occupy.  ``TransferSpec.execute`` is the single code path
-through which *all* simulated data movement charges time, so failure
-injection and tracing hook in here.
+transfer must occupy.  :class:`AnalyticTransfer` is the single machine
+through which *all* simulated data movement holds its links (via
+``TransferSpec.execute``, or wrapped by the tier-2 RDMA-write flows), so
+failure injection and tracing hook in there.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class LinkDirection:
         #: label-prefix -> active fail count (overlapping windows nest).
         self._blocked: dict = {}
         #: Every fail() appends its label (None = whole direction); see
-        #: :meth:`TransferSpec.execute` for the mid-flight check.
+        #: :class:`AnalyticTransfer` for the mid-flight check.
         self._fail_log: List[Optional[str]] = []
 
     @property
@@ -265,11 +266,12 @@ class TransferSpec:
             d.transfers += 1
 
     def execute(self, sim: Simulator) -> Generator:
-        """Run the transfer (cut-through across hops).
+        """Run the transfer (cut-through across hops); returns ``nbytes``.
 
         All hop directions are acquired in a global deterministic order
         (no deadlock between overlapping paths), held for the pipelined
-        duration, then released together.
+        duration, then released together — by one
+        :class:`AnalyticTransfer`, the single link-hold machine.
 
         Failure semantics: a transfer raises :class:`LinkDown` when a
         matching failure is active at request or grant time, **and**
@@ -279,79 +281,47 @@ class TransferSpec:
         delivered).  The retry layer re-executes the spec, re-pricing
         the wire crossing.
         """
-        if self.setup:
-            yield sim.timeout(self.setup, name=f"{self.label}:setup")
-        directions = self.directions()
-        granted = []
-        try:
-            for d in directions:
-                if d.blocks(self.leg_label(d)):
-                    raise LinkDown(f"link direction {d.name} is down", direction=d)
-                req = d.resource.request()
-                yield req
-                granted.append((d, req))
-                if d.blocks(self.leg_label(d)):
-                    raise LinkDown(f"link direction {d.name} went down", direction=d)
-            marks = [(d, d.fail_mark) for d in directions]
-            hold_start = sim.now
-            yield sim.timeout(self.duration(), name=self.label)
-            tracer = sim.tracer
-            if tracer is not None:
-                # One completed crossing per hop direction, recorded
-                # post-hoc so the span costs nothing on the timed path.
-                for d in directions:
-                    tracer.complete(
-                        sim, self.label, "link", f"link:{d.name}",
-                        hold_start, nbytes=self.nbytes,
-                    )
-            for d, mark in marks:
-                if d.failed_since(mark, self.leg_label(d)):
-                    raise LinkDown(
-                        f"link direction {d.name} failed mid-transfer; payload lost",
-                        direction=d,
-                        in_flight=True,
-                    )
-            for d in directions:
-                d.bytes_moved += self.nbytes
-                d.transfers += 1
-        finally:
-            for d, req in granted:
-                d.resource.release(req)
-        return self.nbytes
+        tr = AnalyticTransfer(sim, self)
+        if tr.boot_exc is not None:
+            # Zero setup and a direction already down: raise before the
+            # first yield, in the caller's own frame.
+            raise tr.boot_exc
+        return (yield tr.completion)
 
 
 class AnalyticTransfer:
-    """Callback-driven closed-form replay of one :meth:`TransferSpec.execute`.
+    """The one link-hold machine: acquire, hold, fail-check, release.
 
-    The one link-hold machine of the analytic engine's tier 2: any
-    ``yield from spec.execute(sim)`` whose caller only needs the
-    completion (memcpy, memset, copy-based puts, MPI eager delivery)
-    can instead commit one of these and yield :attr:`completion`, and
-    :class:`~repro.shmem.fastpath.AnalyticFlow` wraps one per signaled
-    RDMA write.  The replay acquires the very same FIFO resources at the
-    same instants as the generator would — contended windows price
-    themselves bit-identically — but elides the per-hop generator
-    resumes and the setup/hold ``Timeout`` allocations, scheduling its
-    setup and hold-end instants as absolute wake-ups instead.
+    :meth:`TransferSpec.execute` yields on one of these for every timed
+    crossing, and :class:`~repro.shmem.fastpath.AnalyticFlow` wraps one
+    per signaled RDMA write it commits.  The machine acquires FIFO
+    resources one request per scheduler step — contended windows price
+    themselves exactly as processes queueing on the resources would —
+    but runs as callbacks rather than as a generator: no per-hop
+    resumes, and the setup and hold-end instants are absolute wake-ups
+    (named ``"<label>:setup"`` and ``"<label>"``, so event traces see
+    the transfer's own label) instead of ``Timeout`` allocations.
 
-    Timeline (same float operations in the same order as ``execute``):
+    Timeline:
 
     * ``t_req = now + spec.setup`` — hop directions requested in global
       acquisition order, one request per scheduler step; a queued
-      request suspends the acquisition exactly where the generator
-      would block, resuming in the holder's release callback;
-    * ``t_end = last_grant + spec.duration()`` — per-direction byte and
-      transfer counters bumped, holds released (waking queued
-      transfers/processes URGENT, as ``execute``'s ``finally`` does),
-      :attr:`completion` fired with the byte count.
+      request suspends the acquisition, resuming in the holder's
+      release callback;
+    * ``t_end = last_grant + spec.duration()`` — one ``link`` span per
+      direction recorded when a tracer is attached, then the failure
+      check, per-direction byte and transfer counters bumped, holds
+      released (waking queued transfers URGENT), :attr:`completion`
+      fired with the byte count.
 
-    Failure semantics mirror ``execute`` exactly: a matching failure at
-    request or grant time, or a failure window overlapping the hold,
-    fails :attr:`completion` with the same :class:`LinkDown` the
-    generator would raise, at the same instant (the caller's ``yield``
-    re-raises it).  Commit sites must gate on ``sim.fastpath``, no
-    active fault plan, and no tracer/trace — :func:`analytic_execute`
-    is that gate.
+    Failure semantics: a matching failure at request or grant time, or
+    a failure window overlapping the hold, fails :attr:`completion`
+    with :class:`LinkDown` (``in_flight=True`` for the last) at that
+    instant, releasing every granted direction to its queued waiters.
+    With zero setup the first request happens in the constructor, and
+    a failure there lands in :attr:`boot_exc` for the caller to raise
+    in its own frame.  The machine runs identically with or without a
+    fault plan, a tracer or an event trace attached.
     """
 
     __slots__ = (
@@ -365,6 +335,7 @@ class AnalyticTransfer:
         "_idx",
         "_dead",
         "_booting",
+        "_hold_start",
         "boot_exc",
         "contended",
     )
@@ -388,27 +359,24 @@ class AnalyticTransfer:
         self._marks: List[Tuple[LinkDirection, int]] = []
         self._idx = 0
         self._dead = False
+        self._hold_start = 0.0
         self.boot_exc: Optional[BaseException] = None
         self.contended = False
         if spec.setup:
             self._booting = False
-            w = sim.wake_at(sim.now + spec.setup, name="an-x:setup")
+            w = sim.wake_at(sim.now + spec.setup, name=f"{spec.label}:setup")
             w.callbacks.append(self._acquire)
         else:
-            # No setup leg: ``execute`` requests synchronously at the
-            # current instant, so we do too.  A failure here surfaces
-            # through ``boot_exc`` and is re-raised by the commit site
-            # in the caller's own frame — exactly where the generator
-            # would have raised it.
+            # No setup leg: request synchronously at the current
+            # instant.  A failure here surfaces through ``boot_exc``.
             self._booting = True
             self._acquire(None)
             self._booting = False
 
     def _fire(self, value=None, exc: Optional[BaseException] = None) -> None:
-        """Trigger ``completion`` the way the event path would resume
-        its caller: synchronously, inside the current pop, when a
-        waiter is already attached (the generator continues within the
-        duration-timeout callback); through the scheduler otherwise."""
+        """Trigger ``completion``: synchronously, inside the current
+        pop, when a waiter is already attached (it resumes within the
+        hold-end wake-up); through the scheduler otherwise."""
         c = self.completion
         if c._triggered:
             return
@@ -438,13 +406,13 @@ class AnalyticTransfer:
         # First entry arrives from the setup wake-up (or synchronously
         # from the constructor); re-entries arrive from each request's
         # own pop — granted or queued — so the transfer takes exactly
-        # one resource request per scheduler step, the same cadence as
-        # the generator it replays (which yields after *every*
-        # ``request()``, immediate grant or not).  Chaining consecutive
-        # immediate grants inline here would jump ahead of same-instant
-        # parties whose resumes already sat in the ready queue, flipping
-        # a FIFO grant on a shared direction once three or more
-        # transfers contend.
+        # one resource request per scheduler step, the cadence of a
+        # process that yields after *every* ``request()``, immediate
+        # grant or not (the pinned timings depend on it).  Chaining
+        # consecutive immediate grants inline here would jump ahead of
+        # same-instant parties whose resumes already sat in the ready
+        # queue, flipping a FIFO grant on a shared direction once three
+        # or more transfers contend.
         if self._dead:
             return
         dirs = self.dirs
@@ -471,13 +439,24 @@ class AnalyticTransfer:
             return
         self._marks = [(d, d.fail_mark) for d in dirs]
         sim = self.sim
-        end = sim.wake_at(sim.now + self.duration, name="an-x:end")
+        self._hold_start = sim.now
+        end = sim.wake_at(sim.now + self.duration, name=spec.label)
         end.callbacks.append(self._finish)
 
     def _finish(self, _ev: Event) -> None:
         if self._dead:
             return
         spec = self.spec
+        sim = self.sim
+        tracer = sim.tracer
+        if tracer is not None:
+            # One completed crossing per hop direction, recorded
+            # post-hoc so the span costs nothing on the timed path.
+            for d in self.dirs:
+                tracer.complete(
+                    sim, spec.label, "link", f"link:{d.name}",
+                    self._hold_start, nbytes=spec.nbytes,
+                )
         for d, mark in self._marks:
             if d.failed_since(mark, spec.leg_label(d)):
                 self._die(
@@ -495,35 +474,10 @@ class AnalyticTransfer:
         for d, req in self._granted:
             d.resource.release(req)
         self._granted = []
-        # Fired synchronously: the event path's caller resumes inside
-        # the hold-timeout pop (``yield from`` has no process hop), so
-        # its post-copy actions run *before* the released waiters' grant
-        # events — the sync fire preserves that order.
+        # Fired synchronously: the waiting caller resumes inside the
+        # hold-end pop, so its post-copy actions run *before* the
+        # released waiters' grant events.
         self._fire(value=nbytes)
-
-
-def analytic_execute(sim: Simulator, spec: TransferSpec) -> Optional[Event]:
-    """The commit gate for :class:`AnalyticTransfer`.
-
-    Returns the completion event to yield on, or ``None`` when the
-    event path must run (fast paths disabled, a fault plan is armed, or
-    a tracer/trace needs the per-event hooks that only ``execute``
-    provides).  Counted into the tier-2 analytic-flow statistics.
-    """
-    if (
-        sim.fastpath
-        and not sim.faults_active
-        and sim.trace is None
-        and sim.tracer is None
-    ):
-        tr = AnalyticTransfer(sim, spec)
-        if tr.boot_exc is not None:
-            # The generator would have raised before its first yield —
-            # synchronously, in the caller's frame.  Do the same.
-            raise tr.boot_exc
-        sim.stats.analytic_flows += 1
-        return tr.completion
-    return None
 
 
 def chunked(nbytes: int, chunk: int) -> Sequence[int]:

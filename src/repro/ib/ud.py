@@ -24,7 +24,7 @@ import bisect
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.errors import IBError, LinkDown
-from repro.hardware.links import TransferSpec, analytic_execute, chunked
+from repro.hardware.links import TransferSpec, chunked
 
 
 class UDReassembly:
@@ -175,11 +175,7 @@ class UDTransport:
             hca.count_tx()
             path = self.packet_path(ep, dst, nbytes)
             try:
-                an = analytic_execute(sim, path)
-                if an is not None:
-                    yield an
-                else:
-                    yield from path.execute(sim)
+                yield from path.execute(sim)
             except LinkDown:
                 # UD has no retry state: the wire ate the packet and
                 # the HCA neither knows nor cares.  Tally and move on.

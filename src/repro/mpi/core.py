@@ -8,7 +8,7 @@ from typing import Deque, Dict, Generator, Optional, Tuple
 
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import ShmemError
-from repro.hardware.links import analytic_execute, chunked
+from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.shmem.staging import StagingPool
 from repro.simulator import Event
@@ -132,11 +132,7 @@ class MpiWorld:
         if send.payload is not None:
             if same_node:
                 spec = self.job.hw.node_of(send.pe).pcie.host_copy(send.nbytes)
-                an = analytic_execute(sim, spec)
-                if an is not None:
-                    yield an
-                else:
-                    yield from spec.execute(sim)
+                yield from spec.execute(sim)
             else:
                 yield from self.verbs.post_send(
                     self.verbs_endpoint(send.pe), self.verbs_endpoint(recv.pe), send.payload

@@ -33,7 +33,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import CompletionError, LinkDown, ShmemError
-from repro.hardware.links import analytic_execute, chunked
+from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.ib.ud import UDTransport
 from repro.shmem.staging import StagingPool
@@ -255,13 +255,6 @@ class MsgEngine:
                 recv.done.fail(exc)
 
     # ------------------------------------------------------------- eager path
-    def _spec_or_analytic(self, spec) -> Generator:
-        an = analytic_execute(self.sim, spec)
-        if an is not None:
-            yield an
-        else:
-            yield from spec.execute(self.sim)
-
     def _eager(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
         sim = self.sim
         p = self.params
@@ -273,9 +266,8 @@ class MsgEngine:
         try:
             if same_node:
                 # Into the receiver's bounce slot via shared host memory.
-                yield from self._spec_or_analytic(
-                    job.hw.node_of(send.pe).pcie.host_copy(send.nbytes)
-                )
+                spec = job.hw.node_of(send.pe).pcie.host_copy(send.nbytes)
+                yield from spec.execute(sim)
             elif send.transport == "ud":
                 yield from self.ud.send(
                     self._endpoint(send.pe), self._endpoint(recv.pe), send.nbytes
@@ -296,9 +288,8 @@ class MsgEngine:
                     recv.buf, slot.ptr, send.nbytes
                 )
             else:
-                yield from self._spec_or_analytic(
-                    job.hw.node_of(recv.pe).pcie.host_copy(send.nbytes)
-                )
+                spec = job.hw.node_of(recv.pe).pcie.host_copy(send.nbytes)
+                yield from spec.execute(sim)
         finally:
             pool.release(slot)
         recv.buf.write(payload)

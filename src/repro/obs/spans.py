@@ -8,12 +8,14 @@ a nested op -> protocol decision -> per-hop stack — the breakdown the
 paper's Figs 6-12 and Table III reason about.
 
 Emission is pull-free and costless when disabled: every hook guards on
-``sim.tracer is None`` (one attribute load), nothing is recorded, and
-the batched fast paths stay armed.  Attaching a :class:`SpanTracer`
-flips the same gate the event :class:`~repro.simulator.monitor.Trace`
-uses, so a traced run takes the event-accurate path and its spans map
-one-to-one onto real scheduler events — while leaving every simulated
-timestamp bit-identical (spans only *read* ``sim.now``).
+``sim.tracer is None`` (one attribute load) and nothing is recorded.
+Attaching a :class:`SpanTracer` closes the same gates the event
+:class:`~repro.simulator.monitor.Trace` does — the batched tiers and
+the tier-2 RDMA-write flows, whose per-op generators emit the op and
+verbs spans — while every link hold runs the same
+:class:`~repro.hardware.links.AnalyticTransfer` traced or not, emitting
+its ``link:`` spans at hold end.  Every simulated timestamp stays
+bit-identical (spans only *read* ``sim.now``).
 
 Like the event trace, the collector is bounded: past ``limit`` spans
 it counts drops in :attr:`SpanTracer.dropped` and flags
@@ -87,8 +89,9 @@ class SpanTracer:
 
     # ------------------------------------------------------------ lifecycle
     def attach(self, sim: Simulator, label: Optional[str] = None) -> "SpanTracer":
-        """Start observing ``sim``.  Also disarms its batched fast
-        paths (they elide the very events spans describe)."""
+        """Start observing ``sim``.  Also disarms its batched tiers and
+        tier-2 RDMA-write flows (they elide the per-op generators that
+        emit op and verbs spans); link holds are unaffected."""
         scope = self._scopes.setdefault(id(sim), len(self._scopes))
         if label is not None:
             self._scope_labels.setdefault(scope, label)

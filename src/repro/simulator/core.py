@@ -59,12 +59,12 @@ class SimStats:
     batched pipeline transfers that took the closed-form path.
 
     The tiered analytic engine adds its own population counters:
-    ``analytic_flows`` counts RDMA operations replayed by the
-    callback-driven closed form (no Process, no per-hop generator
-    resumes), ``contended_windows`` counts the subset whose link grant
-    was queued behind other traffic (the contended-window pricing
-    case), ``collective_closed_forms`` counts analytic commits issued
-    from inside a collective round.  ``vectorised_events`` is always 0:
+    ``analytic_flows`` counts tier-2 RDMA writes committed as
+    callback-driven flows (no Process, no per-op generator),
+    ``contended_windows`` counts link holds — of any transfer, in every
+    mode — whose grant was queued behind other traffic, and
+    ``collective_closed_forms`` counts analytic commits issued from
+    inside a collective round.  ``vectorised_events`` is always 0:
     it counted the numpy wake lane, which is gone, and stays only
     because the benchmark's traced run maps every counter by name
     (``perfbench/tracing.py``) and reports incorrect on a missing one.
@@ -385,18 +385,20 @@ class Simulator:
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
         #: this; like ``trace``, an attached tracer disarms the batched
-        #: fast paths so spans map 1:1 onto event-accurate scheduling.
+        #: tiers and the tier-2 RDMA-write flows so every op runs the
+        #: generator that emits its spans.  Link holds ignore it.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
-        #: Master switch for the batched closed-form transfer paths in
-        #: the hardware/runtime layers.  They additionally require no
-        #: trace and no contention; tests flip this off to force the
-        #: event-accurate path.
+        #: Master switch for the batched closed-form tiers and the
+        #: tier-2 RDMA-write flows in the runtime/ib layers.  They
+        #: additionally require no trace; tests flip this off to force
+        #: the per-op generators.  Link holds ignore it.
         self.fastpath = True
         #: Set by :class:`repro.faults.FaultInjector` when a fault plan
-        #: is attached.  The batched fast paths consult it and decline —
-        #: closed-form replay cannot model a link dying mid-window.
+        #: is attached.  The batched tiers and the tier-2 RDMA-write
+        #: flows consult it and decline, leaving RC retry and failover
+        #: to the per-op generators.  Link holds ignore it.
         self.faults_active = False
 
     # -- clock ---------------------------------------------------------

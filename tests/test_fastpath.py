@@ -210,9 +210,10 @@ def test_fig8_golden_with_empty_fault_plan(design, op):
 
 
 def test_faulted_sweep_declines_fastpath_and_stays_deterministic():
-    """Under an active flap plan the fast path must decline every
+    """Under an active flap plan the batched tiers must decline every
     pipeline, and fastpath on/off must still be indistinguishable (the
-    gate makes both sides take the event-accurate path)."""
+    gate makes both sides take the per-op generators, whose link holds
+    run one machine in either mode)."""
     from repro.faults import FaultPlan
     from repro.units import usec
 
@@ -303,10 +304,11 @@ def _ab_run_stats(make_job, program):
             )
         )
     on, off = outcomes
-    # The kill switch disables every tier, not just the batch planner.
+    # The kill switch disables every tier, not just the batch planner;
+    # link holds queue the same way in both modes.
     assert off[4].fastpath_batches == 0
     assert off[4].analytic_flows == 0
-    assert off[4].contended_windows == 0
+    assert on[4].contended_windows == off[4].contended_windows
     assert on[0] == off[0]  # program results (times, payload bytes)
     assert on[1] == off[1]  # exact virtual end time, no tolerance
     assert on[2] == off[2]  # every link/HCA counter

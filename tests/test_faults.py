@@ -10,7 +10,7 @@ must be bit-identical.
 
 import pytest
 
-from repro.errors import CompletionError, LinkDown, RetryExceeded
+from repro.errors import CompletionError, IBError, LinkDown, RetryExceeded
 from repro.faults import DEGRADED, FaultPlan, HealthTracker, HEALTHY, PROBING
 from repro.hardware.links import Link, TransferSpec
 from repro.hardware.params import wilkes_params
@@ -419,3 +419,225 @@ def test_atomics_under_faults_are_seed_deterministic():
     a, b = one(), one()
     assert a == b
     assert a[0] == increments * sum(pe + 1 for pe in range(4))
+
+
+# ------------------------------------------------- hold failures, pinned
+# A flap that lands while a transfer holds its link loses the payload at
+# the hold's end (``LinkDown(in_flight=True)``) and hands the direction
+# to the transfer queued behind it at that same instant.  Every link
+# hold runs through one machine, ``AnalyticTransfer``, so no second
+# implementation is left to A/B against; these constants were recorded
+# on the generator hold loop it replaced and pin it to that behaviour.
+
+
+def _host_program(n, transport):
+    """PE 0 posts two host-resident sends to PE 1 (tags 0 and 1), so the
+    second message's transfer queues behind the first's on every link
+    direction they share.  Each PE reports how its messages ended and
+    PE 1 which receive buffers are still untouched."""
+
+    def main(ctx):
+        bufs = [ctx.cuda.malloc_host(n) for _ in range(2)]
+        if ctx.pe == 0:
+            for i, buf in enumerate(bufs):
+                buf.fill(0x3C + i, n)
+            evs = [ctx.isend(buf, n, 1, tag=i, transport=transport) for i, buf in enumerate(bufs)]
+        else:
+            evs = [ctx.irecv(buf, n, 0, tag=i) for i, buf in enumerate(bufs)]
+        out = []
+        for ev in evs:
+            try:
+                yield ev
+                out.append(("ok", ctx.sim.now))
+            except IBError as exc:
+                out.append((type(exc).__name__, ctx.sim.now))
+        return out, [buf.read(n) == bytes(n) for buf in bufs]
+
+    return main
+
+
+def _memcpy_program(n):
+    """PE 0 issues two concurrent H2D ``cudaMemcpy``s over one GPU's PCIe
+    link; the second queues behind the first."""
+
+    def main(ctx):
+        src = ctx.cuda.malloc_host(n)
+        src.fill(0x5A, n)
+        dsts = [ctx.cuda.malloc(n) for _ in range(2)]
+        out = [None, None]
+
+        def copy(i):
+            try:
+                yield from ctx.cuda.memcpy(dsts[i], src, n)
+                out[i] = ("ok", ctx.sim.now)
+            except LinkDown as exc:
+                out[i] = (type(exc).__name__, ctx.sim.now)
+
+        yield ctx.sim.all_of([ctx.sim.process(copy(i)) for i in range(2)])
+        return out, [dst.read(n) == bytes(n) for dst in dsts]
+
+    return main
+
+
+#: case -> (job shape, param overrides, program, flap, watched direction)
+#: where the flap is ``(at µs after the program starts, down µs, every
+#: µs, count, flap kwargs)``.
+_HOLD_CASES = {
+    # A 1 µs GPU-PCIe flap lands mid-hold on the first H2D copy.
+    "memcpy": (
+        dict(nodes=1, pes_per_node=1), {}, _memcpy_program(64 * KiB),
+        (10.0, 1.0, None, 1, dict(node=0, kind="gpu-pcie", direction="fwd")),
+        "n0.gpu0.pcie:fwd",
+    ),
+    # Two flaps kill the first UD datagram mid-hold and then its resend;
+    # with one resend round allowed the message fails undelivered.
+    "ud": (
+        dict(nodes=2, pes_per_node=1), dict(ud_resend_limit=1),
+        _host_program(4 * KiB, "ud"),
+        (1.5, 0.1, 52.02, 2, dict(node=1, kind="hca-port", direction="both")),
+        "n0.hca0.pcie:fwd",
+    ),
+    # Two flaps kill the first rendezvous RDMA write mid-hold and then
+    # its RC retransmission: retries exhaust after two wire holds.
+    "rendezvous": (
+        dict(nodes=2, pes_per_node=1), dict(rc_retry_cnt=1, rc_timeout=usec(2)),
+        _host_program(64 * KiB, "rc"),
+        (10.0, 0.5, 20.0, 2, dict(node=1, kind="hca-port", direction="both")),
+        "n0.hca0.pcie:fwd",
+    ),
+}
+
+_FAULT_COUNTERS = (
+    "flap_windows", "retries", "failovers", "rc_retx_holds", "rc_aborted_wrs",
+    "ud_packets", "ud_drops", "ud_resends",
+)
+
+
+def _link_directions(job):
+    for node in job.hw.nodes:
+        for link in (*node.pcie.gpu_links, *node.pcie.hca_links, node.pcie.host_mem,
+                     *(h.port for h in node.hcas)):
+            yield link.fwd
+            yield link.rev
+
+
+def _run_hold_case(case, monkeypatch):
+    shape, overrides, program, (at, down, every, count, where), watched = _HOLD_CASES[case]
+
+    def job(plan=None):
+        return ShmemJob(
+            design="enhanced-gdr", params=wilkes_params(**overrides),
+            fault_plan=plan, **shape,
+        )
+
+    start = job().run(program).start_time
+    plan = FaultPlan(seed=1).flap(
+        at=start + usec(at), down_for=usec(down),
+        every=None if every is None else usec(every), count=count, **where,
+    )
+    faulted = job(plan)
+
+    # Every hold that raised: (instant, spec label, direction, in_flight).
+    lost = []
+    execute = TransferSpec.execute
+
+    def recording_execute(spec, sim):
+        try:
+            return (yield from execute(spec, sim))
+        except LinkDown as exc:
+            lost.append((sim.now, spec.label, exc.direction.name, exc.in_flight))
+            raise
+
+    monkeypatch.setattr(TransferSpec, "execute", recording_execute)
+
+    # Grant instants on the direction the second transfer queues on.
+    grants = []
+    resource = next(d for d in _link_directions(faulted) if d.name == watched).resource
+    request = resource.request
+
+    def recording_request():
+        req = request()
+        req.callbacks.append(lambda _ev: grants.append(faulted.sim.now))
+        return req
+
+    monkeypatch.setattr(resource, "request", recording_request)
+
+    res = faulted.run(program)
+    return dict(
+        results=res.results, elapsed=res.elapsed, lost=lost, grants=grants,
+        links={
+            d.name: (d.bytes_moved, d.transfers)
+            for d in _link_directions(faulted) if d.transfers
+        },
+        faults={k: getattr(faulted.sim.stats, k) for k in _FAULT_COUNTERS},
+    )
+
+
+#: Per case: the outcome of each PE's two operations (exception class or
+#: "ok", and the instant) plus which destinations are still zero; the
+#: exact end time; every hold that raised (instant, label, direction,
+#: in_flight); the grant instants on the watched direction (the last is
+#: the queued transfer's, at the dying hold's end); per-direction
+#: ``(bytes_moved, transfers)``; and the reliability counters.
+_HOLD_PINS = {
+    "memcpy": dict(
+        results=[([("LinkDown", 0.00019832266666666666), ("ok", 0.00020924533333333331)],
+                  [True, False])],
+        elapsed=0.00020924533333333331,
+        lost=[(0.00019832266666666666, "cudaMemcpyH2D", "n0.gpu0.pcie:fwd", True)],
+        grants=[0.0001874, 0.00019832266666666666],
+        links={"n0.gpu0.pcie:fwd": (65536, 1)},
+        faults=dict(flap_windows=1, retries=0, failovers=0, rc_retx_holds=0,
+                    rc_aborted_wrs=0, ud_packets=0, ud_drops=0, ud_resends=0),
+    ),
+    "ud": dict(
+        results=[
+            ([("ok", 0.00018370125058621232), ("ok", 0.00018370125058621232)], [False, False]),
+            ([("IBError", 0.00023774185086759424), ("ok", 0.00023774185086759424)], [True, False]),
+        ],
+        elapsed=0.00023774185086759424,
+        lost=[
+            (0.00018572155072690328, "ud_segment", "n1.hca0.port:rev", True),
+            (0.00023774185086759424, "ud_segment", "n1.hca0.port:rev", True),
+        ],
+        grants=[0.00018250000000000002, 0.00018438125058621233,
+                0.00018572155072690328, 0.00023640155072690328],
+        links={
+            "n0.hca0.pcie:fwd": (4104, 2), "n0.hca0.pcie:rev": (8, 1),
+            "n0.hca0.port:fwd": (4104, 2), "n0.hca0.port:rev": (8, 1),
+            "n1.hca0.pcie:fwd": (8, 1), "n1.hca0.pcie:rev": (4104, 2),
+            "n1.hostmem:fwd": (4096, 1),
+            "n1.hca0.port:fwd": (8, 1), "n1.hca0.port:rev": (4104, 2),
+        },
+        faults=dict(flap_windows=2, retries=0, failovers=0, rc_retx_holds=0,
+                    rc_aborted_wrs=0, ud_packets=3, ud_drops=2, ud_resends=1),
+    ),
+    "rendezvous": dict(
+        results=[
+            ([("RetryExceeded", 0.00021933565733937786), ("ok", 0.00021933565733937786)],
+             [False, False]),
+            ([("RetryExceeded", 0.00021933565733937786), ("ok", 0.00021933565733937786)],
+             [True, False]),
+        ],
+        elapsed=0.00021933565733937786,
+        lost=[
+            (0.0001974460528372675, "rdma_write", "n1.hca0.port:rev", True),
+            (0.00021933565733937786, "rdma_write", "n1.hca0.port:rev", True),
+        ],
+        grants=[0.00018250000000000002, 0.00018650125058621234,
+                0.0001974460528372675, 0.0002083908550883227],
+        links={
+            "n0.hca0.pcie:fwd": (65544, 2), "n0.hca0.pcie:rev": (8, 1),
+            "n0.hca0.port:fwd": (65544, 2), "n0.hca0.port:rev": (8, 1),
+            "n1.hca0.pcie:fwd": (8, 1), "n1.hca0.pcie:rev": (65544, 2),
+            "n1.hca0.port:fwd": (8, 1), "n1.hca0.port:rev": (65544, 2),
+        },
+        faults=dict(flap_windows=2, retries=2, failovers=0, rc_retx_holds=1,
+                    rc_aborted_wrs=0, ud_packets=0, ud_drops=0, ud_resends=0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOLD_CASES))
+def test_hold_failure_pins(case, monkeypatch):
+    assert _run_hold_case(case, monkeypatch) == _HOLD_PINS[case]
