@@ -108,7 +108,7 @@ def faults_off_baseline(repeats: int = 7) -> dict:
     }
 
 
-def run_via_service(targets, quick, profile, url, verbose=False):
+def run_via_service(targets, quick, url, verbose=False):
     """Drive the sweep through a running ``repro serve`` instance.
 
     Submits one sweep job per target in a single batch, waits for all
@@ -122,10 +122,7 @@ def run_via_service(targets, quick, profile, url, verbose=False):
 
     report = SweepReport(fingerprint=code_fingerprint(), quick=quick, jobs=0)
     with ServeClient(url, timeout=120.0) as client:
-        specs = [
-            {"kind": "sweep", "experiment": t, "quick": quick, "profile": profile}
-            for t in targets
-        ]
+        specs = [{"kind": "sweep", "experiment": t, "quick": quick} for t in targets]
         acks = client.submit_batch(specs)
         for target, ack in zip(targets, acks):
             try:
@@ -149,7 +146,6 @@ def run_via_service(targets, quick, profile, url, verbose=False):
                 cached=cached,
                 error=err,
                 metrics=rec.get("metrics", {}),
-                profile=rec.get("profile", {}),
             ))
             if verbose:
                 flag = f"ERROR {err}" if err else (
@@ -218,9 +214,6 @@ def main(argv=None) -> int:
                     help="skip timing the tier-1 pytest suite")
     ap.add_argument("--fresh", action="store_true",
                     help="drop the on-disk cache before running")
-    ap.add_argument("--profile", action="store_true",
-                    help="record a per-experiment breakdown (wall per "
-                         "phase, per-tier analytic counters) in the report")
     ap.add_argument("--faults", choices=["off"], default=None,
                     help="'off': also run the no-fault-plan zero-overhead probe")
     ap.add_argument("--serve", metavar="URL", default=None,
@@ -250,13 +243,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     if args.serve:
         report = run_via_service(
-            targets, quick=args.smoke, profile=args.profile,
-            url=args.serve, verbose=args.verbose,
+            targets, quick=args.smoke, url=args.serve, verbose=args.verbose
         )
     else:
-        runner = SweepRunner(
-            cache_dir, jobs=args.jobs, quick=args.smoke, profile=args.profile
-        )
+        runner = SweepRunner(cache_dir, jobs=args.jobs, quick=args.smoke)
         report = runner.run(targets, verbose=args.verbose)
     sweep_wall = time.perf_counter() - t0
 
@@ -288,19 +278,6 @@ def main(argv=None) -> int:
         f"pool={report.jobs}); engine: {totals.get('processed', 0)} events, "
         f"{totals.get('fastpath_batches', 0)} batched pipelines"
     )
-    if args.profile:
-        print(f"{'target':<12} {'run s':>8} {'events':>9} "
-              f"{'batch':>6} {'flows':>7} {'contend':>8} {'collect':>8}")
-        for t in report.targets:
-            prof = t.profile
-            if not prof:
-                continue
-            tiers, ev = prof["tiers"], prof["events"]
-            print(f"{t.exp_id:<12} {prof['phases']['run']:>8.3f} "
-                  f"{ev['processed']:>9} "
-                  f"{tiers['fastpath_batches']:>6} {tiers['analytic_flows']:>7} "
-                  f"{tiers['contended_windows']:>8} "
-                  f"{tiers['collective_closed_forms']:>8}")
     if "crossover" in doc:
         xo = doc["crossover"]
         er, rate = xo["eager_rendezvous"], xo["rc_ud_rate"]

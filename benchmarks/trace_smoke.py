@@ -9,13 +9,12 @@ Four checks, any failure exits non-zero:
 1. **Bit-identical timestamps** — the traced run's virtual end time
    equals the untraced run's exactly (spans only read ``sim.now``).
 2. **Fast-path gating** — the untraced run batches pipelines
-   (``fastpath_batches > 0``); the traced run takes the event-accurate
-   path (``fastpath_batches == 0``), so its spans map onto real
-   scheduler events.
-3. **Span/event agreement** — the tracer's ``rdma_write`` span count
-   equals the number of ``rdma_write`` wire-hold events an attached
-   event :class:`~repro.simulator.monitor.Trace` logs: one span per
-   work request, one timed hold per work request.
+   (``fastpath_batches > 0``); the traced run takes the per-op path
+   (``fastpath_batches == 0``), so every op emits its spans.
+3. **Span/hold agreement** — the tracer's ``ib`` ``rdma_write`` span
+   count equals its ``rdma_write`` link-hold count (``link`` spans
+   with ``hop == 0``): one span per work request, one timed hold per
+   work request.
 4. **Export schema** — the Chrome trace JSON round-trips through
    ``json`` and passes :func:`repro.obs.validate_chrome_trace`; CI
    archives it as an artifact.
@@ -35,7 +34,6 @@ import repro.bench.latency as lat  # noqa: E402
 from repro.obs import SpanTracer, snapshot_job, write_chrome_trace  # noqa: E402
 from repro.obs import validate_chrome_trace  # noqa: E402
 from repro.shmem import Domain, ShmemJob  # noqa: E402
-from repro.simulator import Trace  # noqa: E402
 from repro.units import KiB, MiB  # noqa: E402
 
 SIZES = [16 * KiB << i for i in range(9)]  # 16 KiB .. 4 MiB (Fig 8)
@@ -66,17 +64,6 @@ def main(argv=None) -> int:
     if ref_batches <= 0:
         failures.append(f"untraced run took no batched pipelines ({ref_batches})")
 
-    # Event-accurate reference: event Trace attached (also disarms the
-    # fast paths), counting the rdma_write wire holds.
-    evjob = _job()
-    evtrace = Trace(filter=lambda ev: ev.name == "rdma_write").attach(evjob.sim)
-    evjob.run(_program())
-    if evjob.sim.now != ref_end:
-        failures.append(
-            f"event-traced end time diverged: {evjob.sim.now!r} != {ref_end!r}"
-        )
-    event_writes = len(evtrace.records)
-
     # Span-traced run.
     job = _job()
     tracer = SpanTracer().attach(job.sim, label="fig8 internode D-D put")
@@ -90,13 +77,13 @@ def main(argv=None) -> int:
             f"span-traced run still batched {job.sim.stats.fastpath_batches} pipelines"
         )
     # The verbs layer opens one "ib" span per work request; the link
-    # layer reuses the spec label for its per-hop crossings, so filter
-    # by category to compare requests with requests.
-    span_writes = sum(1 for s in tracer.by_name("rdma_write") if s.cat == "ib")
-    if span_writes != event_writes:
-        failures.append(
-            f"rdma_write span count {span_writes} != event count {event_writes}"
-        )
+    # layer reuses the spec label for its crossings, one span per hop
+    # direction, so a hold is its ``hop == 0`` span.
+    writes = tracer.by_name("rdma_write")
+    span_writes = sum(1 for s in writes if s.cat == "ib")
+    holds = sum(1 for s in writes if s.cat == "link" and s.args["hop"] == 0)
+    if span_writes != holds:
+        failures.append(f"rdma_write span count {span_writes} != hold count {holds}")
     if tracer.open_spans():
         failures.append(f"{len(tracer.open_spans())} spans never closed")
     if tracer.truncated:
@@ -113,7 +100,7 @@ def main(argv=None) -> int:
         f"untraced: end={ref_end:.9f}s batches={ref_batches}\n"
         f"traced:   end={job.sim.now:.9f}s batches=0 "
         f"spans={len(tracer.spans)} instants={len(tracer.instants)}\n"
-        f"rdma_write spans={span_writes} events={event_writes}\n"
+        f"rdma_write spans={span_writes} holds={holds}\n"
         f"metrics keys={len(snap)} "
         f"p99(put:pipeline-gdr-write)={snap.get('probe.put:pipeline-gdr-write.p99')}\n"
         f"artifact: {path} ({len(doc['traceEvents'])} trace events)"

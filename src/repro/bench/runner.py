@@ -52,43 +52,17 @@ def code_fingerprint() -> str:
     return h.hexdigest()
 
 
-def target_cache_key(
-    exp_id: str, *, quick: bool, profile: bool, fingerprint: str
-) -> str:
+def target_cache_key(exp_id: str, *, quick: bool, fingerprint: str) -> str:
     """The memo key one experiment target caches under.
 
     Shared between the sweep runner's disk cache and the ``repro
     serve`` scheduler's dedup index, so a queued service request and a
     disk record for the same work always collide: same target + flags
-    + source tree -> same key; a ``--profile`` variant (richer record)
-    or any code change -> a different key.
+    + source tree -> same key; any code change -> a different key.
     """
     return hashlib.sha256(
-        f"{exp_id}\x00quick={quick}\x00profile={profile}\x00{fingerprint}".encode()
+        f"{exp_id}\x00quick={quick}\x00{fingerprint}".encode()
     ).hexdigest()
-
-
-#: Per-tier counter names exported by ``--profile`` (subset of
-#: ``SimStats``): tier-0/1 quiescent batches, tier-2 contended-window
-#: flows, and closed-form collective rounds.
-PROFILE_TIER_KEYS = (
-    "fastpath_batches",
-    "analytic_flows",
-    "contended_windows",
-    "collective_closed_forms",
-)
-
-
-def _profile_from_stats(stats: Dict[str, int]) -> Dict[str, object]:
-    """The per-tier counters and scheduler event totals of one run."""
-    return {
-        "tiers": {k: stats.get(k, 0) for k in PROFILE_TIER_KEYS},
-        "events": {
-            "scheduled": stats.get("scheduled", 0),
-            "processed": stats.get("processed", 0),
-            "resumed_fast": stats.get("resumed_fast", 0),
-        },
-    }
 
 
 @dataclass
@@ -103,11 +77,9 @@ class TargetResult:
     error: Optional[str] = None
     #: Flat dotted-key metrics snapshot (``repro.obs.snapshot_stats``).
     metrics: Dict[str, object] = field(default_factory=dict)
-    #: ``--profile`` breakdown: wall per phase, per-tier event counters.
-    profile: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "exp_id": self.exp_id,
             "wall_seconds": self.wall_seconds,
             "output_sha256": self.output_sha256,
@@ -116,9 +88,6 @@ class TargetResult:
             "error": self.error,
             "metrics": self.metrics,
         }
-        if self.profile:
-            out["profile"] = self.profile
-        return out
 
 
 @dataclass
@@ -162,7 +131,7 @@ class SweepReport:
         }
 
 
-def _run_one(exp_id: str, quick: bool, profile: bool = False) -> dict:
+def _run_one(exp_id: str, quick: bool) -> dict:
     """Worker: run one experiment, return a plain dict (picklable)."""
     from repro.obs import snapshot_stats
     from repro.reporting.experiments import run_experiment
@@ -172,50 +141,34 @@ def _run_one(exp_id: str, quick: bool, profile: bool = False) -> dict:
     t0 = time.perf_counter()
     try:
         output = run_experiment(exp_id, quick=quick)
-        t_run = time.perf_counter()
         err = None
         digest = hashlib.sha256(output.encode()).hexdigest()
     except Exception as exc:  # surface, don't kill the pool
-        t_run = time.perf_counter()
         err = f"{type(exc).__name__}: {exc}"
         digest = ""
     t1 = time.perf_counter()
-    stats = GLOBAL_STATS.as_dict()
-    rec = {
+    return {
         "exp_id": exp_id,
         "wall_seconds": t1 - t0,
         "output_sha256": digest,
-        "sim_stats": stats,
+        "sim_stats": GLOBAL_STATS.as_dict(),
         "error": err,
         "metrics": snapshot_stats(GLOBAL_STATS),
     }
-    if profile:
-        prof = _profile_from_stats(stats)
-        prof["phases"] = {
-            "run": t_run - t0,
-            "digest": t1 - t_run,
-        }
-        rec["profile"] = prof
-    return rec
 
 
 class SweepRunner:
     """Run experiment targets with disk memoization and a process pool."""
 
-    def __init__(self, cache_dir: Path, jobs: int = 0, quick: bool = False, profile: bool = False):
+    def __init__(self, cache_dir: Path, jobs: int = 0, quick: bool = False):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.jobs = jobs if jobs > 0 else max(1, os.cpu_count() or 1)
         self.quick = quick
-        self.profile = profile
         self.fingerprint = code_fingerprint()
 
     def cache_key(self, exp_id: str) -> str:
-        # ``profile`` participates in the key: a record cached without
-        # the breakdown must not satisfy a ``--profile`` sweep.
-        return target_cache_key(
-            exp_id, quick=self.quick, profile=self.profile, fingerprint=self.fingerprint
-        )
+        return target_cache_key(exp_id, quick=self.quick, fingerprint=self.fingerprint)
 
     def _cache_path(self, exp_id: str) -> Path:
         return self.cache_dir / f"{self.cache_key(exp_id)}.json"
@@ -236,7 +189,6 @@ class SweepRunner:
             cached=True,
             error=rec.get("error"),
             metrics=rec.get("metrics", {}),
-            profile=rec.get("profile", {}),
         )
 
     def _store(self, rec: dict) -> None:
@@ -271,7 +223,7 @@ class SweepRunner:
                 pool = ctx.Pool(min(self.jobs, len(todo)))
                 try:
                     recs = pool.starmap_async(
-                        _run_one, [(e, self.quick, self.profile) for e in todo]
+                        _run_one, [(e, self.quick) for e in todo]
                     ).get()
                     pool.close()
                 except KeyboardInterrupt:
@@ -284,7 +236,7 @@ class SweepRunner:
                 finally:
                     pool.join()
             else:
-                recs = [_run_one(e, self.quick, self.profile) for e in todo]
+                recs = [_run_one(e, self.quick) for e in todo]
             for rec in recs:
                 self._store(rec)
                 by_id[rec["exp_id"]] = TargetResult(
@@ -295,7 +247,6 @@ class SweepRunner:
                     cached=False,
                     error=rec["error"],
                     metrics=rec.get("metrics", {}),
-                    profile=rec.get("profile", {}),
                 )
                 if verbose:
                     r = by_id[rec["exp_id"]]

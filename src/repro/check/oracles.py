@@ -12,9 +12,13 @@ event path — and applies every oracle:
    between the fast-path and event-path runs (the property the
    fastpath goldens pin for two shapes, here checked per seed).
 3. **traced/untraced bit-identity** — attaching the span tracer must
-   not move a single timestamp or byte.
-4. **span/event parity** — one ``rdma_write`` span per ``rdma_write``
-   scheduler event, and no span left open at exit.
+   not move a single timestamp or byte, and the traced run's engine
+   counters (:class:`~repro.simulator.core.SimStats`) must equal the
+   event run's exactly: observing a run never changes how it is
+   scheduled.
+4. **span/hold parity** — one ``ib`` ``rdma_write`` span per
+   ``rdma_write`` link hold (a ``link`` span with ``hop == 0``), up to
+   the RC ledger, and no span left open at exit.
 5. **link conservation** — per-link counters internally consistent
    with the :class:`~repro.obs.metrics.MetricsSnapshot` bandwidth
    figures, and HCA port bytes cover the workload's inter-node
@@ -187,24 +191,24 @@ def oracle_bit_identity(
 
 
 # --------------------------------------------------------------- oracle 4
-def oracle_span_event_parity(report: CheckReport, traced: RunObservation) -> None:
-    # One ``rdma_write`` call opens one span; each wire crossing fires
-    # one hold event.  Under faults the RC transport keeps the exact
+def oracle_span_hold_parity(report: CheckReport, traced: RunObservation) -> None:
+    # One ``rdma_write`` call opens one ``ib`` span; each wire crossing
+    # is one link hold.  Under faults the RC transport keeps the exact
     # ledger of where those diverge: a retransmission after an
     # in-flight loss re-holds the wire inside the same span
-    # (``rc_retx_holds`` extra events), while a WR whose every attempt
+    # (``rc_retx_holds`` extra holds), while a WR whose every attempt
     # died at acquire time never held it (``rc_aborted_wrs`` spans with
-    # no event).  Anything outside that ledger is an accounting bug.
+    # no hold).  Anything outside that ledger is an accounting bug.
     retx = traced.stats.get("rc_retx_holds", 0)
     aborted = traced.stats.get("rc_aborted_wrs", 0)
-    expected_events = traced.span_rdma_writes - aborted + retx
-    if expected_events != traced.event_rdma_writes:
+    expected_holds = traced.span_rdma_writes - aborted + retx
+    if expected_holds != traced.rdma_write_holds:
         _fail(
             report, "span-parity",
             f"{traced.span_rdma_writes} rdma_write spans vs "
-            f"{traced.event_rdma_writes} rdma_write scheduler events "
+            f"{traced.rdma_write_holds} rdma_write link holds "
             f"(RC ledger: {retx} retransmitted holds, "
-            f"{aborted} zero-hold aborts -> expected {expected_events})",
+            f"{aborted} zero-hold aborts -> expected {expected_holds})",
         )
     if traced.open_spans:
         _fail(report, "span-parity", f"{traced.open_spans} span(s) left open at exit")
@@ -291,6 +295,12 @@ def check_workload(
             oracle_heap_matches_reference(report, ref, traced)
             if base is not None:
                 oracle_bit_identity(report, base, traced, "traced-vs-untraced")
-            oracle_span_event_parity(report, traced)
+            if event is not None and event.stats != traced.stats:
+                keys = [k for k in event.stats if event.stats[k] != traced.stats.get(k)]
+                _fail(
+                    report, "traced-vs-untraced",
+                    f"SimStats diverge between event and traced runs at {sorted(keys)[:6]}",
+                )
+            oracle_span_hold_parity(report, traced)
         report.oracles_run += 6
     return report

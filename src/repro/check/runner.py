@@ -12,9 +12,8 @@ full :class:`~repro.obs.metrics.MetricsSnapshot`.
 A run can be steered into any of the three execution modes under test:
 ``fastpath=False`` disarms the batched tiers and the tier-2 RDMA-write
 flows, ``trace=True`` attaches a :class:`~repro.obs.spans.SpanTracer`
-plus an event :class:`~repro.simulator.monitor.Trace` (which disarms
-them too), and ``Workload.faults`` arms a survivable seeded fault plan.
-Link holds run the same machine in every mode.
+(which disarms them too), and ``Workload.faults`` arms a survivable
+seeded fault plan.  Link holds run the same machine in every mode.
 
 ``corrupt_uid`` is the harness' self-test hook: after the program
 body finishes, the PE that executed that op flips one byte of the
@@ -59,9 +58,11 @@ class RunObservation:
     probe_series: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     stats: Dict[str, Any] = field(default_factory=dict)
     snapshot: Dict[str, Any] = field(default_factory=dict)
-    #: Span/event tallies (only filled for ``trace=True`` runs).
+    #: Span tallies (only filled for ``trace=True`` runs):
+    #: ``ib`` ``rdma_write`` op spans, and ``rdma_write`` link holds
+    #: (``link`` spans with ``hop == 0`` — one per hold).
     span_rdma_writes: int = -1
-    event_rdma_writes: int = -1
+    rdma_write_holds: int = -1
     open_spans: int = -1
     spans_total: int = -1
 
@@ -296,15 +297,13 @@ def run_workload(
     """Run ``w`` once and observe everything the oracles compare."""
     from repro.obs.metrics import snapshot_job
     from repro.obs.spans import SpanTracer
-    from repro.simulator.monitor import Trace
 
     plan = _fault_plan(w, _measure_start(w)) if w.faults else None
     job = _job_for(w, fault_plan=plan)
     job.sim.fastpath = fastpath
-    tracer = event_trace = None
+    tracer = None
     if trace:
         tracer = SpanTracer().attach(job.sim, label=f"check seed {w.seed}")
-        event_trace = Trace(filter=lambda ev: ev.name == "rdma_write").attach(job.sim)
     res = job.run(_make_program(w, corrupt_uid))
 
     mode = "traced" if trace else ("fast" if fastpath else "event")
@@ -325,10 +324,11 @@ def run_workload(
     obs.stats = job.sim.stats.as_dict()
     obs.snapshot = snapshot_job(job).as_dict()
     if trace:
-        obs.span_rdma_writes = sum(
-            1 for s in tracer.by_name("rdma_write") if s.cat == "ib"
+        writes = tracer.by_name("rdma_write")
+        obs.span_rdma_writes = sum(1 for s in writes if s.cat == "ib")
+        obs.rdma_write_holds = sum(
+            1 for s in writes if s.cat == "link" and s.args["hop"] == 0
         )
-        obs.event_rdma_writes = len(event_trace.records)
         obs.open_spans = len(tracer.open_spans())
         obs.spans_total = len(tracer.spans)
         tracer.detach(job.sim)

@@ -299,8 +299,8 @@ class AnalyticTransfer:
     themselves exactly as processes queueing on the resources would —
     but runs as callbacks rather than as a generator: no per-hop
     resumes, and the setup and hold-end instants are absolute wake-ups
-    (named ``"<label>:setup"`` and ``"<label>"``, so event traces see
-    the transfer's own label) instead of ``Timeout`` allocations.
+    (named ``"<label>:setup"`` and ``"<label>"``) instead of ``Timeout``
+    allocations.
 
     Timeline:
 
@@ -309,8 +309,9 @@ class AnalyticTransfer:
       request suspends the acquisition, resuming in the holder's
       release callback;
     * ``t_end = last_grant + spec.duration()`` — one ``link`` span per
-      direction recorded when a tracer is attached, then the failure
-      check, per-direction byte and transfer counters bumped, holds
+      direction recorded when a tracer is attached (arg ``hop`` is the
+      direction's index, so ``hop == 0`` spans count holds), then the
+      failure check, per-direction byte and transfer counters bumped, holds
       released (waking queued transfers URGENT), :attr:`completion`
       fired with the byte count.
 
@@ -321,7 +322,7 @@ class AnalyticTransfer:
     With zero setup the first request happens in the constructor, and
     a failure there lands in :attr:`boot_exc` for the caller to raise
     in its own frame.  The machine runs identically with or without a
-    fault plan, a tracer or an event trace attached.
+    fault plan or a tracer attached.
     """
 
     __slots__ = (
@@ -452,10 +453,10 @@ class AnalyticTransfer:
         if tracer is not None:
             # One completed crossing per hop direction, recorded
             # post-hoc so the span costs nothing on the timed path.
-            for d in self.dirs:
+            for hop, d in enumerate(self.dirs):
                 tracer.complete(
                     sim, spec.label, "link", f"link:{d.name}",
-                    self._hold_start, nbytes=spec.nbytes,
+                    self._hold_start, nbytes=spec.nbytes, hop=hop,
                 )
         for d, mark in self._marks:
             if d.failed_since(mark, spec.leg_label(d)):

@@ -239,15 +239,10 @@ class Verbs:
         FIFO acquisition order, same failure surfacing — see its
         docstring) and return the ack-instant completion to yield on.
         ``None`` falls back to the event path (fast paths off, faults or
-        RC retransmission armed, tracing active, or an unroutable
-        path)."""
+        RC retransmission armed, or an unroutable path); the caller
+        skips it while a span tracer is attached."""
         sim = self.sim
-        if not (
-            sim.fastpath
-            and not sim.faults_active
-            and sim.trace is None
-            and self.rc is None
-        ):
+        if not (sim.fastpath and not sim.faults_active and self.rc is None):
             return None
         from repro.shmem.fastpath import AnalyticFlow
 

@@ -7,19 +7,22 @@ hardware layer one per link crossing, so a single operation unfolds as
 a nested op -> protocol decision -> per-hop stack — the breakdown the
 paper's Figs 6-12 and Table III reason about.
 
-Emission is pull-free and costless when disabled: every hook guards on
-``sim.tracer is None`` (one attribute load) and nothing is recorded.
-Attaching a :class:`SpanTracer` closes the same gates the event
-:class:`~repro.simulator.monitor.Trace` does — the batched tiers and
-the tier-2 RDMA-write flows, whose per-op generators emit the op and
-verbs spans — while every link hold runs the same
-:class:`~repro.hardware.links.AnalyticTransfer` traced or not, emitting
-its ``link:`` spans at hold end.  Every simulated timestamp stays
-bit-identical (spans only *read* ``sim.now``).
+Spans are the simulator's one event recorder.  Emission is pull-free
+and costless when disabled: every hook guards on ``sim.tracer is None``
+(one attribute load) and nothing is recorded.  Attaching a
+:class:`SpanTracer` closes the batched tiers and the tier-2 RDMA-write
+flows, whose per-op generators emit the op and verbs spans, and
+changes nothing else: the engine schedules exactly as it does
+untraced, and every link hold runs the same
+:class:`~repro.hardware.links.AnalyticTransfer` traced or not,
+emitting one ``link:`` span per hop direction at hold end (arg
+``hop`` = the direction's index, so ``hop == 0`` spans count holds).
+Every simulated timestamp stays bit-identical (spans only *read*
+``sim.now``).
 
-Like the event trace, the collector is bounded: past ``limit`` spans
-it counts drops in :attr:`SpanTracer.dropped` and flags
-:attr:`SpanTracer.truncated` instead of silently losing data.
+The collector is bounded: past ``limit`` spans it counts drops in
+:attr:`SpanTracer.dropped` and flags :attr:`SpanTracer.truncated`
+instead of silently losing data.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Timeline analysis: link utilization and event breakdowns from traces.
+"""Timeline analysis: link utilization and span breakdowns.
 
-Attach a :class:`~repro.simulator.monitor.Trace` to a job's simulator
-and this module turns the fired-event log into per-category time
+Attach a :class:`~repro.obs.spans.SpanTracer` to a job's simulator and
+this module turns its op, verbs and link spans into per-category
 breakdowns and a textual activity report — the poor man's Vampir for
 the simulated cluster.  Used by tests to assert *where* time goes
-(e.g. "the baseline spends target-side time the proposed design does
-not") and by users to understand a protocol's anatomy.
+(e.g. "the baseline stages through more copies than the proposed
+design") and by users to understand a protocol's anatomy.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.cluster import ClusterHardware
+from repro.obs.spans import SpanTracer
 from repro.reporting.format import format_table
-from repro.simulator import Trace
 
 
-#: Event-name prefixes grouped into protocol phases for breakdowns.
+#: Span-name prefixes grouped into protocol phases for breakdowns.
 CATEGORIES = (
     ("rdma_write", "rdma"),
     ("rdma_read", "rdma"),
@@ -30,16 +30,6 @@ CATEGORIES = (
     ("hostMemcpy", "host-copy"),
     ("hcaHostDMA", "hca-dma"),
     ("shmem:", "software"),
-    ("hp:", "pipeline"),
-    ("pgw:", "pipeline"),
-    ("proxy:", "proxy"),
-    ("proxy-get", "proxy"),
-    ("proxy-put", "proxy"),
-    ("mpi:", "mpi"),
-    ("atomic", "atomics"),
-    ("init:", "init"),
-    ("rc:", "reliability"),
-    ("flap:", "faults"),
 )
 
 
@@ -59,24 +49,29 @@ class EventCount:
         return [self.category, str(self.events)]
 
 
-def event_breakdown(trace: Trace, strict: bool = True) -> List[EventCount]:
-    """Count fired events per protocol category.
+def event_breakdown(tracer: SpanTracer, strict: bool = True) -> List[EventCount]:
+    """Count spans per protocol category.
 
-    A truncated trace (records dropped past its limit) undercounts
-    every category; by default that raises so an analysis can never
-    silently report partial numbers.  Pass ``strict=False`` to get the
-    partial counts anyway (as :func:`breakdown_table` does, which flags
-    the truncation in its rendering instead).
+    A link hold records one span per hop direction; only its first
+    (``hop == 0``) counts, so a hold is one event however many
+    directions it crosses.  A truncated tracer (spans dropped past its
+    limit) undercounts every category; by default that raises so an
+    analysis can never silently report partial numbers.  Pass
+    ``strict=False`` to get the partial counts anyway (as
+    :func:`breakdown_table` does, which flags the truncation in its
+    rendering instead).
     """
-    if strict and getattr(trace, "truncated", False):
+    if strict and tracer.truncated:
         raise ValueError(
-            f"trace is truncated ({trace.dropped} events dropped past its "
-            "limit); breakdown would undercount — raise Trace(limit=...) "
+            f"trace is truncated ({tracer.dropped} spans dropped past its "
+            "limit); breakdown would undercount — raise SpanTracer(limit=...) "
             "or pass strict=False for partial counts"
         )
     counts: Dict[str, int] = defaultdict(int)
-    for rec in trace.records:
-        cat = categorize(rec.name)
+    for span in tracer.spans:
+        if span.args.get("hop", 0) > 0:
+            continue
+        cat = categorize(span.name)
         if cat:
             counts[cat] += 1
     return [EventCount(c, n) for c, n in sorted(counts.items(), key=lambda kv: -kv[1])]
@@ -118,15 +113,15 @@ def utilization_table(hw: ClusterHardware, elapsed: float, top: int = 12) -> str
     )
 
 
-def breakdown_table(trace: Trace) -> str:
+def breakdown_table(tracer: SpanTracer) -> str:
     table = format_table(
         ["category", "events"],
-        [e.row() for e in event_breakdown(trace, strict=False)],
-        title="Fired-event breakdown",
+        [e.row() for e in event_breakdown(tracer, strict=False)],
+        title="Span breakdown",
     )
-    if getattr(trace, "truncated", False):
+    if tracer.truncated:
         table += (
-            f"\nWARNING: trace truncated — {trace.dropped} events dropped "
+            f"\nWARNING: trace truncated — {tracer.dropped} spans dropped "
             "past the record limit; counts above are partial"
         )
     return table

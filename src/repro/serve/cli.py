@@ -112,8 +112,6 @@ def build_submit_parser(p: Optional[argparse.ArgumentParser] = None) -> argparse
                    help="experiment ids (sweep/trace) or seeds (check)")
     p.add_argument("--url", default="http://127.0.0.1:8787", help="service URL")
     p.add_argument("--quick", action="store_true", help="trimmed sweeps")
-    p.add_argument("--profile", action="store_true",
-                   help="sweep: record the per-tier profile breakdown")
     p.add_argument("--ops", type=int, default=14, help="check: ops per workload")
     p.add_argument("--faults", action="store_true",
                    help="check: arm the seeded fault plan (enables bounded retry)")
@@ -142,9 +140,6 @@ def _build_specs(args) -> List[dict]:
             {"kind": args.kind, "experiment": t, "quick": args.quick, **extra}
             for t in args.targets
         ]
-        if args.kind == "sweep" and args.profile:
-            for spec in specs:
-                spec["profile"] = True
         if args.kind == "trace" and args.output:
             if len(specs) > 1:
                 raise SystemExit("repro submit trace: -o only works with one experiment")

@@ -27,8 +27,8 @@ Sweep jobs reuse :func:`repro.bench.runner.target_cache_key` — the
 exact key the cached sweep runner memoizes under on disk — so a queued
 service request, a running duplicate, and a disk record for the same
 work all collide on one key.  Variants that change the produced record
-(``--profile``, armed fault plans, a different source tree) hash to
-distinct keys by construction.
+(armed fault plans, a different source tree) hash to distinct keys by
+construction.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ def dedup_key_for(kind: str, spec: Dict[str, Any], fingerprint: str) -> str:
         return target_cache_key(
             spec["experiment"],
             quick=bool(spec.get("quick", False)),
-            profile=bool(spec.get("profile", False)),
             fingerprint=fingerprint,
         )
     if kind == "check":

@@ -163,7 +163,7 @@ class JobScheduler:
         self._procs: Optional[ProcessPoolExecutor] = None
         self._threads: Optional[ThreadPoolExecutor] = None
         self._trace_lock = asyncio.Lock()
-        self._sweep_runners: Dict[Tuple[bool, bool], Any] = {}
+        self._sweep_runners: Dict[bool, Any] = {}
         self._fingerprint: Optional[str] = None
         self._draining = False
         self.drain_started_at: Optional[float] = None
@@ -203,22 +203,16 @@ class JobScheduler:
             self._fingerprint = code_fingerprint()
         return self._fingerprint
 
-    def _sweep_runner(self, quick: bool, profile: bool):
-        """One SweepRunner per (quick, profile) combo — the service's
-        view of the sweep disk cache."""
-        key = (quick, profile)
-        if key not in self._sweep_runners:
+    def _sweep_runner(self, quick: bool):
+        """One SweepRunner per ``quick`` flag — the service's view of
+        the sweep disk cache."""
+        if quick not in self._sweep_runners:
             from repro.bench.runner import SweepRunner
 
-            runner = SweepRunner(
-                self.config.cache_dir or _DEFAULT_CACHE,
-                jobs=1,
-                quick=quick,
-                profile=profile,
-            )
+            runner = SweepRunner(self.config.cache_dir or _DEFAULT_CACHE, jobs=1, quick=quick)
             runner.fingerprint = self.fingerprint  # computed once
-            self._sweep_runners[key] = runner
-        return self._sweep_runners[key]
+            self._sweep_runners[quick] = runner
+        return self._sweep_runners[quick]
 
     def submit(self, spec: Dict[str, Any]) -> Tuple[Job, str]:
         """Admit one spec; returns ``(job, mode)`` with mode one of
@@ -248,9 +242,7 @@ class JobScheduler:
             return job, "cached"
 
         if kind == "sweep":
-            hit = self._sweep_runner(
-                bool(spec.get("quick", False)), bool(spec.get("profile", False))
-            )._lookup(spec["experiment"])
+            hit = self._sweep_runner(bool(spec.get("quick", False)))._lookup(spec["experiment"])
             if hit is not None:
                 job = self._register(kind, spec, key)
                 job.cached = True
@@ -745,16 +737,13 @@ class JobScheduler:
         if exp_id not in EXPERIMENTS:
             raise SpecError(f"unknown experiment {exp_id!r}")
         quick = bool(spec.get("quick", False))
-        profile = bool(spec.get("profile", False))
         loop = asyncio.get_running_loop()
-        rec = await loop.run_in_executor(
-            self._proc_pool(), run_sweep_target, exp_id, quick, profile
-        )
+        rec = await loop.run_in_executor(self._proc_pool(), run_sweep_target, exp_id, quick)
         if rec.get("error"):
             raise RuntimeError(f"experiment {exp_id} failed: {rec['error']}")
         # Store into the sweep runner's disk cache (atomic), so a later
         # benchmarks/run_all.py — or a later service restart — hits it.
-        self._sweep_runner(quick, profile)._store(rec)
+        self._sweep_runner(quick)._store(rec)
         rec.setdefault("cached", False)
         return rec
 

@@ -16,9 +16,9 @@ from typing import Any, Dict, Optional
 from repro.bench.runner import _run_one
 
 
-def run_sweep_target(exp_id: str, quick: bool, profile: bool) -> Dict[str, Any]:
+def run_sweep_target(exp_id: str, quick: bool) -> Dict[str, Any]:
     """One experiment target — the sweep runner's own worker."""
-    return _run_one(exp_id, quick, profile)
+    return _run_one(exp_id, quick)
 
 
 def run_check_seed(

@@ -174,7 +174,6 @@ class ProxyDaemon:
         if not (
             sim.fastpath
             and not sim.faults_active
-            and sim.trace is None
             and sim.tracer is None
             and sim.quiescent()
         ):

@@ -599,7 +599,6 @@ class Runtime:
         if not (
             sim.fastpath
             and not sim.faults_active
-            and sim.trace is None
             and sim.tracer is None
             and sim.quiescent()
         ):
@@ -662,7 +661,6 @@ class Runtime:
         if not (
             sim.fastpath
             and not sim.faults_active
-            and sim.trace is None
             and sim.tracer is None
             and self.health is None
             and self.verbs.rc is None
@@ -963,7 +961,6 @@ class Runtime:
         if not (
             sim.fastpath
             and not sim.faults_active
-            and sim.trace is None
             and sim.tracer is None
             and sim.quiescent()
         ):

@@ -15,8 +15,9 @@ The engine is intentionally small but complete:
 * :class:`AllOf` / :class:`AnyOf` — composite conditions.
 * :class:`Resource` / :class:`Store` — FIFO capacity and message-queue
   primitives used to model link occupancy and mailboxes.
-* :class:`Trace` — opt-in structured event tracing for tests and
-  benchmark introspection.
+* :class:`Probe` — named sample series for benchmark measurements.
+
+Per-layer tracing lives in :mod:`repro.obs` (spans), not in the engine.
 """
 
 from repro.simulator.core import (
@@ -28,7 +29,7 @@ from repro.simulator.core import (
 )
 from repro.simulator.conditions import AllOf, AnyOf, ConditionValue
 from repro.simulator.resources import Request, Resource, Store
-from repro.simulator.monitor import Probe, Trace, TraceRecord
+from repro.simulator.monitor import Probe
 
 __all__ = [
     "AllOf",
@@ -43,6 +44,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "Trace",
-    "TraceRecord",
 ]

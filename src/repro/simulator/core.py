@@ -19,10 +19,9 @@ the current instant; timeouts are always NORMAL), so draining the
 ready queue before the heap reproduces the exact
 ``(time, priority, seq)`` order the old single-heap scheduler
 produced.  Process resumptions ride the ready queue as plain
-``(process, value, exc)`` tuples instead of throwaway ``boot``/``imm``
-Event allocations; when a :class:`~repro.simulator.monitor.Trace` is
-attached the engine falls back to real Events so traces keep their
-full event-per-resume fidelity.
+``(process, value, exc)`` tuples instead of throwaway Event
+allocations, in every mode: observing a run (the span tracer in
+:mod:`repro.obs`) never changes how the engine schedules it.
 
 Virtual time is a ``float`` in **seconds**.  All hardware constants in
 :mod:`repro.hardware.params` are expressed in seconds / bytes-per-second
@@ -290,12 +289,7 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         # Kick-start at the current instant.
-        if sim.trace is None:
-            sim._push_resume(self, None, None)
-        else:
-            boot = Event(sim, name=f"{self.name}:boot")
-            boot.callbacks.append(self._resume)
-            boot.succeed(priority=URGENT)
+        sim._push_resume(self, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -338,15 +332,7 @@ class Process(Event):
         self._waiting_on = target
         if target._processed:
             # Already fired: resume immediately (next scheduler step).
-            if sim.trace is None:
-                sim._push_resume(self, target._value, target._exc)
-            else:
-                resume = Event(self.sim, name=f"{self.name}:imm")
-                resume._value = target._value
-                resume._exc = target._exc
-                resume.callbacks.append(self._resume)
-                resume._triggered = True
-                self.sim._push(resume, 0.0, URGENT)
+            sim._push_resume(self, target._value, target._exc)
         else:
             target.callbacks.append(self._resume)
 
@@ -381,18 +367,17 @@ class Simulator:
         self._now: float = 0.0
         self._seq: int = 0
         self._active_process: Optional[Process] = None
-        self.trace = None  # type: Optional[Any]  # set by monitor.Trace.attach
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
-        #: this; like ``trace``, an attached tracer disarms the batched
-        #: tiers and the tier-2 RDMA-write flows so every op runs the
-        #: generator that emits its spans.  Link holds ignore it.
+        #: this; an attached tracer disarms the batched tiers and the
+        #: tier-2 RDMA-write flows so every op runs the generator that
+        #: emits its spans.  Link holds ignore it.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
         #: Master switch for the batched closed-form tiers and the
         #: tier-2 RDMA-write flows in the runtime/ib layers.  They
-        #: additionally require no trace; tests flip this off to force
+        #: additionally require no tracer; tests flip this off to force
         #: the per-op generators.  Link holds ignore it.
         self.fastpath = True
         #: Set by :class:`repro.faults.FaultInjector` when a fault plan
@@ -488,14 +473,10 @@ class Simulator:
                 proc, value, exc = item
                 proc._step(value, exc)
                 return
-            if self.trace is not None:
-                self.trace._on_fire(self._now, item)
             item._run_callbacks()
             return
         when, _seq, event = heapq.heappop(self._queue)
         self._now = when
-        if self.trace is not None:
-            self.trace._on_fire(self._now, event)
         event._run_callbacks()
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:

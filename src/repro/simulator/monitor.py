@@ -1,101 +1,15 @@
-"""Tracing and measurement hooks for simulations.
+"""Measurement hooks for simulations.
 
-:class:`Trace` records every fired event (optionally filtered) for
-post-mortem inspection in tests.  :class:`Probe` is a lightweight
-named-series collector used by the benchmark harness to gather e.g.
-per-message latencies or per-iteration phase times without coupling
-the runtime to the reporting layer.
+:class:`Probe` is a lightweight named-series collector used by the
+benchmark harness to gather e.g. per-message latencies or per-iteration
+phase times without coupling the runtime to the reporting layer.
+Per-layer timing of a run is recorded by the span tracer in
+:mod:`repro.obs`, not here.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
-
-from repro.simulator.core import Event, Simulator
-
-
-@dataclass
-class TraceRecord:
-    """One fired event: ``(time, event name, event class name)``."""
-
-    time: float
-    name: str
-    kind: str
-
-
-class Trace:
-    """Attachable event log.
-
-    Example::
-
-        trace = Trace(filter=lambda ev: "rdma" in ev.name)
-        trace.attach(sim)
-        ...
-        assert any(r.name == "rdma_write" for r in trace.records)
-
-    The log is bounded by ``limit``: records past it are *counted*, not
-    silently lost — check :attr:`truncated` / :attr:`dropped` before
-    treating the log as complete (the timeline breakdowns do).
-    """
-
-    def __init__(self, filter: Optional[Callable[[Event], bool]] = None, limit: int = 1_000_000):
-        self.records: List[TraceRecord] = []
-        #: Matching events not recorded because ``limit`` was reached.
-        self.dropped = 0
-        self._filter = filter
-        self._limit = limit
-
-    def attach(self, sim: Simulator) -> "Trace":
-        """Start logging ``sim``'s fired events.
-
-        Safe mid-run: process resumptions already queued as fast-path
-        ``(process, value, exc)`` tuples (which bypass the trace hook)
-        are converted to real events on attach, so the trace observes
-        every wake-up from this instant on rather than silently missing
-        the ones in flight.
-        """
-        if sim._ready:
-            converted = deque()
-            for item in sim._ready:
-                if item.__class__ is tuple:
-                    proc, value, exc = item
-                    resume = Event(sim, name=f"{proc.name}:imm")
-                    resume._value = value
-                    resume._exc = exc
-                    resume._triggered = True
-                    resume.callbacks.append(proc._resume)
-                    converted.append(resume)
-                else:
-                    converted.append(item)
-            sim._ready = converted
-        sim.trace = self
-        return self
-
-    def detach(self, sim: Simulator) -> None:
-        if sim.trace is self:
-            sim.trace = None
-
-    @property
-    def truncated(self) -> bool:
-        """True when at least one matching event was dropped."""
-        return self.dropped > 0
-
-    def _on_fire(self, now: float, event: Event) -> None:
-        if self._filter is not None and not self._filter(event):
-            return
-        if len(self.records) >= self._limit:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(now, event.name, type(event).__name__))
-
-    def names(self) -> List[str]:
-        return [r.name for r in self.records]
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
+from typing import Any, Dict, List
 
 
 class Probe:

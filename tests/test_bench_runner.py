@@ -1,15 +1,13 @@
 """Unit coverage for the cached sweep runner's reporting surface:
 engine-total aggregation over the analytic-tier counters, the
-``--profile`` breakdown, the cache-invalidation fingerprint, and the
-disk-cache key/store semantics shared with ``repro serve``."""
+cache-invalidation fingerprint, and the disk-cache key/store semantics
+shared with ``repro serve``."""
 
 import repro.bench.runner as runner_mod
 from repro.bench.runner import (
-    PROFILE_TIER_KEYS,
     SweepReport,
     SweepRunner,
     TargetResult,
-    _profile_from_stats,
     code_fingerprint,
     target_cache_key,
 )
@@ -45,20 +43,6 @@ def test_totals_aggregates_every_tier_counter():
     assert rep.as_dict()["engine_totals"] == totals
 
 
-def test_profile_breakdown_covers_every_tier_key():
-    prof = _profile_from_stats({"processed": 3})
-    assert set(prof["tiers"]) == set(PROFILE_TIER_KEYS)
-    assert prof["events"]["processed"] == 3
-    assert prof["tiers"]["analytic_flows"] == 0
-
-
-def test_target_result_serialises_profile_only_when_present():
-    bare = TargetResult("a", 0.1, "x", {})
-    assert "profile" not in bare.as_dict()
-    rich = TargetResult("a", 0.1, "x", {}, profile={"tiers": {}})
-    assert rich.as_dict()["profile"] == {"tiers": {}}
-
-
 def test_code_fingerprint_changes_with_content(tmp_path, monkeypatch):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
@@ -71,21 +55,20 @@ def test_code_fingerprint_changes_with_content(tmp_path, monkeypatch):
 
 
 def test_target_cache_key_varies_with_every_input():
-    base = target_cache_key("fig6a", quick=True, profile=False, fingerprint="fp")
+    base = target_cache_key("fig6a", quick=True, fingerprint="fp")
     variants = {
         base,
-        target_cache_key("fig6b", quick=True, profile=False, fingerprint="fp"),
-        target_cache_key("fig6a", quick=False, profile=False, fingerprint="fp"),
-        target_cache_key("fig6a", quick=True, profile=True, fingerprint="fp"),
-        target_cache_key("fig6a", quick=True, profile=False, fingerprint="fp2"),
+        target_cache_key("fig6b", quick=True, fingerprint="fp"),
+        target_cache_key("fig6a", quick=False, fingerprint="fp"),
+        target_cache_key("fig6a", quick=True, fingerprint="fp2"),
     }
-    assert len(variants) == 5
+    assert len(variants) == 4
 
 
 def test_runner_cache_key_is_the_shared_target_key(tmp_path):
-    runner = SweepRunner(tmp_path, jobs=1, quick=True, profile=True)
+    runner = SweepRunner(tmp_path, jobs=1, quick=True)
     assert runner.cache_key("fig6a") == target_cache_key(
-        "fig6a", quick=True, profile=True, fingerprint=runner.fingerprint
+        "fig6a", quick=True, fingerprint=runner.fingerprint
     )
     assert runner._cache_path("fig6a").name == f"{runner.cache_key('fig6a')}.json"
 

@@ -158,7 +158,7 @@ def test_repro_renderers():
 def test_span_parity_ledger_reconciles_in_span_retransmission():
     """A 936 KB inter-node write holds the wire far longer than a flap
     window, so RC can lose it in flight and retransmit *inside* the
-    same ``rdma_write`` span — two hold events, one span.  The RC
+    same ``rdma_write`` span — two link holds, one span.  The RC
     ledger must record exactly that surplus and the span-parity oracle
     must reconcile through it (shrunk from check seed 10046)."""
     from repro.check import BufSpec
@@ -176,7 +176,7 @@ def test_span_parity_ledger_reconciles_in_span_retransmission():
     traced = report.runs["traced"]
     # The ledger actually engaged — this is not a vacuous parity pass.
     assert traced.stats["rc_retx_holds"] >= 1
-    assert traced.event_rdma_writes == (
+    assert traced.rdma_write_holds == (
         traced.span_rdma_writes
         - traced.stats["rc_aborted_wrs"]
         + traced.stats["rc_retx_holds"]
@@ -186,7 +186,7 @@ def test_span_parity_ledger_reconciles_in_span_retransmission():
 def test_span_parity_ledger_counts_zero_hold_aborts():
     """Drawn seed 10013: two WRs exhaust RC retry without ever holding
     the wire (every attempt dead at acquire time), leaving spans with
-    no hold event.  The ledger's abort count must cover them."""
+    no link hold.  The ledger's abort count must cover them."""
     w = generate_workload(
         10013, ops=12, design="enhanced-gdr", faults=True,
         max_nbytes=4194304, nodes=2, pes_per_node=2,
@@ -195,7 +195,7 @@ def test_span_parity_ledger_counts_zero_hold_aborts():
     assert report.passed, report.summary()
     traced = report.runs["traced"]
     assert traced.stats["rc_aborted_wrs"] >= 1
-    assert traced.event_rdma_writes == (
+    assert traced.rdma_write_holds == (
         traced.span_rdma_writes
         - traced.stats["rc_aborted_wrs"]
         + traced.stats["rc_retx_holds"]

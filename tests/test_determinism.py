@@ -8,13 +8,14 @@ engine)."""
 import pytest
 
 from repro.shmem import Domain, ShmemJob
-from repro.simulator import Simulator, Trace
+from repro.obs import SpanTracer
+from repro.simulator import Simulator
 from repro.units import KiB, MiB
 
 
 def _busy_job():
     job = ShmemJob(nodes=2, design="enhanced-gdr")
-    trace = Trace().attach(job.sim)
+    tracer = SpanTracer().attach(job.sim)
 
     def main(ctx):
         sym = yield from ctx.shmalloc(1 * MiB, domain=Domain.GPU)
@@ -31,18 +32,22 @@ def _busy_job():
         return ctx.now
 
     res = job.run(main)
-    return res, trace
+    return res, tracer, job.sim.stats.as_dict()
 
 
 def test_repeated_runs_identical_to_the_femtosecond():
-    res1, trace1 = _busy_job()
-    res2, trace2 = _busy_job()
+    res1, tracer1, stats1 = _busy_job()
+    res2, tracer2, stats2 = _busy_job()
     assert res1.results == res2.results
     assert res1.elapsed == res2.elapsed  # exact float equality, no tolerance
-    assert trace1.names() == trace2.names()
-    times1 = [r.time for r in trace1.records]
-    times2 = [r.time for r in trace2.records]
-    assert times1 == times2
+    assert stats1 == stats2
+    assert tracer1.spans and not tracer1.truncated
+    spans1 = [(s.name, s.cat, s.track, s.start, s.end) for s in tracer1.spans]
+    spans2 = [(s.name, s.cat, s.track, s.start, s.end) for s in tracer2.spans]
+    assert spans1 == spans2
+    instants1 = [(i.name, i.cat, i.track, i.time) for i in tracer1.instants]
+    instants2 = [(i.name, i.cat, i.track, i.time) for i in tracer2.instants]
+    assert instants1 == instants2
 
 
 def test_equal_time_events_fire_in_submission_order():

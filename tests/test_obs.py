@@ -24,7 +24,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.shmem import Domain, ShmemJob
-from repro.simulator import Probe, Simulator, Trace
+from repro.simulator import Probe, Simulator
 from repro.units import KiB, MiB
 
 
@@ -326,51 +326,6 @@ def test_snapshot_stats_prefixes_counters():
     out = snapshot_stats(stats)
     assert out["engine.scheduled"] == 5
     assert "engine.degraded_time" in out
-
-
-# =================================================== trace mid-run attach
-def test_trace_attach_converts_queued_fastpath_tuples():
-    """Attaching an event Trace mid-run must convert the fast-path
-    resume tuples already queued (which bypass the trace hook) into
-    real events, so no queued wake-up is lost or left unobserved."""
-    sim = Simulator()
-    order = []
-
-    def worker(sim):
-        order.append("worker")
-        yield sim.timeout(1.0)
-        order.append("worker-done")
-
-    trace = Trace()
-
-    def attacher(sim):
-        # Spawn ``worker`` mid-run: its boot resume sits in
-        # ``sim._ready`` as a raw fast-path tuple at this instant.
-        sim.process(worker(sim))
-        assert any(item.__class__ is tuple for item in sim._ready)
-        trace.attach(sim)
-        assert not any(item.__class__ is tuple for item in sim._ready)
-        order.append("attached")
-        yield sim.timeout(0.5)
-
-    sim.process(attacher(sim))
-    sim.run()
-    assert order == ["attached", "worker", "worker-done"]
-    # The converted boot event was observed by the trace.
-    assert any(name.endswith(":imm") for name in trace.names())
-
-
-def test_trace_attach_before_run_keeps_results():
-    sim = Simulator()
-
-    def producer(sim):
-        yield sim.timeout(1.0)
-        return 42
-
-    p = sim.process(producer(sim))
-    Trace().attach(sim)  # p's boot tuple converted here
-    sim.run()
-    assert p.value == 42
 
 
 # ===================================================== collect hoisting

@@ -124,41 +124,43 @@ def test_format_table_empty_rows():
     assert set(lines[1]) == {"-"}
 
 
-def test_event_breakdown_raises_on_truncated_trace():
-    from repro.reporting.timeline import breakdown_table, event_breakdown
-    from repro.simulator import Simulator, Trace
+def _rdma_write_spans(tracer, count):
+    from repro.simulator import Simulator
 
     sim = Simulator()
-    trace = Trace(limit=3).attach(sim)
+    tracer.attach(sim)
 
     def proc(sim):
-        for _ in range(10):
-            yield sim.timeout(0.001, name="rdma_write")
+        for _ in range(count):
+            start = sim.now
+            yield sim.timeout(0.001)
+            tracer.complete(sim, "rdma_write", "ib", "ib:pe0", start)
 
     sim.process(proc(sim))
     sim.run()
-    assert trace.truncated
-    assert trace.dropped > 0
+    return tracer
+
+
+def test_event_breakdown_raises_on_truncated_trace():
+    from repro.obs import SpanTracer
+    from repro.reporting.timeline import breakdown_table, event_breakdown
+
+    tracer = _rdma_write_spans(SpanTracer(limit=3), 10)
+    assert tracer.truncated
+    assert tracer.dropped > 0
     with pytest.raises(ValueError, match="truncated"):
-        event_breakdown(trace)
-    partial = event_breakdown(trace, strict=False)
+        event_breakdown(tracer)
+    partial = event_breakdown(tracer, strict=False)
     assert sum(e.events for e in partial) <= 3
-    table = breakdown_table(trace)
+    table = breakdown_table(tracer)
     assert "WARNING: trace truncated" in table
-    assert str(trace.dropped) in table
+    assert str(tracer.dropped) in table
 
 
 def test_breakdown_table_clean_trace_has_no_warning():
+    from repro.obs import SpanTracer
     from repro.reporting.timeline import breakdown_table
-    from repro.simulator import Simulator, Trace
 
-    sim = Simulator()
-    trace = Trace().attach(sim)
-
-    def proc(sim):
-        yield sim.timeout(0.001, name="rdma_write")
-
-    sim.process(proc(sim))
-    sim.run()
-    assert not trace.truncated
-    assert "WARNING" not in breakdown_table(trace)
+    tracer = _rdma_write_spans(SpanTracer(), 1)
+    assert not tracer.truncated
+    assert "WARNING" not in breakdown_table(tracer)

@@ -100,21 +100,18 @@ def test_sweep_dedup_key_is_the_sweep_runner_cache_key(tmp_path):
     spec = {"kind": "sweep", "experiment": "fig6a", "quick": True}
     key = dedup_key_for("sweep", spec, runner.fingerprint)
     assert key == runner.cache_key("fig6a")
-    assert key == target_cache_key(
-        "fig6a", quick=True, profile=False, fingerprint=runner.fingerprint
-    )
+    assert key == target_cache_key("fig6a", quick=True, fingerprint=runner.fingerprint)
 
 
 def test_dedup_key_variants_are_distinct():
     base = {"kind": "sweep", "experiment": "fig6a", "quick": True}
     keys = {
         dedup_key_for("sweep", base, "fp"),
-        dedup_key_for("sweep", {**base, "profile": True}, "fp"),
         dedup_key_for("sweep", {**base, "quick": False}, "fp"),
         dedup_key_for("sweep", {**base, "experiment": "fig6b"}, "fp"),
         dedup_key_for("sweep", base, "other-fingerprint"),
     }
-    assert len(keys) == 5
+    assert len(keys) == 4
 
     check = {"kind": "check", "seed": 7}
     assert dedup_key_for("check", check, "fp") != dedup_key_for(

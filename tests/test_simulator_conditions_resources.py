@@ -10,7 +10,6 @@ from repro.simulator import (
     SimulationError,
     Simulator,
     Store,
-    Trace,
 )
 
 
@@ -235,33 +234,6 @@ def test_store_get_nowait():
 
 
 # ------------------------------------------------------------------- monitor
-def test_trace_records_events():
-    sim = Simulator()
-    trace = Trace().attach(sim)
-
-    def proc(sim):
-        yield sim.timeout(1.0, name="tick")
-
-    sim.process(proc(sim), name="p0")
-    sim.run()
-    assert "tick" in trace.names()
-    trace.clear()
-    assert trace.records == []
-
-
-def test_trace_filter():
-    sim = Simulator()
-    trace = Trace(filter=lambda ev: ev.name == "wanted").attach(sim)
-
-    def proc(sim):
-        yield sim.timeout(1.0, name="unwanted")
-        yield sim.timeout(1.0, name="wanted")
-
-    sim.process(proc(sim))
-    sim.run()
-    assert trace.names() == ["wanted"]
-
-
 def test_probe_statistics():
     probe = Probe()
     for v in (1.0, 2.0, 3.0, 10.0):

@@ -11,8 +11,8 @@ from repro.reporting.timeline import (
     link_utilization,
     utilization_table,
 )
+from repro.obs import SpanTracer
 from repro.shmem import Domain, ShmemJob
-from repro.simulator import Trace
 
 
 # ----------------------------------------------------------------- alltoall
@@ -50,17 +50,17 @@ def test_alltoall_size_validation():
 
 # ----------------------------------------------------------------- timeline
 def test_categorize_known_prefixes():
-    assert categorize("rdma_write:post") == "rdma"
-    assert categorize("cudaMemcpyH2D:setup") == "cuda-copy"
+    assert categorize("rdma_write") == "rdma"
+    assert categorize("cudaMemcpyH2D") == "cuda-copy"
     assert categorize("gdrP2Pwrite") == "gdr-p2p"
-    assert categorize("proxy:dispatch") == "proxy"
+    assert categorize("shmem:put") == "software"
+    assert categorize("route:host-pipeline") is None
     assert categorize("unrelated") is None
 
 
 def _traced_job(design):
     job = ShmemJob(nodes=2, pes_per_node=1, design=design)
-    trace = Trace(filter=lambda ev: categorize(ev.name) is not None)
-    trace.attach(job.sim)
+    tracer = SpanTracer().attach(job.sim)
 
     def main(ctx):
         sym = yield from ctx.shmalloc(1 << 20, domain=Domain.GPU)
@@ -72,27 +72,29 @@ def _traced_job(design):
         yield from ctx.barrier_all()
 
     res = job.run(main)
-    return job, trace, res
+    return job, tracer, res
 
 
 def test_event_breakdown_reflects_protocol_anatomy():
-    job, trace, res = _traced_job("enhanced-gdr")
-    cats = {e.category: e.events for e in event_breakdown(trace)}
+    job, tracer, res = _traced_job("enhanced-gdr")
+    cats = {e.category: e.events for e in event_breakdown(tracer)}
     assert cats.get("cuda-copy", 0) >= 4  # staging D2H chunks
     assert cats.get("rdma", 0) >= 4  # one write per chunk
-    assert "proxy" not in cats  # put path needs no proxy here
+    assert cats.get("software", 0) >= 1  # the shmem:put op span
 
 
 def test_breakdown_differs_between_designs():
-    _job_e, trace_e, _ = _traced_job("enhanced-gdr")
-    _job_h, trace_h, _ = _traced_job("host-pipeline")
-    cats_e = {e.category: e.events for e in event_breakdown(trace_e)}
-    cats_h = {e.category: e.events for e in event_breakdown(trace_h)}
-    assert cats_h.get("pipeline", 0) > cats_e.get("pipeline", 0)
+    _job_e, tracer_e, _ = _traced_job("enhanced-gdr")
+    _job_h, tracer_h, _ = _traced_job("host-pipeline")
+    cats_e = {e.category: e.events for e in event_breakdown(tracer_e)}
+    cats_h = {e.category: e.events for e in event_breakdown(tracer_h)}
+    # The host pipeline stages every chunk twice (D2H at the source,
+    # H2D at the target); enhanced-gdr stages only the source side.
+    assert cats_h["cuda-copy"] > cats_e["cuda-copy"]
 
 
 def test_link_utilization_counters():
-    job, _trace, res = _traced_job("enhanced-gdr")
+    job, _tracer, res = _traced_job("enhanced-gdr")
     rows = link_utilization(job.hw, res.elapsed)
     names = [r[0] for r in rows]
     assert any("gpu0.pcie" in n for n in names)  # the D2H staging
@@ -102,8 +104,8 @@ def test_link_utilization_counters():
 
 
 def test_tables_render():
-    job, trace, res = _traced_job("enhanced-gdr")
+    job, tracer, res = _traced_job("enhanced-gdr")
     t1 = utilization_table(job.hw, res.elapsed)
-    t2 = breakdown_table(trace)
+    t2 = breakdown_table(tracer)
     assert "Link utilization" in t1 and "MB/s" in t1
-    assert "Fired-event breakdown" in t2
+    assert "Span breakdown" in t2
