@@ -11,8 +11,8 @@ Usage:
 Two checks:
 
 1. **Tier liveness** — the analytic engine must have carried real work
-   in the quick sweep: ``fastpath_batches + analytic_flows +
-   collective_closed_forms > 0`` in the report's engine totals.  A
+   in the quick sweep: ``fastpath_batches + analytic_flows > 0`` in
+   the report's engine totals.  A
    refactor that silently widens an eligibility gate until nothing
    commits analytically turns every sweep into a pure per-op generator
    run; wall time regresses quietly and bit-identity tests can't see
@@ -50,7 +50,7 @@ from repro.reporting.artifacts import (  # noqa: E402
 BASELINE = REPO / "benchmarks" / "results" / "perf_smoke_baseline.json"
 
 #: These SimStats counters prove the analytic tiers committed work.
-TIER_COUNTERS = ("fastpath_batches", "analytic_flows", "collective_closed_forms")
+TIER_COUNTERS = ("fastpath_batches", "analytic_flows")
 
 #: Per-target SimStats counters that may never grow over the baseline.
 WORK_COUNTERS = ("processed", "scheduled")

@@ -1,16 +1,16 @@
 """Executes a :class:`~repro.faults.plan.FaultPlan` against a live job.
 
 Attaching the injector (``FaultPlan.attach(job)`` /
-``ShmemJob(fault_plan=...)``) does three things:
+``ShmemJob(fault_plan=...)``) does two things:
 
 * spawns one simulator process per scheduled fault event (flap, HCA
   stall, CQ-error burst), all driven by simulated time;
 * arms the reliable transport — ``job.verbs.rc`` becomes an
   :class:`~repro.ib.rc.RCTransport` so every wire crossing gains RC
   retry semantics — and a :class:`~repro.faults.health.HealthTracker`
-  consulted by the runtime's protocol selection;
-* flips ``sim.faults_active`` so the batched tiers and the tier-2
-  RDMA-write flows decline: RC retry and failover live in the per-op
+  (``job.runtime.health``) consulted by the runtime's protocol
+  selection.  The batched tiers and putmem's tier-2 flow decline while
+  a tracker is attached: RC retry and failover live in the per-op
   generators.  Link holds are unchanged — every transfer checks for
   failures at request, grant and hold end whether or not a plan is
   attached.
@@ -43,7 +43,6 @@ class FaultInjector:
             self.sim, params.health_fail_threshold, params.health_cooldown
         )
         # Arm the stack.
-        self.sim.faults_active = True
         job.verbs.rc = RCTransport(self.sim, params, health=self.health)
         job.verbs.faults = self
         job.runtime.health = self.health

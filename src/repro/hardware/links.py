@@ -10,7 +10,7 @@ explicitly, exactly like the real runtimes do).
 latency, an effective bandwidth, and the set of link directions the
 transfer must occupy.  :class:`AnalyticTransfer` is the single machine
 through which *all* simulated data movement holds its links (via
-``TransferSpec.execute``, or wrapped by the tier-2 RDMA-write flows), so
+``TransferSpec.execute``, or wrapped by putmem's tier-2 RDMA-write flow), so
 failure injection and tracing hook in there.
 """
 

@@ -76,19 +76,15 @@ class Verbs:
         self.params = hw.params
         #: Reliable transport (:class:`repro.ib.rc.RCTransport`), set by
         #: the fault injector.  ``None`` means the plain single-attempt
-        #: path — zero extra events, bit-identical to the pre-reliability
-        #: engine.
+        #: path: ``_execute`` hands back the raw transfer generator.
         self.rc = None
         #: The attached :class:`repro.faults.FaultInjector`, if any
         #: (consulted by the CQ layer for completion-error bursts).
         self.faults = None
-        #: Analytic-write path cache: write paths are pure functions of
-        #: (endpoint, local buffer placement, remote region, size,
-        #: remote-HCA hint), so the tier-2 replay reuses one spec (plus
-        #: its acquisition order and pipelined duration) per signature.
-        #: Keyed by the remote region's rkey (unique per registration),
-        #: so a re-registration can never alias a stale path.
-        self._an_path_cache: Dict[tuple, tuple] = {}
+        #: :meth:`write_path` memo, keyed by the remote region's rkey
+        #: (unique per registration), so a re-registration can never
+        #: alias a stale path.
+        self._write_paths: Dict[tuple, Tuple[TransferSpec, object]] = {}
 
     def _execute(self, spec: TransferSpec, hca=None) -> Generator:
         """Run a transfer spec, through the RC retry loop when one is
@@ -145,9 +141,20 @@ class Verbs:
         nbytes: int,
         remote_hca: Optional[int] = None,
     ) -> Tuple[TransferSpec, "object"]:
-        """The cut-through path :meth:`rdma_write` would execute, plus the
-        destination HCA.  Shared with the batched pipeline fast paths so
-        both compute bit-identical transfer timings."""
+        """The cut-through path :meth:`rdma_write` executes, plus the
+        destination HCA.  Shared with the batched pipeline fast paths and
+        putmem's analytic commit so all compute bit-identical transfer
+        timings.
+
+        A path is a pure function of the endpoint, the local buffer's
+        placement, the remote region, the size and the remote-HCA hint,
+        so it is built once per signature and memoised.  Callers share
+        the returned spec and never mutate it."""
+        key = (ep.node_id, ep.hca_id, local.kind, local.alloc.device_id,
+               remote_mr.rkey, nbytes, remote_hca)
+        entry = self._write_paths.get(key)
+        if entry is not None:
+            return entry
         dst_node_id, dst_hca_id = self._remote_endpoint_hca(remote_mr, remote_hca)
         dst_hca = self.hw.nodes[dst_node_id].hcas[dst_hca_id]
         dst_pcie = self.hw.nodes[dst_node_id].pcie
@@ -162,7 +169,8 @@ class Verbs:
         path.extend(landing)
         path.setup += self.params.hca_tx_overhead + self.params.hca_rx_overhead
         path.label = "rdma_write"
-        return path, dst_hca
+        entry = self._write_paths[key] = (path, dst_hca)
+        return entry
 
     def rdma_write(
         self,
@@ -194,13 +202,6 @@ class Verbs:
         p = self.params
         sim = self.sim
         tracer = sim.tracer
-        if tracer is None:
-            an = self._write_analytic(
-                ep, local, remote_mr, dst_ptr, nbytes, remote_hca, posted, delivered
-            )
-            if an is not None:
-                yield an
-                return nbytes
         span = None
         if tracer is not None:
             span = tracer.begin(
@@ -229,46 +230,6 @@ class Verbs:
             if tracer is not None:
                 tracer.end(sim, span)
         return nbytes
-
-    def _write_analytic(
-        self, ep, local, remote_mr, dst_ptr, nbytes, remote_hca, posted, delivered
-    ) -> Optional[Event]:
-        """Tier-2 commit for :meth:`rdma_write`: replay the whole
-        post/acquire/transmit/ack timeline through an
-        :class:`~repro.shmem.fastpath.AnalyticFlow` (same instants, same
-        FIFO acquisition order, same failure surfacing — see its
-        docstring) and return the ack-instant completion to yield on.
-        ``None`` falls back to the event path (fast paths off, faults or
-        RC retransmission armed, or an unroutable path); the caller
-        skips it while a span tracer is attached."""
-        sim = self.sim
-        if not (sim.fastpath and not sim.faults_active and self.rc is None):
-            return None
-        from repro.shmem.fastpath import AnalyticFlow
-
-        key = (id(ep), local.kind, local.alloc.device_id, remote_mr.rkey, nbytes, remote_hca)
-        entry = self._an_path_cache.get(key)
-        if entry is None:
-            try:
-                path, dst_hca = self.write_path(ep, local, remote_mr, nbytes, remote_hca)
-            except Exception:
-                return None  # event path raises at the accurate instant
-            entry = (path, dst_hca, tuple(path.directions()), path.duration())
-            self._an_path_cache[key] = entry
-        path, dst_hca, dirs, duration = entry
-        flow = AnalyticFlow(
-            sim, path, local, dst_ptr, nbytes,
-            base=sim.now,
-            post_overhead=self.params.rdma_post_overhead,
-            ack_latency=self.params.rdma_ack_latency,
-            src_hca=ep.hca, dst_hca=dst_hca,
-            notify=None,
-            dirs=dirs, duration=duration,
-            posted_ev=posted, delivered_ev=delivered,
-            sync_complete=True,
-        )
-        sim.stats.analytic_flows += 1
-        return flow.completion
 
     # ----------------------------------------------------------- RDMA read
     def rdma_read(

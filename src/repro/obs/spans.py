@@ -93,8 +93,9 @@ class SpanTracer:
     # ------------------------------------------------------------ lifecycle
     def attach(self, sim: Simulator, label: Optional[str] = None) -> "SpanTracer":
         """Start observing ``sim``.  Also disarms its batched tiers and
-        tier-2 RDMA-write flows (they elide the per-op generators that
-        emit op and verbs spans); link holds are unaffected."""
+        putmem's tier-2 flow (they elide the per-op generators that emit
+        op spans); verbs calls and link holds run the same body either
+        way."""
         scope = self._scopes.setdefault(id(sim), len(self._scopes))
         if label is not None:
             self._scope_labels.setdefault(scope, label)

@@ -41,29 +41,6 @@ _REDUCE_OPS = {
 }
 
 
-def _collective(fn):
-    """Mark the dynamic extent of a collective on the calling context.
-
-    While ``ctx.in_collective`` is non-zero, analytic put commits made
-    by the runtime (the signal and data puts every round below reduces
-    to) are accounted as closed-form collective rounds — the
-    ``collective_closed_forms`` engine counter.  Purely observational:
-    eligibility and timing are unchanged.
-    """
-
-    def wrapper(ctx, *args, **kwargs):
-        ctx.in_collective += 1
-        try:
-            result = yield from fn(ctx, *args, **kwargs)
-        finally:
-            ctx.in_collective -= 1
-        return result
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__qualname__ = fn.__qualname__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
 #: Above this size, broadcast switches from the binomial tree (optimal
 #: for latency) to scatter + ring-allgather (optimal for bandwidth:
 #: each PE sends ~2x the payload instead of the tree's log2(n) x).
@@ -73,7 +50,6 @@ BCAST_LARGE_THRESHOLD = 128 * 1024
 ALLREDUCE_RD_THRESHOLD = 32
 
 
-@_collective
 def barrier_all(ctx) -> Generator:
     """Dissemination barrier over put + wait_until.
 
@@ -99,7 +75,6 @@ def barrier_all(ctx) -> Generator:
     return None
 
 
-@_collective
 def broadcast(ctx, sym, nbytes: int, root: int = 0) -> Generator:
     """Broadcast ``nbytes`` of the symmetric object ``sym`` from
     ``root`` to every PE.
@@ -181,7 +156,6 @@ def _broadcast_scatter_allgather(ctx, sym, nbytes: int, root: int) -> Generator:
     return None
 
 
-@_collective
 def allreduce(ctx, dst, src, count: int, dtype="float64", op: str = "sum") -> Generator:
     """All-reduce: every PE ends with ``op`` over all PEs' ``src`` in
     ``dst``.
@@ -281,7 +255,6 @@ def _allreduce_recursive_doubling(ctx, dst, src, count: int, dt, reducer) -> Gen
     return None
 
 
-@_collective
 def alltoall(ctx, dst, src, nbytes: int) -> Generator:
     """All-to-all: PE ``i``'s block ``j`` of ``src`` lands at block ``i``
     of PE ``j``'s ``dst`` (blocks of ``nbytes``)."""
@@ -304,7 +277,6 @@ def alltoall(ctx, dst, src, nbytes: int) -> Generator:
     return None
 
 
-@_collective
 def collect(ctx, dst, src, my_nbytes: int) -> Generator:
     """Variable-size all-gather (``shmem_collect``): PE ``i``
     contributes ``my_nbytes_i`` bytes; contributions concatenate in
@@ -356,7 +328,6 @@ def collect(ctx, dst, src, my_nbytes: int) -> Generator:
     return my_off
 
 
-@_collective
 def fcollect(ctx, dst, src, nbytes: int) -> Generator:
     """All-gather: PE ``i``'s ``nbytes`` of ``src`` land at offset
     ``i * nbytes`` of every PE's ``dst``."""

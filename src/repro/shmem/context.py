@@ -57,9 +57,6 @@ class ShmemContext(TypedOps, LockOps, TeamOps):
         self.op_index = 0
         self._barrier_gen = 0
         self._bcast_gen = 0
-        #: Depth of collective calls in flight; analytic put commits
-        #: issued while non-zero count as closed-form collective rounds.
-        self.in_collective = 0
         self._scratch: Optional[Ptr] = None  # small host buffer for flags
         self._team_gens: dict = {}  # per-(team, slot) generation counters
 

@@ -115,41 +115,41 @@ def plan_staged(
 class AnalyticFlow:
     """Callback-driven closed-form replay of one signaled RDMA write.
 
-    This is the contended-window tier of the analytic engine: unlike
-    the quiescence-gated planners above, it does *not* require idle
-    links.  A flow is a post/ack wrapper around one
+    This is the contended-window tier of the analytic engine, committed
+    by putmem for its single-RDMA protocols: unlike the
+    quiescence-gated planners above, it does *not* require idle links.
+    A flow is a post/ack wrapper around one
     :class:`~repro.hardware.links.AnalyticTransfer`, which holds the
     write's path through the very same FIFO ``Resource`` slots the
     event path would — so a link shared by N concurrent flows prices
     its bandwidth-sharing schedule exactly as the event-by-event engine
     does, down to the last ulp.  The flow adds only what a one-sided
     write has on top of the link hold: the post instant, the payload
-    snapshot and the posted gates before it; the HCA counters, the
+    snapshot and the posted gate before it; the HCA counters, the
     payload write, the delivery notification and the ack after it.
     What the closed form elides is the *machinery*: no ``Process``
-    wrapping a generator per put, no per-hop generator resumes, no
-    dispatch/lookup/post/setup/ack ``Timeout`` allocations — only a
-    handful of absolutely-timed wake-ups.
+    wrapping putmem's generator per put, no dispatch/lookup/post/ack
+    ``Timeout`` allocations — only a handful of absolutely-timed
+    wake-ups.
 
-    Timeline (same float operations in the same order as
-    ``Verbs.rdma_write`` + ``TransferSpec.execute``):
+    Timeline (same float operations in the same order as putmem's
+    dispatch + ``Verbs.rdma_write`` + ``TransferSpec.execute``):
 
     * ``t_post = base + rdma_post_overhead`` — payload snapshotted,
-      source HCA tx counted, ``posted`` fires (the put-return instant
-      the caller yields on), and the transfer is constructed;
-    * ``t_end``, the transfer's hold end — its completion fires
-      synchronously inside that pop: target HCA rx counted, payload
-      written, delivery notified;
+      ``posted`` fires (the put-return instant the caller yields on),
+      source HCA tx counted, and the transfer is constructed;
+    * ``t_end``, the transfer's hold end — target HCA rx counted,
+      payload written, delivery notified;
     * ``t_ack = t_end + rdma_ack_latency`` — ``completion`` fires with
       the byte count (what ``shmem_quiet`` waits on).
 
     Any exception in a timed callback (e.g. a source read racing a
     free, or a ``LinkDown`` from the transfer) fails
     ``posted``/``completion`` at the instant the event path's process
-    would have died, so error surfacing is preserved.  The commit sites
-    gate hard — fastpath on, no tracer/trace, no faults, no health
-    tracker, no RC transport — and decline on any setup-time validation
-    error so the event path raises at the accurate instant.
+    would have died, so error surfacing is preserved.  The commit site
+    gates hard — fastpath on, no span tracer, no health tracker (no
+    fault plan) — and declines on any setup-time validation error so
+    the event path raises at the accurate instant.
     """
 
     __slots__ = (
@@ -164,10 +164,7 @@ class AnalyticFlow:
         "src_hca",
         "dst_hca",
         "notify",
-        "ext_posted",
-        "ext_delivered",
         "completion",
-        "sync_complete",
         "posted",
         "payload",
     )
@@ -184,13 +181,9 @@ class AnalyticFlow:
         ack_latency: float,
         src_hca,
         dst_hca,
-        notify: Optional[Callable[[], None]],
+        notify: Callable[[], None],
         dirs: Optional[Sequence[LinkDirection]] = None,
         duration: Optional[float] = None,
-        posted_ev: Optional[Event] = None,
-        delivered_ev: Optional[Event] = None,
-        gate: bool = False,
-        sync_complete: bool = False,
     ):
         self.sim = sim
         self.spec = spec
@@ -205,51 +198,21 @@ class AnalyticFlow:
         self.src_hca = src_hca
         self.dst_hca = dst_hca
         self.notify = notify
-        # External gate events (the ``posted``/``delivered`` arguments
-        # of ``Verbs.rdma_write``), succeeded at the same instants the
-        # event path would succeed them.
-        self.ext_posted = posted_ev
-        self.ext_delivered = delivered_ev
+        # Completion is a spawned-``Process`` event on the event path,
+        # so it is delivered through the scheduler (tie-order rule 2).
         self.completion = Event(sim, name="an-flow:done")
-        # The event path's caller resumes *synchronously* at the ack
-        # instant when the write was inlined via ``yield from`` (the
-        # verbs commit); it resumes one scheduler push later when the
-        # completion is a spawned ``Process`` event (the putmem commit,
-        # where ``_do_succeed`` pushes at NORMAL).  The flag picks the
-        # matching delivery so same-instant tie order is preserved.
-        self.sync_complete = sync_complete
-        # ``gate`` requests a caller-facing posted event succeeded with
-        # a scheduler push at t_post — the same extra hop the event
-        # path's ``posted.succeed`` inserts before the caller resumes.
-        self.posted: Optional[Event] = Event(sim, name="an:posted") if gate else None
+        # The caller-facing posted event, succeeded with a scheduler
+        # push at t_post — the same extra hop the event path's
+        # ``posted.succeed`` inserts before the caller resumes.
+        self.posted = Event(sim, name="an:posted")
         self.payload: Optional[Snapshot] = None
         w = sim.wake_at(base + post_overhead, name="an:post")
         w.callbacks.append(self._at_posted)
 
-    def _fire(self, value=None, exc: Optional[BaseException] = None) -> None:
-        """Trigger ``completion`` like the event path would reach its
-        caller: synchronously inside the current pop when a waiter is
-        attached (``yield from`` continues within the ack-timeout
-        callback), via the scheduler otherwise."""
-        c = self.completion
-        if c._triggered:
-            return
-        if self.sync_complete and c.callbacks:
-            c._triggered = True
-            if exc is not None:
-                c._exc = exc
-            else:
-                c._value = value
-            c._run_callbacks()
-        elif exc is not None:
-            c.fail(exc)
-        else:
-            c.succeed(value)
-
     def _die(self, exc: BaseException) -> None:
         if self.payload is not None:
             self.payload.release()
-        self._fire(exc=exc)
+        self.completion.fail(exc)
 
     def _at_posted(self, _ev: Event) -> None:
         sim = self.sim
@@ -257,18 +220,11 @@ class AnalyticFlow:
             self.payload = self.src.snapshot(self.nbytes)
         except BaseException as exc:  # surfaces where the event path's would
             self._die(exc)
-            gate = self.posted
-            if gate is not None and not gate._triggered:
-                # The caller's pending resume defuses and re-raises,
-                # mirroring _bridge_failure on the event path's gate.
-                gate.fail(exc)
+            # The caller's pending resume defuses and re-raises,
+            # mirroring _bridge_failure on the event path's gate.
+            self.posted.fail(exc)
             return
-        gate = self.posted
-        if gate is not None:
-            gate.succeed(sim.now)
-        ext = self.ext_posted
-        if ext is not None and not ext._triggered:
-            ext.succeed(sim.now)
+        self.posted.succeed(sim.now)
         self.src_hca.count_tx()
         # Constructed here — not at commit — so its setup wake-up draws
         # its scheduler sequence number at the same instant the event
@@ -296,13 +252,9 @@ class AnalyticFlow:
             self._die(exc)
             return
         self.payload.release()
-        if self.notify is not None:
-            delivered = Event(sim, name="an:delivered")
-            delivered.callbacks.append(self._deliver)
-            delivered.succeed(sim.now)
-        ext = self.ext_delivered
-        if ext is not None and not ext._triggered:
-            ext.succeed(sim.now)
+        delivered = Event(sim, name="an:delivered")
+        delivered.callbacks.append(self._deliver)
+        delivered.succeed(sim.now)
         ack = sim.wake_at(sim.now + self.ack_latency, name="an:ack")
         ack.callbacks.append(self._complete)
 
@@ -310,7 +262,7 @@ class AnalyticFlow:
         self.notify()
 
     def _complete(self, _ev: Event) -> None:
-        self._fire(value=self.nbytes)
+        self.completion.succeed(self.nbytes)
 
 
 def merged_directions(specs: Sequence[TransferSpec]) -> List[LinkDirection]:

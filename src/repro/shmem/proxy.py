@@ -173,7 +173,7 @@ class ProxyDaemon:
         sim = self.sim
         if not (
             sim.fastpath
-            and not sim.faults_active
+            and self.runtime.health is None
             and sim.tracer is None
             and sim.quiescent()
         ):

@@ -598,7 +598,7 @@ class Runtime:
         sim = self.sim
         if not (
             sim.fastpath
-            and not sim.faults_active
+            and self.health is None
             and sim.tracer is None
             and sim.quiescent()
         ):
@@ -654,17 +654,12 @@ class Runtime:
         Returns ``(posted, route, t0)`` for the caller to yield/sample
         on, or ``None`` to take the event path.  Declines whole-hog on
         any validation error so the event path raises at the accurate
-        instant, and whenever tracing, faults, health tracking or RC
-        retransmission are active — those layers hook the event path.
+        instant, and whenever a span tracer or a fault plan (whose
+        injector attaches the health tracker and RC retransmission) is
+        attached — those layers hook the event path.
         """
         sim = self.sim
-        if not (
-            sim.fastpath
-            and not sim.faults_active
-            and sim.tracer is None
-            and self.health is None
-            and self.verbs.rc is None
-        ):
+        if not (sim.fastpath and sim.tracer is None and self.health is None):
             return None
         alloc = src.alloc
         key = (ctx.pe, pe, alloc.kind, alloc.device_id, dst.domain, nbytes)
@@ -708,12 +703,9 @@ class Runtime:
             src_hca=ep.hca, dst_hca=dst_hca,
             notify=notify,
             dirs=dirs, duration=duration,
-            gate=True,
         )
         ctx.track(flow.completion)
         sim.stats.analytic_flows += 1
-        if ctx.in_collective:
-            sim.stats.collective_closed_forms += 1
         return flow.posted, route, t0
 
     def _an_route_fill(self, ctx, src, dst, nbytes, pe, key):
@@ -960,7 +952,7 @@ class Runtime:
         sim = self.sim
         if not (
             sim.fastpath
-            and not sim.faults_active
+            and self.health is None
             and sim.tracer is None
             and sim.quiescent()
         ):

@@ -61,12 +61,12 @@ class SimStats:
     ``analytic_flows`` counts tier-2 RDMA writes committed as
     callback-driven flows (no Process, no per-op generator),
     ``contended_windows`` counts link holds — of any transfer, in every
-    mode — whose grant was queued behind other traffic, and
-    ``collective_closed_forms`` counts analytic commits issued from
-    inside a collective round.  ``vectorised_events`` is always 0:
-    it counted the numpy wake lane, which is gone, and stays only
-    because the benchmark's traced run maps every counter by name
-    (``perfbench/tracing.py``) and reports incorrect on a missing one.
+    mode — whose grant was queued behind other traffic.
+    ``collective_closed_forms`` and ``vectorised_events`` are always 0:
+    they counted analytic commits inside collective rounds and the
+    numpy wake lane, both gone, and stay only because the benchmark's
+    traced run maps every counter by name (``perfbench/tracing.py``)
+    and reports incorrect on a missing one.
 
     The reliability counters (``retries`` .. ``degraded_time``) are only
     ever non-zero when a :class:`repro.faults.FaultPlan` is attached:
@@ -369,22 +369,17 @@ class Simulator:
         self._active_process: Optional[Process] = None
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
-        #: this; an attached tracer disarms the batched tiers and the
-        #: tier-2 RDMA-write flows so every op runs the generator that
-        #: emits its spans.  Link holds ignore it.
+        #: this; an attached tracer disarms the batched tiers and putmem's
+        #: tier-2 RDMA-write flow so every op runs the generator that
+        #: emits its spans.  Verbs calls and link holds ignore it.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
-        #: Master switch for the batched closed-form tiers and the
-        #: tier-2 RDMA-write flows in the runtime/ib layers.  They
-        #: additionally require no tracer; tests flip this off to force
-        #: the per-op generators.  Link holds ignore it.
+        #: Master switch for the batched closed-form tiers and putmem's
+        #: tier-2 RDMA-write flow in the shmem runtime.  They
+        #: additionally require no tracer and no fault plan; tests flip
+        #: this off to force the per-op generators.  Link holds ignore it.
         self.fastpath = True
-        #: Set by :class:`repro.faults.FaultInjector` when a fault plan
-        #: is attached.  The batched tiers and the tier-2 RDMA-write
-        #: flows consult it and decline, leaving RC retry and failover
-        #: to the per-op generators.  Link holds ignore it.
-        self.faults_active = False
 
     # -- clock ---------------------------------------------------------
     @property

@@ -205,7 +205,7 @@ def test_fig8_golden_with_empty_fault_plan(design, op):
     job.run(lat._sweep_program(op, GOLDEN_SIZES, Domain.GPU, Domain.GPU, "far"))
     assert job.sim.now == GOLDEN[(design, op)]
     assert job.verbs.rc is not None
-    assert job.sim.stats.fastpath_batches == 0  # faults_active declines it
+    assert job.sim.stats.fastpath_batches == 0  # the health tracker declines it
     assert job.sim.stats.retries == 0
 
 
@@ -434,9 +434,9 @@ _COLLECTIVES = ["barrier", "bcast", "reduce", "alltoall", "fcollect", "collect"]
 
 @pytest.mark.parametrize("coll", _COLLECTIVES)
 def test_collective_closed_form_identical(coll):
-    """Each collective against its event twin: the puts committed
-    inside the collective extent (the closed-form tier) must leave
-    results, heap bytes, and the end time bit-identical."""
+    """Each collective against its event twin: the puts its rounds
+    commit through the tier-2 flow must leave results, heap bytes, and
+    the end time bit-identical."""
 
     def main(ctx):
         n = ctx.npes
@@ -464,7 +464,7 @@ def test_collective_closed_form_identical(coll):
         lambda: ShmemJob(nodes=2, pes_per_node=2, design="enhanced-gdr"),
         main,
     )
-    assert stats.collective_closed_forms > 0
+    assert stats.analytic_flows > 0
 
 
 @pytest.mark.parametrize("design,ppn,params", [

@@ -6,8 +6,9 @@ from repro.cuda.memory import MemKind, MemorySpace
 from repro.errors import IBError
 from repro.hardware import ClusterConfig, ClusterHardware, NodeConfig, wilkes_params
 from repro.ib import MemoryRegion, Verbs
+from repro.obs import SpanTracer
 from repro.simulator import Simulator
-from repro.units import MiB, to_usec, usec
+from repro.units import KiB, MiB, to_usec, usec
 
 
 @pytest.fixture
@@ -122,6 +123,48 @@ def test_rdma_write_delivered_event_fires_before_ack(env):
     sim.run()
     assert delivered.triggered
     assert delivered.value < p.value  # delivery strictly before ack-completion
+
+
+def _three_concurrent_writes(tracer=None):
+    """Three 64 KiB host->device writes contending for one target HCA;
+    returns (completion instants, destination bytes, engine stats)."""
+    sim = Simulator()
+    if tracer is not None:
+        tracer.attach(sim)
+    hw = ClusterHardware(sim, ClusterConfig(nodes=2))
+    verbs = Verbs(hw)
+    space = MemorySpace()
+    n = 64 * KiB
+    ep = verbs.endpoint(0, 0, owner=0)
+    dst = make_dev(space, 1, 1, dev=0, size=3 * n)
+    mr = MemoryRegion(dst)
+    done = {}
+
+    def writer(i, src):
+        yield from verbs.rdma_write(ep, src.ptr(), mr, i * n, n)
+        done[i] = sim.now
+
+    for i in range(3):
+        src = make_host(space, 0, 0, size=n)
+        src.ptr().write(bytes([0x41 + i]) * n)
+        sim.process(writer(i, src))
+    sim.run()
+    return done, dst.ptr().read(3 * n), sim.stats.as_dict()
+
+
+def test_rdma_write_same_body_traced_and_untraced():
+    """Attaching a span tracer changes nothing about a write: same
+    completion instants, same bytes, same engine counters."""
+    plain = _three_concurrent_writes()
+    tracer = SpanTracer()
+    traced = _three_concurrent_writes(tracer)
+    assert traced[0] == plain[0]
+    assert len(set(plain[0].values())) == 3
+    assert traced[1] == plain[1]
+    assert plain[1] == b"".join(bytes([0x41 + i]) * (64 * KiB) for i in range(3))
+    assert traced[2] == plain[2]
+    writes = [s for s in tracer.spans if s.cat == "ib" and s.name == "rdma_write"]
+    assert len(writes) == 3
 
 
 def test_rdma_write_loopback_same_node(env):
