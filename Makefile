@@ -8,26 +8,26 @@ install:
 	$(PYTHON) -m pip install -e .
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 check:
 	PYTHONPATH=src $(PYTHON) -m repro check --seeds 50 --repro-out check-repro.py
 	PYTHONPATH=src $(PYTHON) -m repro check --seeds 10 --seed-start 10000 --faults --repro-out check-repro-faults.py
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/overlap_demo.py
-	$(PYTHON) examples/protocol_explorer.py
-	$(PYTHON) examples/irregular_workload.py
-	$(PYTHON) examples/upc_demo.py
-	$(PYTHON) examples/stencil2d_demo.py
-	$(PYTHON) examples/lbm_demo.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/overlap_demo.py
+	PYTHONPATH=src $(PYTHON) examples/protocol_explorer.py
+	PYTHONPATH=src $(PYTHON) examples/irregular_workload.py
+	PYTHONPATH=src $(PYTHON) examples/upc_demo.py
+	PYTHONPATH=src $(PYTHON) examples/stencil2d_demo.py
+	PYTHONPATH=src $(PYTHON) examples/lbm_demo.py
 
 experiments:
-	$(PYTHON) -m repro run all --quick
+	PYTHONPATH=src $(PYTHON) -m repro run all --quick
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .hypothesis

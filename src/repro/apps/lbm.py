@@ -77,10 +77,6 @@ class LBMConfig:
             raise ConfigurationError("fewer than one Z plane per PE")
         return lnz
 
-    @property
-    def plane_sites(self) -> int:
-        return self.nx * self.ny
-
 
 @dataclass
 class LBMResult:

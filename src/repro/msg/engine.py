@@ -47,6 +47,11 @@ ANY_TAG = -1
 _TRANSPORTS = ("rc", "ud")
 
 
+def _plain_memcpy(cuda, dst: Ptr, src: Ptr, nbytes: int) -> Generator:
+    """A bounce-slot copy leg without the RC retry ladder."""
+    return cuda.memcpy(dst, src, nbytes)
+
+
 @dataclass
 class _MsgPosted:
     """One posted two-sided send or recv awaiting its match."""
@@ -378,36 +383,12 @@ class MsgEngine:
         payloads through host bounce slots (cudaMemcpy legs survive
         ``gdrP2P``-scoped faults) and move each chunk with plain RC
         send/recv over the host path."""
-        p = self.params
-        sim = self.sim
-        job = self.job
-        rt = job.runtime
-        src_ep, dst_ep = self._endpoint(send.pe), self._endpoint(recv.pe)
-        src_ctx, dst_ctx = job.contexts[send.pe], job.contexts[recv.pe]
-        tx_pool = self._bounce_pool(send.pe, "tx")
-        rx_pool = self._bounce_pool(recv.pe)
-        offset = 0
-        for csize in chunked(send.nbytes, p.pipeline_chunk):
-            sslot = None
-            if send.buf.kind is MemKind.DEVICE:
-                sslot = yield from tx_pool.acquire()
-                yield from rt.reliable_memcpy(
-                    src_ctx.cuda, sslot.ptr, send.buf + offset, csize
-                )
-            dslot = yield from rx_pool.acquire()
-            try:
-                yield from self.verbs.post_send(src_ep, dst_ep, bytes(csize))
-                dst_ep.recv_nowait()
-                yield sim.timeout(p.rdma_ack_latency, name="msg:rc-staged-ack")
-                if recv.buf.kind is MemKind.DEVICE:
-                    yield from rt.reliable_memcpy(
-                        dst_ctx.cuda, recv.buf + offset, dslot.ptr, csize
-                    )
-            finally:
-                rx_pool.release(dslot)
-                if sslot is not None:
-                    tx_pool.release(sslot)
-            offset += csize
+        yield from self._staged(send, recv, self._rc_chunk, self.job.runtime.reliable_memcpy)
+
+    def _rc_chunk(self, src_ep, dst_ep, csize: int) -> Generator:
+        yield from self.verbs.post_send(src_ep, dst_ep, bytes(csize))
+        dst_ep.recv_nowait()
+        yield self.sim.timeout(self.params.rdma_ack_latency, name="msg:rc-staged-ack")
 
     def _ud_staged(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
         """UD bulk data: chunk through host bounce slots on both sides.
@@ -417,23 +398,29 @@ class MsgEngine:
         by chunk.  This is precisely why UD loses the crossover at
         large sizes.
         """
-        p = self.params
+        yield from self._staged(send, recv, self.ud.send, _plain_memcpy)
+
+    def _staged(self, send: _MsgPosted, recv: _MsgPosted, wire, copy) -> Generator:
+        """The store-and-forward chunk loop: a device payload's chunk
+        is copied into a sender bounce slot with ``copy(cuda, dst, src,
+        nbytes)``, crosses with ``wire(src_ep, dst_ep, nbytes)`` into a
+        receiver bounce slot, and is copied out to a device buffer."""
         job = self.job
         src_ep, dst_ep = self._endpoint(send.pe), self._endpoint(recv.pe)
-        src_ctx, dst_ctx = job.contexts[send.pe], job.contexts[recv.pe]
+        src_cuda, dst_cuda = job.contexts[send.pe].cuda, job.contexts[recv.pe].cuda
         tx_pool = self._bounce_pool(send.pe, "tx")
         rx_pool = self._bounce_pool(recv.pe)
         offset = 0
-        for csize in chunked(send.nbytes, p.pipeline_chunk):
+        for csize in chunked(send.nbytes, self.params.pipeline_chunk):
             sslot = None
             if send.buf.kind is MemKind.DEVICE:
                 sslot = yield from tx_pool.acquire()
-                yield from src_ctx.cuda.memcpy(sslot.ptr, send.buf + offset, csize)
+                yield from copy(src_cuda, sslot.ptr, send.buf + offset, csize)
             dslot = yield from rx_pool.acquire()
             try:
-                yield from self.ud.send(src_ep, dst_ep, csize)
+                yield from wire(src_ep, dst_ep, csize)
                 if recv.buf.kind is MemKind.DEVICE:
-                    yield from dst_ctx.cuda.memcpy(recv.buf + offset, dslot.ptr, csize)
+                    yield from copy(dst_cuda, recv.buf + offset, dslot.ptr, csize)
             finally:
                 rx_pool.release(dslot)
                 if sslot is not None:

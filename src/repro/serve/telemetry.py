@@ -66,10 +66,6 @@ class EventBuffer:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def last_seq(self) -> int:
-        return self._seq
-
     def _notify(self) -> None:
         # Followers grab the *current* Event object before sleeping;
         # replacing it on every notify means a set() can never be

@@ -33,7 +33,7 @@ Quickstart::
 """
 
 from repro.shmem.address import SymAddr, SymPtr
-from repro.shmem.capabilities import TABLE_I, Capabilities, capability_rows
+from repro.shmem.capabilities import Capabilities, capability_rows
 from repro.shmem.constants import Config, Domain, Locality, Op, Protocol
 from repro.shmem.context import ShmemContext
 from repro.shmem.designs import DesignSpec, design_names, design_spec
@@ -62,7 +62,6 @@ __all__ = [
     "SymPtr",
     "SymmetricHeap",
     "SYNC_RESERVED",
-    "TABLE_I",
     "UnsupportedConfiguration",
     "capability_rows",
     "make_selector",

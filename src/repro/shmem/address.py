@@ -56,10 +56,6 @@ class SymPtr:
     def offset(self) -> int:
         return self.addr.offset
 
-    @property
-    def on_device(self) -> bool:
-        return self.domain is Domain.GPU
-
     def __add__(self, nbytes: int) -> "SymPtr":
         if not 0 <= nbytes <= self.size:
             raise ShmemError(

@@ -6,7 +6,7 @@ performance, true one-sidedness, and productivity.  Each runtime's row
 lives in its :class:`~repro.shmem.designs.DesignSpec` (the unified
 design registry); the feature bench (``bench_table1_features``) can
 regenerate the table and the test-suite can assert the qualitative
-claims.  ``TABLE_I`` remains available here as a derived view.
+claims.
 """
 
 from __future__ import annotations
@@ -61,14 +61,3 @@ def capability_rows() -> List[List[str]]:
             ]
         )
     return rows
-
-
-def __getattr__(name: str):
-    # Derived compatibility view of the design registry (PEP 562): the
-    # row literals moved to repro.shmem.designs, imported lazily here
-    # to avoid a module cycle.
-    if name == "TABLE_I":
-        from repro.shmem.designs import capability_table
-
-        return capability_table()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

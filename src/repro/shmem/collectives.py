@@ -5,21 +5,40 @@ implemented *on top of* put/get + wait_until + atomics, exactly as a
 PGAS runtime layers them, so every collective automatically benefits
 from (and exercises) whichever point-to-point design the job selected.
 
+Barrier, broadcast and all-reduce run over an *active set* (see
+:class:`repro.shmem.teams.ActiveSet`); ``team=None`` is the set of
+every PE, as OpenSHMEM 1.x defines ``shmem_barrier_all``.  Ranks
+translate to PEs through ``team.pe_of`` and the algorithm is chosen
+from the payload and the team size alone, so the world collectives and
+the team collectives are one implementation.
+
 Synchronization flags live in the reserved region at the bottom of
 each host heap (see :data:`repro.shmem.runtime.SYNC_RESERVED`):
 
 ====================  ===========================================
 offset                use
 ====================  ===========================================
-0    .. 255           dissemination-barrier round flags (32 x 8 B)
-512  .. 519           broadcast arrival flag
+0    .. 255           every-PE barrier round flags (32 x 8 B)
+512  .. 519           every-PE broadcast arrival flag
 576  .. 583           generic notify flag (apps / tests)
+1024 .. 1279          team area: 32 slots x 8 B
+2048 .. 4095          per-PE size table for variable collect
 ====================  ===========================================
+
+A team collective called with ``sync_slot`` s owns team slots
+``s .. s+7``, clipped to the area (:meth:`TeamOps._team_flags
+<repro.shmem.teams.TeamOps._team_flags>`): barrier rounds take the
+range's slots in order and the broadcast flag its last slot.  The
+defaults are slots 0..7 for ``team_barrier``, 8..15 for
+``team_broadcast`` and 16..23 for ``team_reduce``.  A team whose
+barrier needs more rounds than its range holds raises
+:class:`~repro.errors.ShmemError` before any flag is written.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from functools import lru_cache
+from typing import Generator, NamedTuple
 
 import numpy as np
 
@@ -41,6 +60,20 @@ _REDUCE_OPS = {
 }
 
 
+class FlagArea(NamedTuple):
+    """Where one collective keeps its flags in the sync area."""
+
+    #: Offset of the barrier's round-0 word (one 8-byte word per round).
+    barrier: int
+    #: How many round words the area holds.
+    rounds: int
+    #: Offset of the broadcast arrival word.
+    bcast: int
+
+
+#: The every-PE collectives' flags.
+WORLD_FLAGS = FlagArea(BARRIER_SLOTS_OFF, BARRIER_MAX_ROUNDS, BCAST_FLAG_OFF)
+
 #: Above this size, broadcast switches from the binomial tree (optimal
 #: for latency) to scatter + ring-allgather (optimal for bandwidth:
 #: each PE sends ~2x the payload instead of the tree's log2(n) x).
@@ -50,67 +83,93 @@ BCAST_LARGE_THRESHOLD = 128 * 1024
 ALLREDUCE_RD_THRESHOLD = 32
 
 
-def barrier_all(ctx) -> Generator:
+@lru_cache(maxsize=None)
+def _every_pe(npes: int):
+    from repro.shmem.teams import ActiveSet
+
+    return ActiveSet(0, 0, npes)
+
+
+def _resolve(ctx, team):
+    """``(team, this PE's rank in it)``; ``None`` means every PE."""
+    if team is None:
+        return _every_pe(ctx.npes), ctx.pe
+    return team, team.rank_of(ctx.pe)
+
+
+def _next_gen(ctx, kind: str, team, offset: int) -> int:
+    """Bump and return the generation of one collective's flags.
+
+    Flags carry the generation, so their words are reusable without
+    clearing; every member bumps the same key in the same order."""
+    key = (kind, team, offset)
+    gen = ctx._gens.get(key, 0) + 1
+    ctx._gens[key] = gen
+    return gen
+
+
+def barrier_all(ctx, team=None, flags: FlagArea = WORLD_FLAGS) -> Generator:
     """Dissemination barrier over put + wait_until.
 
-    Round ``r``: signal PE ``(me + 2^r) % npes`` and wait for the
-    matching signal; ``log2(npes)`` rounds.  Flags carry a per-PE
-    generation counter so slots are reusable without clearing."""
-    npes = ctx.npes
-    if npes == 1:
+    Round ``r``: signal rank ``(me + 2^r) % size`` of ``team`` at word
+    ``r`` of the barrier area and wait for the matching signal;
+    ``log2(size)`` rounds."""
+    team, me = _resolve(ctx, team)
+    size = team.size
+    if size == 1:
         return None
-    ctx._barrier_gen += 1
-    gen = ctx._barrier_gen
-    dist, rnd = 1, 0
-    while dist < npes:
-        if rnd >= BARRIER_MAX_ROUNDS:
-            raise ShmemError("barrier round overflow (npes too large for sync area)")
-        partner = (ctx.pe + dist) % npes
-        slot = ctx.sync_sym(BARRIER_SLOTS_OFF + 8 * rnd)
+    rounds = (size - 1).bit_length()
+    if rounds > flags.rounds:
+        raise ShmemError(
+            f"a {size}-PE barrier needs {rounds} flag words; its sync area holds {flags.rounds}"
+        )
+    gen = _next_gen(ctx, "barrier", team, flags.barrier)
+    for rnd in range(rounds):
+        partner = team.pe_of((me + (1 << rnd)) % size)
+        slot = ctx.sync_sym(flags.barrier + 8 * rnd)
         yield from ctx.put_uint64(slot.addr, gen, partner)
         yield from ctx.quiet()
         yield from ctx.wait_until(slot, ">=", gen)
-        dist <<= 1
-        rnd += 1
     return None
 
 
-def broadcast(ctx, sym, nbytes: int, root: int = 0) -> Generator:
-    """Broadcast ``nbytes`` of the symmetric object ``sym`` from
-    ``root`` to every PE.
+def broadcast(ctx, sym, nbytes: int, root: int = 0, team=None,
+              flags: FlagArea = WORLD_FLAGS) -> Generator:
+    """Broadcast ``nbytes`` of the symmetric object ``sym`` from rank
+    ``root`` of ``team`` to every member.
 
     Hybrid algorithm, as production runtimes implement it: a binomial
     tree below :data:`BCAST_LARGE_THRESHOLD` (log2(n) one-message
     latency), scatter + ring-allgather above it (van de Geijn — every
     PE moves ~2x the payload regardless of n)."""
-    npes = ctx.npes
-    if npes == 1:
+    team, me = _resolve(ctx, team)
+    size = team.size
+    if size == 1:
         return None
-    if not 0 <= root < npes:
+    if not 0 <= root < size:
         raise ShmemError(f"broadcast root {root} out of range")
     if nbytes > sym.size:
         raise ShmemError(f"broadcast of {nbytes} B exceeds the {sym.size}-byte object")
-    if nbytes > BCAST_LARGE_THRESHOLD and npes > 2 and nbytes >= npes:
-        yield from _broadcast_scatter_allgather(ctx, sym, nbytes, root)
+    if nbytes > BCAST_LARGE_THRESHOLD and size > 2 and nbytes >= size:
+        yield from _broadcast_scatter_allgather(ctx, sym, nbytes, root, team, me, flags)
         return None
-    yield from _broadcast_binomial(ctx, sym, nbytes, root)
+    yield from _broadcast_binomial(ctx, sym, nbytes, root, team, me, flags)
     return None
 
 
-def _broadcast_binomial(ctx, sym, nbytes: int, root: int) -> Generator:
-    npes = ctx.npes
-    ctx._bcast_gen += 1
-    gen = ctx._bcast_gen
-    vrank = (ctx.pe - root) % npes
-    flag = ctx.sync_sym(BCAST_FLAG_OFF)
+def _broadcast_binomial(ctx, sym, nbytes: int, root: int, team, me: int, flags) -> Generator:
+    size = team.size
+    gen = _next_gen(ctx, "bcast", team, flags.bcast)
+    vrank = (me - root) % size
+    flag = ctx.sync_sym(flags.bcast)
     if vrank != 0:
         yield from ctx.wait_until(flag, ">=", gen)
     mask = 1
-    while mask < npes:
+    while mask < size:
         if vrank < mask:
             peer_v = vrank + mask
-            if peer_v < npes:
-                peer = (root + peer_v) % npes
+            if peer_v < size:
+                peer = team.pe_of((root + peer_v) % size)
                 yield from ctx.putmem(sym.addr, sym.local, nbytes, peer)
                 yield from ctx.quiet()  # data before flag
                 yield from ctx.put_uint64(flag.addr, gen, peer)
@@ -119,52 +178,53 @@ def _broadcast_binomial(ctx, sym, nbytes: int, root: int) -> Generator:
     return None
 
 
-def _broadcast_scatter_allgather(ctx, sym, nbytes: int, root: int) -> Generator:
+def _broadcast_scatter_allgather(ctx, sym, nbytes: int, root: int, team, me: int,
+                                 flags) -> Generator:
     """van de Geijn: root scatters n/p blocks, then a ring allgather
     reassembles them everywhere.  Block boundaries are computed
-    identically on every PE from (nbytes, npes)."""
-    npes = ctx.npes
-    base, rem = divmod(nbytes, npes)
+    identically on every member from (nbytes, size)."""
+    size = team.size
+    base, rem = divmod(nbytes, size)
     bounds = []
     off = 0
-    for pe in range(npes):
-        size = base + (1 if pe < rem else 0)
-        bounds.append((off, size))
-        off += size
+    for rank in range(size):
+        bsize = base + (1 if rank < rem else 0)
+        bounds.append((off, bsize))
+        off += bsize
     # Phase 1 — scatter: root puts block v to virtual rank v.
-    if ctx.pe == root:
-        for v in range(npes):
-            peer = (root + v) % npes
+    if me == root:
+        for v in range(size):
+            peer = team.pe_of((root + v) % size)
             boff, bsize = bounds[v]
-            if peer != root and bsize:
+            if v and bsize:
                 yield from ctx.putmem(sym.addr + boff, sym.local + boff, bsize, peer)
         yield from ctx.quiet()
-    yield from barrier_all(ctx)
+    yield from barrier_all(ctx, team, flags)
     # Phase 2 — ring allgather: in step s, vrank v forwards the block
     # it received in step s-1 (block (v - s) mod p) to its right
-    # neighbour.  npes - 1 steps; one barrier per step keeps the ring
+    # neighbour.  size - 1 steps; one barrier per step keeps the ring
     # in lockstep (flags would be cheaper; clarity wins here).
-    vrank = (ctx.pe - root) % npes
-    right = (root + vrank + 1) % npes
-    for step in range(npes - 1):
-        blk = (vrank - step) % npes
-        boff, bsize = bounds[blk]
+    vrank = (me - root) % size
+    right = team.pe_of((root + vrank + 1) % size)
+    for step in range(size - 1):
+        boff, bsize = bounds[(vrank - step) % size]
         if bsize:
             yield from ctx.putmem(sym.addr + boff, sym.local + boff, bsize, right)
         yield from ctx.quiet()
-        yield from barrier_all(ctx)
+        yield from barrier_all(ctx, team, flags)
     return None
 
 
-def allreduce(ctx, dst, src, count: int, dtype="float64", op: str = "sum") -> Generator:
-    """All-reduce: every PE ends with ``op`` over all PEs' ``src`` in
-    ``dst``.
+def allreduce(ctx, dst, src, count: int, dtype="float64", op: str = "sum", team=None,
+              flags: FlagArea = WORLD_FLAGS) -> Generator:
+    """All-reduce: every member of ``team`` ends with ``op`` over all
+    members' ``src`` in ``dst``.
 
-    Small element counts use a root-gather (PE 0 fetches every
+    Small element counts use a root-gather (rank 0 fetches every
     contribution, reduces, broadcasts); larger ones use recursive
     doubling in the destination buffer — log2(n) exchange rounds, the
     textbook power-of-two algorithm, with a root-gather fallback for
-    non-power-of-two jobs."""
+    non-power-of-two teams."""
     try:
         reducer = _REDUCE_OPS[op]
     except KeyError:
@@ -173,12 +233,13 @@ def allreduce(ctx, dst, src, count: int, dtype="float64", op: str = "sum") -> Ge
     nbytes = count * dt.itemsize
     if nbytes > src.size or nbytes > dst.size:
         raise ShmemError("reduction exceeds symmetric object size")
-    npes = ctx.npes
-    if count > ALLREDUCE_RD_THRESHOLD and npes > 2 and (npes & (npes - 1)) == 0:
-        yield from _allreduce_recursive_doubling(ctx, dst, src, count, dt, reducer)
+    team, me = _resolve(ctx, team)
+    size = team.size
+    if count > ALLREDUCE_RD_THRESHOLD and size > 2 and (size & (size - 1)) == 0:
+        yield from _allreduce_recursive_doubling(ctx, dst, src, count, dt, reducer, team, me, flags)
         return None
-    yield from barrier_all(ctx)  # every source buffer is ready
-    if ctx.pe == 0:
+    yield from barrier_all(ctx, team, flags)  # every source buffer is ready
+    if me == 0:
         from repro.shmem.constants import Domain
 
         acc = np.array(src.as_array(dt, count), copy=True)
@@ -189,8 +250,8 @@ def allreduce(ctx, dst, src, count: int, dtype="float64", op: str = "sum") -> Ge
         tmp = ctx.cuda.malloc(nbytes) if on_gpu else ctx.cuda.malloc_host(nbytes)
         host_tmp = ctx.cuda.malloc_host(nbytes, tag="reduce.tmp") if on_gpu else tmp
         try:
-            for pe in range(1, ctx.npes):
-                yield from ctx.getmem(tmp, src.addr, nbytes, pe)
+            for rank in range(1, size):
+                yield from ctx.getmem(tmp, src.addr, nbytes, team.pe_of(rank))
                 if on_gpu:
                     yield from ctx.cuda.memcpy(host_tmp, tmp, nbytes)
                 acc = reducer(acc, host_tmp.as_array(dt, count))
@@ -204,22 +265,22 @@ def allreduce(ctx, dst, src, count: int, dtype="float64", op: str = "sum") -> Ge
             yield from ctx.cuda.memcpy(dst.local, staged, nbytes)
         finally:
             ctx.cuda.free(staged)
-    yield from broadcast(ctx, dst, nbytes, root=0)
-    yield from barrier_all(ctx)
+    yield from broadcast(ctx, dst, nbytes, 0, team, flags)
+    yield from barrier_all(ctx, team, flags)
     return None
 
 
-def _allreduce_recursive_doubling(ctx, dst, src, count: int, dt, reducer) -> Generator:
-    """Recursive doubling: in round r, exchange partials with the PE at
-    xor-distance 2^r and combine.  The destination symmetric object is
-    the exchange workspace: each round's incoming partial lands in its
-    second half... simpler: partner puts its *current* accumulator into
-    my dst, we both combine.  Rounds are barrier-separated so the puts
-    of round r never race the reads of round r-1."""
+def _allreduce_recursive_doubling(ctx, dst, src, count: int, dt, reducer, team, me: int,
+                                  flags) -> Generator:
+    """Recursive doubling: in round r, exchange partials with the rank
+    at xor-distance 2^r and combine.  The destination symmetric object
+    is the exchange workspace: each member publishes its current
+    accumulator into its own ``dst`` and fetches the partner's.  Rounds
+    are barrier-separated so the publishes of round r never race the
+    fetches of round r-1."""
     from repro.shmem.constants import Domain
 
     nbytes = count * dt.itemsize
-    npes = ctx.npes
     # Accumulate on the host (kernels would do this on the GPU; the
     # staging cost is charged through the timed copies below).
     acc = np.array(src.as_array(dt, count), copy=True)
@@ -227,12 +288,12 @@ def _allreduce_recursive_doubling(ctx, dst, src, count: int, dt, reducer) -> Gen
     stage = ctx.cuda.malloc_host(nbytes, tag="rd.stage")
     try:
         mask = 1
-        while mask < npes:
-            partner = ctx.pe ^ mask
+        while mask < team.size:
+            partner = team.pe_of(me ^ mask)
             # publish my current accumulator into my own dst copy...
             stage.as_array(dt, count)[:] = acc
             yield from ctx.cuda.memcpy(dst.local, stage, nbytes)
-            yield from barrier_all(ctx)
+            yield from barrier_all(ctx, team, flags)
             # ...and fetch the partner's (one-sided get, D-D when on GPU)
             tmp = ctx.cuda.malloc(nbytes) if on_gpu else ctx.cuda.malloc_host(nbytes)
             host_tmp = ctx.cuda.malloc_host(nbytes) if on_gpu else tmp
@@ -245,13 +306,13 @@ def _allreduce_recursive_doubling(ctx, dst, src, count: int, dt, reducer) -> Gen
                 if on_gpu:
                     ctx.cuda.free(host_tmp)
                 ctx.cuda.free(tmp)
-            yield from barrier_all(ctx)
+            yield from barrier_all(ctx, team, flags)
             mask <<= 1
         stage.as_array(dt, count)[:] = acc
         yield from ctx.cuda.memcpy(dst.local, stage, nbytes)
     finally:
         ctx.cuda.free(stage)
-    yield from barrier_all(ctx)
+    yield from barrier_all(ctx, team, flags)
     return None
 
 

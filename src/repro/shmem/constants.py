@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import enum
 
-from repro.cuda.memory import MemKind
-
 
 class Domain(enum.Enum):
     """Symmetric-heap domain, per the paper's ``shmalloc(size, domain)``
@@ -13,10 +11,6 @@ class Domain(enum.Enum):
 
     HOST = "host"
     GPU = "gpu"
-
-    @property
-    def memkind(self) -> MemKind:
-        return MemKind.DEVICE if self is Domain.GPU else MemKind.HOST
 
 
 class Op(enum.Enum):
@@ -56,10 +50,6 @@ class Config(enum.Enum):
     @property
     def remote_on_device(self) -> bool:
         return self in (Config.HD, Config.DD)
-
-    @property
-    def touches_device(self) -> bool:
-        return self is not Config.HH
 
 
 class Locality(enum.Enum):

@@ -55,10 +55,9 @@ class ShmemContext(TypedOps, LockOps, TeamOps):
         #: ``ShmemJob.run`` stamps it onto escaping exceptions so a
         #: failure names the op that raised it.
         self.op_index = 0
-        self._barrier_gen = 0
-        self._bcast_gen = 0
         self._scratch: Optional[Ptr] = None  # small host buffer for flags
-        self._team_gens: dict = {}  # per-(team, slot) generation counters
+        #: Collective flag generations, keyed ``(kind, team, flag offset)``.
+        self._gens: dict = {}
 
     # --------------------------------------------------------- identity
     @property

@@ -7,9 +7,8 @@ whichever table was consulted second.  This module is now the one
 source of truth: each :class:`DesignSpec` binds a design name to its
 protocol selector, its Table I capabilities row, and the runtime
 construction flags (staging pools, proxy daemons, GPU-heap
-registration, device- vs host-initiated issue paths).  ``SELECTORS``
-and ``TABLE_I`` still exist as derived views for compatibility, and
-every lookup path — CLI, serve job specs, bench runner, the runtime
+registration, device- vs host-initiated issue paths).  Every lookup
+path — CLI, serve job specs, bench runner, the runtime
 itself — resolves through :func:`design_spec`, which raises the
 friendly :class:`~repro.errors.ShmemError` for unknown names.
 """
@@ -186,16 +185,6 @@ def design_spec(name: str) -> DesignSpec:
 def design_names() -> Tuple[str, ...]:
     """Every registered design name, in registration (Table I) order."""
     return tuple(_REGISTRY)
-
-
-def selector_table() -> Dict[str, Type[ProtocolSelector]]:
-    """Derived view: the old ``protocols.SELECTORS`` mapping."""
-    return {name: spec.selector for name, spec in _REGISTRY.items()}
-
-
-def capability_table() -> Dict[str, Capabilities]:
-    """Derived view: the old ``capabilities.TABLE_I`` mapping."""
-    return {name: spec.caps for name, spec in _REGISTRY.items()}
 
 
 def table_rows() -> List[DesignSpec]:

@@ -340,14 +340,3 @@ def make_selector(design: str, params: HardwareParams) -> ProtocolSelector:
     from repro.shmem.designs import design_spec
 
     return design_spec(design).selector(params)
-
-
-def __getattr__(name: str):
-    # Derived compatibility view of the design registry (PEP 562): the
-    # authoritative table lives in repro.shmem.designs, imported lazily
-    # here to avoid a module cycle.
-    if name == "SELECTORS":
-        from repro.shmem.designs import selector_table
-
-        return selector_table()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -280,10 +280,6 @@ class Runtime:
         it bypasses the simulated transfer paths entirely."""
         return self.heap_of(pe, domain).heap.read_back(offset, nbytes)
 
-    def heap_live_blocks(self, pe: int, domain: Domain):
-        """Sorted ``(offset, size)`` live allocations of one PE heap."""
-        return self.heap_of(pe, domain).heap.live_blocks()
-
     def ensure_mr(self, alloc) -> Generator:
         """Register an arbitrary buffer with the HCA (cached, timed).
 
@@ -569,22 +565,25 @@ class Runtime:
         self._notify(pe)
 
     def _put_staged_host(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
-        """Baseline's two-copy intra-node path (stage through own host heap)."""
-        fast = self._fast_staged(ctx, dst_ptr, src, nbytes)
+        yield from self._staged_host(ctx, dst_ptr, src, nbytes)
+        self._notify(pe)
+
+    def _staged_host(self, ctx, final_dst, orig_src, nbytes) -> Generator:
+        """Baseline's two-copy intra-node path, put or get: chunk by
+        chunk through the caller's own host staging slots."""
+        fast = self._fast_staged(ctx, final_dst, orig_src, nbytes)
         if fast is not None:
             yield fast
-            self._notify(pe)
             return
         offset = 0
         for csize in chunked(nbytes, self.params.pipeline_chunk):
             slot = yield from self.staging[ctx.pe].acquire()
             try:
-                yield from ctx.cuda.memcpy(slot.ptr, src + offset, csize)
-                yield from ctx.cuda.memcpy(dst_ptr + offset, slot.ptr, csize)
+                yield from ctx.cuda.memcpy(slot.ptr, orig_src + offset, csize)
+                yield from ctx.cuda.memcpy(final_dst + offset, slot.ptr, csize)
             finally:
                 self.staging[ctx.pe].release(slot)
             offset += csize
-        self._notify(pe)
 
     def _fast_staged(self, ctx, final_dst, orig_src, nbytes) -> Optional[Event]:
         """Closed-form replay of the serial two-copy staging loop.
@@ -1236,20 +1235,7 @@ class Runtime:
         yield from ctx.cuda.memcpy(dst, src_ptr, nbytes)
 
     def _get_staged_host(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
-        """Baseline's two-copy intra-node get (device -> staging -> host)."""
-        fast = self._fast_staged(ctx, dst, src_ptr, nbytes)
-        if fast is not None:
-            yield fast
-            return
-        offset = 0
-        for csize in chunked(nbytes, self.params.pipeline_chunk):
-            slot = yield from self.staging[ctx.pe].acquire()
-            try:
-                yield from ctx.cuda.memcpy(slot.ptr, src_ptr + offset, csize)
-                yield from ctx.cuda.memcpy(dst + offset, slot.ptr, csize)
-            finally:
-                self.staging[ctx.pe].release(slot)
-            offset += csize
+        yield from self._staged_host(ctx, dst, src_ptr, nbytes)
 
     def _get_rdma(self, ctx, route, dst, src, src_ptr, nbytes, pe, *, loopback: bool) -> Generator:
         mr = self._remote_mr(src, pe)

@@ -51,10 +51,6 @@ class ServiceEngine:
         sim.process(self._loop(), name=f"pe{pe}.service-engine")
 
     # ------------------------------------------------------- runtime gate
-    @property
-    def in_runtime(self) -> bool:
-        return self._in_runtime
-
     def enter_runtime(self) -> None:
         """The PE entered an OpenSHMEM call: progress may happen."""
         self._in_runtime = True

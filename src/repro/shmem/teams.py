@@ -2,11 +2,11 @@
 
 OpenSHMEM 1.x expresses sub-groups as *active sets* —
 ``(PE_start, logPE_stride, PE_size)`` triples.  :class:`ActiveSet`
-wraps the triple with membership/translation logic, and the team
-collectives (barrier, broadcast, reduce) run the same algorithms as
-the global ones but over translated ranks and a caller-provided
-``pSync``-style flag area (each concurrent team needs its own slots,
-exactly as the standard's ``pSync`` arrays demand).
+wraps the triple with membership/translation logic.  The team
+collectives (barrier, broadcast, reduce) are the collectives of
+:mod:`repro.shmem.collectives` run over the set, with their flags in a
+caller-named ``pSync``-style slot range (each concurrent team needs its
+own slots, exactly as the standard's ``pSync`` arrays demand).
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List
 
-import numpy as np
-
 from repro.errors import ShmemError
+from repro.shmem import collectives as _coll
 
 #: Team sync slots live above the global ones in the reserved area.
 TEAM_SYNC_BASE = 1024
 TEAM_SYNC_SLOTS = 32
+#: Slots one team collective owns from its ``sync_slot`` on.
+TEAM_SLOT_SPAN = 8
 
 
 @dataclass(frozen=True)
@@ -71,102 +72,39 @@ class ActiveSet:
 class TeamOps:
     """Mixin for :class:`~repro.shmem.context.ShmemContext`."""
 
-    def _team_slot(self, slot: int):
-        if not 0 <= slot < TEAM_SYNC_SLOTS:
-            raise ShmemError(f"team sync slot {slot} out of range [0, {TEAM_SYNC_SLOTS})")
-        return self.sync_sym(TEAM_SYNC_BASE + 8 * slot)
+    def _team_flags(self, team: ActiveSet, sync_slot: int) -> _coll.FlagArea:
+        """Check that this PE is in ``team`` and map ``sync_slot`` to
+        the slots it names: :data:`TEAM_SLOT_SPAN` slots from
+        ``sync_slot`` on, clipped to the team area.  Barrier rounds take
+        the range's slots in order and the broadcast flag its last one."""
+        team.validate(self.npes)
+        if not team.contains(self.pe):
+            raise ShmemError(f"PE {self.pe} called a collective of a team it is not in")
+        if not 0 <= sync_slot < TEAM_SYNC_SLOTS:
+            raise ShmemError(f"team sync slot {sync_slot} out of range [0, {TEAM_SYNC_SLOTS})")
+        end = min(sync_slot + TEAM_SLOT_SPAN, TEAM_SYNC_SLOTS)
+        return _coll.FlagArea(
+            barrier=TEAM_SYNC_BASE + 8 * sync_slot,
+            rounds=end - 1 - sync_slot,
+            bcast=TEAM_SYNC_BASE + 8 * (end - 1),
+        )
 
     def team_barrier(self, team: ActiveSet, sync_slot: int = 0) -> Generator:
         """Dissemination barrier over the active set.
 
-        ``sync_slot`` indexes a private flag region (a pSync analogue);
-        concurrent barriers on disjoint teams must use distinct slots."""
-        team.validate(self.npes)
-        if not team.contains(self.pe):
-            raise ShmemError(f"PE {self.pe} called a collective of a team it is not in")
-        size = team.size
-        if size == 1:
-            return None
-        key = ("team_barrier", team, sync_slot)
-        gen = self._team_gens.get(key, 0) + 1
-        self._team_gens[key] = gen
-        me = team.rank_of(self.pe)
-        # Dissemination uses log2(size) rounds; flags pack (slot, round)
-        # into consecutive words of the team area.
-        dist, rnd = 1, 0
-        while dist < size:
-            partner = team.pe_of((me + dist) % size)
-            flag = self._team_slot(sync_slot + rnd)
-            yield from self.put_uint64(flag.addr, gen, partner)
-            yield from self.quiet()
-            yield from self.wait_until(self._team_slot(sync_slot + rnd), ">=", gen)
-            dist <<= 1
-            rnd += 1
-        return None
+        ``sync_slot`` names a private flag range (a pSync analogue);
+        concurrent collectives on disjoint teams must use ranges that do
+        not overlap."""
+        yield from _coll.barrier_all(self, team, self._team_flags(team, sync_slot))
 
     def team_broadcast(self, team: ActiveSet, sym, nbytes: int, root_rank: int = 0,
                        sync_slot: int = 8) -> Generator:
-        """Binomial broadcast within the active set (root is a *rank*)."""
-        team.validate(self.npes)
-        if not team.contains(self.pe):
-            raise ShmemError(f"PE {self.pe} called a collective of a team it is not in")
-        size = team.size
-        if size == 1:
-            return None
-        key = ("team_bcast", team, sync_slot)
-        gen = self._team_gens.get(key, 0) + 1
-        self._team_gens[key] = gen
-        vrank = (team.rank_of(self.pe) - root_rank) % size
-        flag = self._team_slot(sync_slot)
-        if vrank != 0:
-            yield from self.wait_until(flag, ">=", gen)
-        mask = 1
-        while mask < size:
-            if vrank < mask:
-                peer_v = vrank + mask
-                if peer_v < size:
-                    peer = team.pe_of((root_rank + peer_v) % size)
-                    yield from self.putmem(sym.addr, sym.local, nbytes, peer)
-                    yield from self.quiet()
-                    yield from self.put_uint64(flag.addr, gen, peer)
-                    yield from self.quiet()
-            mask <<= 1
-        return None
+        """Broadcast within the active set (root is a *rank*)."""
+        yield from _coll.broadcast(self, sym, nbytes, root_rank, team,
+                                   self._team_flags(team, sync_slot))
 
     def team_reduce(self, team: ActiveSet, dst, src, count: int, dtype="float64",
                     op: str = "sum", sync_slot: int = 16) -> Generator:
-        """All-reduce within the active set (root-gather + broadcast)."""
-        from repro.shmem.collectives import _REDUCE_OPS
-
-        team.validate(self.npes)
-        if not team.contains(self.pe):
-            raise ShmemError(f"PE {self.pe} called a collective of a team it is not in")
-        try:
-            reducer = _REDUCE_OPS[op]
-        except KeyError:
-            raise ShmemError(f"unknown reduction {op!r}") from None
-        dt = np.dtype(dtype)
-        nbytes = count * dt.itemsize
-        yield from self.team_barrier(team, sync_slot=sync_slot)
-        if team.rank_of(self.pe) == 0:
-            from repro.shmem.constants import Domain
-
-            acc = np.array(src.as_array(dt, count), copy=True)
-            on_gpu = src.domain is Domain.GPU
-            tmp = self.cuda.malloc(nbytes) if on_gpu else self.cuda.malloc_host(nbytes)
-            host_tmp = self.cuda.malloc_host(nbytes, tag="team-reduce") if on_gpu else tmp
-            try:
-                for rank in range(1, team.size):
-                    yield from self.getmem(tmp, src.addr, nbytes, team.pe_of(rank))
-                    if on_gpu:
-                        yield from self.cuda.memcpy(host_tmp, tmp, nbytes)
-                    acc = reducer(acc, host_tmp.as_array(dt, count))
-                host_tmp.as_array(dt, count)[:] = acc
-                yield from self.cuda.memcpy(dst.local, host_tmp, nbytes)
-            finally:
-                if on_gpu:
-                    self.cuda.free(host_tmp)
-                self.cuda.free(tmp)
-        yield from self.team_broadcast(team, dst, nbytes, root_rank=0, sync_slot=sync_slot + 8)
-        yield from self.team_barrier(team, sync_slot=sync_slot)
-        return None
+        """All-reduce within the active set."""
+        yield from _coll.allreduce(self, dst, src, count, dtype, op, team,
+                                   self._team_flags(team, sync_slot))

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.reporting import EXPERIMENTS, format_series, format_table, run_experiment
-from repro.shmem.capabilities import TABLE_I, capability_rows
+from repro.shmem.capabilities import capability_rows
 from repro.shmem.constants import Config
+from repro.shmem.designs import design_spec
 
 
 # ------------------------------------------------------------------- format
@@ -39,14 +40,14 @@ def test_table1_rows_complete():
 
 
 def test_capabilities_supports_queries():
-    hp = TABLE_I["host-pipeline"]
+    hp = design_spec("host-pipeline").caps
     assert hp.supports(Config.DD, internode=True)
     assert not hp.supports(Config.HD, internode=True)
     assert hp.supports(Config.HD, internode=False)
-    naive = TABLE_I["naive"]
+    naive = design_spec("naive").caps
     assert not naive.gpu_domain
     assert not naive.supports(Config.DD, internode=False)
-    gdr = TABLE_I["enhanced-gdr"]
+    gdr = design_spec("enhanced-gdr").caps
     assert all(gdr.supports(c, internode=True) for c in Config)
 
 

@@ -210,3 +210,121 @@ def test_concurrent_team_barriers_disjoint_slots():
 
     res = run(2, main)
     assert all(res.results)
+
+
+# ------------------------------------------- sub-teams take the world's choice
+STRIDED = ActiveSet(start=1, log_stride=1, size=4)  # PEs 1, 3, 5, 7 of 8
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of one collectives algorithm body."""
+    from repro.shmem import collectives
+
+    calls = []
+    real = getattr(collectives, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].pe)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(collectives, name, counted)
+    return calls
+
+
+def test_strided_team_large_broadcast_scatter_allgather(monkeypatch):
+    calls = _spy(monkeypatch, "_broadcast_scatter_allgather")
+    nbytes = 300 * 1024
+    payload = np.random.default_rng(7).integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(nbytes, domain=Domain.GPU)
+        sym.fill(ctx.my_pe(), nbytes)
+        if ctx.my_pe() == STRIDED.pe_of(1):
+            sym.write(payload)
+        yield from ctx.barrier_all()
+        if STRIDED.contains(ctx.my_pe()):
+            yield from ctx.team_broadcast(STRIDED, sym, nbytes, root_rank=1)
+        yield from ctx.barrier_all()
+        return sym.read(nbytes)
+
+    res = run(4, main)  # 8 PEs
+    for pe, got in enumerate(res.results):
+        assert got == (payload if STRIDED.contains(pe) else bytes([pe]) * nbytes)
+    assert sorted(calls) == STRIDED.members()
+
+
+def test_strided_team_reduce_recursive_doubling(monkeypatch):
+    calls = _spy(monkeypatch, "_allreduce_recursive_doubling")
+    count = 64
+
+    def main(ctx):
+        src = yield from ctx.shmalloc(8 * count, domain=Domain.GPU)
+        dst = yield from ctx.shmalloc(8 * count, domain=Domain.GPU)
+        src.as_array(np.float64)[:] = np.arange(count) * (ctx.my_pe() + 1)
+        dst.as_array(np.float64)[:] = -1.0
+        yield from ctx.barrier_all()
+        if STRIDED.contains(ctx.my_pe()):
+            yield from ctx.team_reduce(STRIDED, dst, src, count=count, op="sum")
+        yield from ctx.barrier_all()
+        return dst.as_array(np.float64).tolist()
+
+    res = run(4, main)  # 8 PEs
+    weight = sum(pe + 1 for pe in STRIDED.members())  # 2 + 4 + 6 + 8
+    for pe, got in enumerate(res.results):
+        assert got == ((np.arange(count) * weight).tolist() if STRIDED.contains(pe)
+                       else [-1.0] * count)
+    assert sorted(calls) == STRIDED.members()
+
+
+@pytest.mark.parametrize("sync_slot", [30, 32])
+def test_team_flags_outside_slot_range_raise(sync_slot):
+    """A 4-member barrier needs two round slots: slot 30's range holds
+    one (its last slot is the broadcast flag), slot 32 is past the team
+    area.  Either raises before any flag is written."""
+
+    def main(ctx):
+        if STRIDED.contains(ctx.my_pe()):
+            yield from ctx.team_barrier(STRIDED, sync_slot=sync_slot)
+        yield from ctx.compute(0)
+
+    with pytest.raises(ShmemError, match="flag words|out of range"):
+        run(4, main)
+
+
+def test_team_collectives_write_only_their_slot_ranges():
+    """Each default team collective's flags land inside the eight slots
+    its ``sync_slot`` names, whichever algorithm the size picks."""
+    from repro.shmem.teams import TEAM_SYNC_BASE, TEAM_SYNC_SLOTS
+
+    def written(ctx):
+        return {s for s in range(TEAM_SYNC_SLOTS)
+                if ctx.sync_sym(TEAM_SYNC_BASE + 8 * s).read(8) != bytes(8)}
+
+    def main(ctx):
+        big = yield from ctx.shmalloc(200 * 1024, domain=Domain.GPU)
+        src = yield from ctx.shmalloc(8 * 64)
+        dst = yield from ctx.shmalloc(8 * 64)
+        member = STRIDED.contains(ctx.my_pe())
+        seen = []
+        for call in (
+            lambda: ctx.team_barrier(STRIDED),
+            lambda: ctx.team_broadcast(STRIDED, big, 200 * 1024),
+            lambda: ctx.team_reduce(STRIDED, dst, src, count=64),
+            lambda: ctx.team_reduce(STRIDED, dst, src, count=4),
+        ):
+            if member:
+                yield from call()
+            yield from ctx.barrier_all()
+            seen.append(written(ctx))
+        return seen
+
+    res = run(4, main)  # 8 PEs
+    for pe, seen in enumerate(res.results):
+        if not STRIDED.contains(pe):
+            assert seen == [set()] * 4
+            continue
+        barrier, bcast, reduce_rd, reduce_gather = seen
+        assert barrier <= set(range(0, 8)) and barrier
+        assert bcast - barrier <= set(range(8, 16)) and bcast - barrier
+        assert reduce_rd - bcast <= set(range(16, 24)) and reduce_rd - bcast
+        assert reduce_gather - bcast <= set(range(16, 24))
