@@ -1,10 +1,12 @@
 """Timed, contended point-to-point links.
 
-A :class:`Link` has two independent directions, each serialized by a
-FIFO :class:`~repro.simulator.resources.Resource`.  A transfer holds
+A :class:`Link` has two independent directions, each serialized by its
+own FIFO of slots (:meth:`LinkDirection.grant`).  A transfer holds
 its direction for ``latency + nbytes / bandwidth`` (store-and-forward
 per modeled hop; protocols that want pipelining chunk their transfers
-explicitly, exactly like the real runtimes do).
+explicitly, exactly like the real runtimes do).  A grant is a tuple on
+the scheduler's ready queue, not an Event: no link hold allocates a
+``Request``.
 
 :class:`TransferSpec` is the unit the topology layers hand back: a
 latency, an effective bandwidth, and the set of link directions the
@@ -16,15 +18,33 @@ failure injection and tracing hook in there.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, LinkDown
-from repro.simulator import Event, Resource, Simulator
+from repro.simulator import Event, SimulationError, Simulator
 
 
 class LinkDirection:
     """One direction of a duplex link.
+
+    The direction serializes its traffic through a FIFO of ``capacity``
+    slots: ``holders`` counts the slots held, and owners that found
+    every slot taken wait in arrival order.  An *owner* is a callable:
+
+    * :meth:`grant` takes a slot for ``owner`` if one is free, else
+      queues it, and returns whether it was granted at once;
+    * :meth:`release` frees a slot and hands it to the first waiter;
+    * :meth:`cancel` withdraws ``owner``: a queued owner leaves the
+      queue, a granted one releases its slot.
+
+    Granted at once or handed a slot later, an owner learns of it
+    through the scheduler: a ``(None, owner, direction)`` tuple on the
+    ready queue (:meth:`~repro.simulator.Simulator.step`), FIFO with the
+    URGENT work of the same instant, whose pop calls
+    ``owner(direction)``.  A grant cancelled before its pop still calls
+    its owner, which must ignore it.
 
     Failure injection supports two scopes:
 
@@ -39,6 +59,9 @@ class LinkDirection:
       the situation where the runtime should fail over to the
       host-staged pipeline.
 
+    Windows of either scope nest: each ``repair()`` undoes one
+    ``fail()`` of the same scope and leaves the others open.
+
     Every ``fail()`` is also appended to a per-direction *failure log*;
     an in-flight transfer records the log position when it acquires the
     wire and re-checks it when its hold ends, so a failure window that
@@ -50,7 +73,10 @@ class LinkDirection:
     __slots__ = (
         "link",
         "tag",
-        "resource",
+        "sim",
+        "capacity",
+        "holders",
+        "_waiters",
         "bytes_moved",
         "transfers",
         "_down",
@@ -61,10 +87,14 @@ class LinkDirection:
     def __init__(self, link: "Link", tag: str, capacity: int):
         self.link = link
         self.tag = tag
-        self.resource = Resource(link.sim, capacity=capacity, name=f"{link.name}:{tag}")
+        self.sim = link.sim
+        self.capacity = capacity
+        self.holders = 0
+        self._waiters: Deque[Callable[["LinkDirection"], None]] = deque()
         self.bytes_moved = 0
         self.transfers = 0
-        self._down = False
+        #: Active whole-direction fail count (overlapping windows nest).
+        self._down = 0
         #: label-prefix -> active fail count (overlapping windows nest).
         self._blocked: dict = {}
         #: Every fail() appends its label (None = whole direction); see
@@ -75,9 +105,40 @@ class LinkDirection:
     def name(self) -> str:
         return f"{self.link.name}:{self.tag}"
 
+    def grant(self, owner: Callable[["LinkDirection"], None]) -> bool:
+        """Take a slot for ``owner``, or queue it behind the holders.
+
+        Returns True when the slot was free; either way ``owner`` is
+        called from the scheduler once the slot is its own.
+        """
+        if self.holders < self.capacity:
+            self.holders += 1
+            self.sim._push_grant(owner, self)
+            return True
+        self._waiters.append(owner)
+        return False
+
+    def release(self) -> None:
+        """Free one held slot, handing it to the first queued owner."""
+        if self.holders <= 0:
+            raise SimulationError(f"release of an unheld slot on {self.name!r}")
+        waiters = self._waiters
+        if waiters:
+            self.sim._push_grant(waiters.popleft(), self)
+        else:
+            self.holders -= 1
+
+    def cancel(self, owner: Callable[["LinkDirection"], None]) -> None:
+        """Withdraw ``owner``'s last :meth:`grant`: leave the queue if
+        it is still waiting, else release the slot it was handed."""
+        try:
+            self._waiters.remove(owner)
+        except ValueError:
+            self.release()
+
     @property
     def is_down(self) -> bool:
-        return self._down
+        return self._down > 0
 
     def fail(self, label: Optional[str] = None) -> None:
         """Failure injection: matching transfers raise :class:`LinkDown`.
@@ -86,7 +147,7 @@ class LinkDirection:
         starts with that prefix; ``None`` downs the direction entirely.
         """
         if label is None:
-            self._down = True
+            self._down += 1
         else:
             self._blocked[label] = self._blocked.get(label, 0) + 1
         self._fail_log.append(label)
@@ -99,8 +160,8 @@ class LinkDirection:
         it at the end of its hold (see the failure log above).
         """
         if label is None:
-            self._down = False
-            self._blocked.clear()
+            if self._down:
+                self._down -= 1
             return
         n = self._blocked.get(label, 0) - 1
         if n > 0:
@@ -127,11 +188,6 @@ class LinkDirection:
         return False
 
     @property
-    def fail_mark(self) -> int:
-        """Current failure-log position (pass to :meth:`failed_since`)."""
-        return len(self._fail_log)
-
-    @property
     def idle(self) -> bool:
         """Up (for every label), unoccupied, and nobody queued — a
         batched fast path may claim this direction without perturbing
@@ -139,8 +195,8 @@ class LinkDirection:
         return (
             not self._down
             and not self._blocked
-            and self.resource.count == 0
-            and self.resource.queued == 0
+            and self.holders == 0
+            and not self._waiters
         )
 
 
@@ -294,25 +350,25 @@ class AnalyticTransfer:
 
     :meth:`TransferSpec.execute` yields on one of these for every timed
     crossing, and :class:`~repro.shmem.fastpath.AnalyticFlow` wraps one
-    per signaled RDMA write it commits.  The machine acquires FIFO
-    resources one request per scheduler step — contended windows price
-    themselves exactly as processes queueing on the resources would —
-    but runs as callbacks rather than as a generator: no per-hop
-    resumes, and the setup and hold-end instants are absolute wake-ups
-    (named ``"<label>:setup"`` and ``"<label>"``) instead of ``Timeout``
-    allocations.
+    per signaled RDMA write it commits.  The machine takes its link
+    slots one :meth:`LinkDirection.grant` per scheduler step — contended
+    windows price themselves exactly as processes queueing on the
+    directions would — but runs as callbacks rather than as a generator:
+    no per-hop resumes, no ``Request`` event per grant, and the setup and
+    hold-end instants are absolute wake-ups (both named after the spec's
+    label) instead of ``Timeout`` allocations.
 
     Timeline:
 
     * ``t_req = now + spec.setup`` — hop directions requested in global
-      acquisition order, one request per scheduler step; a queued
-      request suspends the acquisition, resuming in the holder's
-      release callback;
+      acquisition order, one grant per scheduler step; a queued grant
+      suspends the acquisition, resuming when the holder's release
+      hands the slot over;
     * ``t_end = last_grant + spec.duration()`` — one ``link`` span per
       direction recorded when a tracer is attached (arg ``hop`` is the
       direction's index, so ``hop == 0`` spans count holds), then the
       failure check, per-direction byte and transfer counters bumped, holds
-      released (waking queued transfers URGENT), :attr:`completion`
+      released (handing slots to queued transfers), :attr:`completion`
       fired with the byte count.
 
     Failure semantics: a matching failure at request or grant time, or
@@ -321,8 +377,11 @@ class AnalyticTransfer:
     instant, releasing every granted direction to its queued waiters.
     With zero setup the first request happens in the constructor, and
     a failure there lands in :attr:`boot_exc` for the caller to raise
-    in its own frame.  The machine runs identically with or without a
-    fault plan or a tracer attached.
+    in its own frame.  The fault checks look up the spec's leg label
+    only on a direction with an open failure window or a failure logged
+    since the hold began, so a run without a fault plan makes none.
+    The machine runs identically with or without a fault plan or a
+    tracer attached.
     """
 
     __slots__ = (
@@ -331,7 +390,6 @@ class AnalyticTransfer:
         "dirs",
         "duration",
         "completion",
-        "_granted",
         "_marks",
         "_idx",
         "_dead",
@@ -356,8 +414,8 @@ class AnalyticTransfer:
         self.dirs = spec.directions() if dirs is None else dirs
         self.duration = spec.duration() if duration is None else duration
         self.completion = Event(sim, name="an-x:done")
-        self._granted: List[Tuple[LinkDirection, object]] = []
-        self._marks: List[Tuple[LinkDirection, int]] = []
+        self._marks: List[int] = []
+        #: Directions requested so far (a prefix of ``dirs``).
         self._idx = 0
         self._dead = False
         self._hold_start = 0.0
@@ -365,7 +423,7 @@ class AnalyticTransfer:
         self.contended = False
         if spec.setup:
             self._booting = False
-            w = sim.wake_at(sim.now + spec.setup, name=f"{spec.label}:setup")
+            w = sim.wake_at(sim.now + spec.setup, name=spec.label)
             w.callbacks.append(self._acquire)
         else:
             # No setup leg: request synchronously at the current
@@ -395,50 +453,51 @@ class AnalyticTransfer:
 
     def _die(self, exc: BaseException) -> None:
         self._dead = True
-        for d, req in self._granted:
-            d.resource.release(req)
-        self._granted = []
+        dirs = self.dirs
+        n = self._idx
+        for k in range(n - 1):
+            dirs[k].release()
+        if n:
+            # The last grant is settled by owner: cancel also covers a
+            # grant still queued or handed over but not yet popped.
+            dirs[n - 1].cancel(self._acquire)
         if self._booting:
             self.boot_exc = exc
             return
         self._fire(exc=exc)
 
-    def _acquire(self, ev: Optional[Event]) -> None:
+    def _acquire(self, _wake) -> None:
         # First entry arrives from the setup wake-up (or synchronously
-        # from the constructor); re-entries arrive from each request's
-        # own pop — granted or queued — so the transfer takes exactly
-        # one resource request per scheduler step, the cadence of a
-        # process that yields after *every* ``request()``, immediate
-        # grant or not (the pinned timings depend on it).  Chaining
-        # consecutive immediate grants inline here would jump ahead of
-        # same-instant parties whose resumes already sat in the ready
-        # queue, flipping a FIFO grant on a shared direction once three
-        # or more transfers contend.
+        # from the constructor); re-entries arrive from each grant's
+        # own pop — immediate or handed over — so the transfer takes
+        # exactly one grant per scheduler step, the cadence of a process
+        # that yields after *every* request, immediate grant or not
+        # (the pinned timings depend on it).  Chaining consecutive
+        # immediate grants inline here would jump ahead of same-instant
+        # parties whose resumes already sat in the ready queue, flipping
+        # a FIFO grant on a shared direction once three or more
+        # transfers contend.
         if self._dead:
             return
         dirs = self.dirs
         spec = self.spec
-        granted = self._granted
         i = self._idx
-        if i and granted:
+        if i:
             d = dirs[i - 1]
-            if d.blocks(spec.leg_label(d)):
+            if (d._down or d._blocked) and d.blocks(spec.leg_label(d)):
                 self._die(LinkDown(f"link direction {d.name} went down", direction=d))
                 return
         if i < len(dirs):
             d = dirs[i]
-            if d.blocks(spec.leg_label(d)):
+            if (d._down or d._blocked) and d.blocks(spec.leg_label(d)):
                 self._die(LinkDown(f"link direction {d.name} is down", direction=d))
                 return
-            req = d.resource.request()
-            granted.append((d, req))
             self._idx = i + 1
-            if not req._triggered and not self.contended:
+            if not d.grant(self._acquire) and not self.contended:
                 self.contended = True
                 self.sim.stats.contended_windows += 1
-            req.callbacks.append(self._acquire)
             return
-        self._marks = [(d, d.fail_mark) for d in dirs]
+        self._marks = [len(d._fail_log) for d in dirs]
         sim = self.sim
         self._hold_start = sim.now
         end = sim.wake_at(sim.now + self.duration, name=spec.label)
@@ -449,17 +508,18 @@ class AnalyticTransfer:
             return
         spec = self.spec
         sim = self.sim
+        dirs = self.dirs
         tracer = sim.tracer
         if tracer is not None:
             # One completed crossing per hop direction, recorded
             # post-hoc so the span costs nothing on the timed path.
-            for hop, d in enumerate(self.dirs):
+            for hop, d in enumerate(dirs):
                 tracer.complete(
                     sim, spec.label, "link", f"link:{d.name}",
                     self._hold_start, nbytes=spec.nbytes, hop=hop,
                 )
-        for d, mark in self._marks:
-            if d.failed_since(mark, spec.leg_label(d)):
+        for d, mark in zip(dirs, self._marks):
+            if len(d._fail_log) > mark and d.failed_since(mark, spec.leg_label(d)):
                 self._die(
                     LinkDown(
                         f"link direction {d.name} failed mid-transfer; payload lost",
@@ -469,15 +529,14 @@ class AnalyticTransfer:
                 )
                 return
         nbytes = spec.nbytes
-        for d in self.dirs:
+        for d in dirs:
             d.bytes_moved += nbytes
             d.transfers += 1
-        for d, req in self._granted:
-            d.resource.release(req)
-        self._granted = []
+        for d in dirs:
+            d.release()
         # Fired synchronously: the waiting caller resumes inside the
         # hold-end pop, so its post-copy actions run *before* the
-        # released waiters' grant events.
+        # released waiters' grants.
         self._fire(value=nbytes)
 
 

@@ -31,7 +31,7 @@ Recurrence (0-indexed chunk ``i``, pipeline depth ``d``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cuda.memory import Snapshot
 from repro.hardware.links import AnalyticTransfer, LinkDirection, TransferSpec
@@ -120,7 +120,7 @@ class AnalyticFlow:
     quiescence-gated planners above, it does *not* require idle links.
     A flow is a post/ack wrapper around one
     :class:`~repro.hardware.links.AnalyticTransfer`, which holds the
-    write's path through the very same FIFO ``Resource`` slots the
+    write's path through the very same FIFO link slots the
     event path would — so a link shared by N concurrent flows prices
     its bandwidth-sharing schedule exactly as the event-by-event engine
     does, down to the last ulp.  The flow adds only what a one-sided
@@ -280,7 +280,7 @@ def merged_directions(specs: Sequence[TransferSpec]) -> List[LinkDirection]:
 def claimable(*direction_sets: Sequence[LinkDirection]) -> bool:
     """All directions idle, and no direction appears in two sets (the
     fast paths hold the sets for different windows, so overlap would
-    mean double-acquiring a capacity-1 resource)."""
+    mean double-acquiring a capacity-1 direction)."""
     seen = set()
     for dirs in direction_sets:
         for d in dirs:
@@ -290,11 +290,17 @@ def claimable(*direction_sets: Sequence[LinkDirection]) -> bool:
     return True
 
 
-def claim(dirs: Sequence[LinkDirection]) -> List[Tuple[LinkDirection, object]]:
+def _held(_direction: LinkDirection) -> None:
+    """Owner of a claimed slot: the batch needs no word of its grant."""
+
+
+def claim(dirs: Sequence[LinkDirection]) -> List[LinkDirection]:
     """Synchronously acquire every (idle) direction; returns the holds."""
-    return [(d, d.resource.request()) for d in dirs]
+    for d in dirs:
+        d.grant(_held)
+    return list(dirs)
 
 
-def release(holds: Sequence[Tuple[LinkDirection, object]]) -> None:
-    for d, req in holds:
-        d.resource.release(req)
+def release(holds: Sequence[LinkDirection]) -> None:
+    for d in holds:
+        d.release()

@@ -14,7 +14,9 @@ The engine is intentionally small but complete:
 * :class:`Timeout` — an event scheduled ``delay`` into virtual time.
 * :class:`AllOf` / :class:`AnyOf` — composite conditions.
 * :class:`Resource` / :class:`Store` — FIFO capacity and message-queue
-  primitives used to model link occupancy and mailboxes.
+  primitives for processes (GPU compute slots, HCA atomic units, CUDA
+  stream order; mailboxes).  Link occupancy does not use them: a link
+  direction grants its slots through ready-queue tuples.
 * :class:`Probe` — named sample series for benchmark measurements.
 
 Per-layer tracing lives in :mod:`repro.obs` (spans), not in the engine.

@@ -7,7 +7,7 @@ The scheduler keeps two structures:
 * a binary heap of ``(time, seq, event)`` entries for everything
   scheduled at NORMAL priority (timeouts, plain ``succeed()`` calls);
 * a FIFO *ready queue* for URGENT work at the current instant —
-  resource hand-offs and process resumptions.
+  resource hand-offs, link grants and process resumptions.
 
 ``seq`` is a monotonically increasing tie-breaker so that events
 scheduled at the same instant fire in FIFO order — this makes every
@@ -18,10 +18,17 @@ are *only ever* pushed with zero delay (``succeed``/``fail`` fire at
 the current instant; timeouts are always NORMAL), so draining the
 ready queue before the heap reproduces the exact
 ``(time, priority, seq)`` order the old single-heap scheduler
-produced.  Process resumptions ride the ready queue as plain
-``(process, value, exc)`` tuples instead of throwaway Event
-allocations, in every mode: observing a run (the span tracer in
-:mod:`repro.obs`) never changes how the engine schedules it.
+produced.  Two kinds of work ride the ready queue as plain tuples
+instead of throwaway Event allocations, in every mode:
+
+* process resumptions, ``(process, value, exc)``;
+* link grants, ``(None, owner, direction)``: a
+  :class:`~repro.hardware.links.LinkDirection` pushes one when it
+  hands a slot to an owner, and its pop calls ``owner(direction)``.
+
+Both count as scheduler work in ``scheduled``/``processed``; only
+resumptions count in ``resumed_fast``.  Observing a run (the span
+tracer in :mod:`repro.obs`) never changes how the engine schedules it.
 
 Virtual time is a ``float`` in **seconds**.  All hardware constants in
 :mod:`repro.hardware.params` are expressed in seconds / bytes-per-second
@@ -51,7 +58,8 @@ class SimStats:
     """Engine counters; read via :attr:`Simulator.stats`.
 
     ``scheduled``/``processed`` count every unit of scheduler work
-    (heap entries, ready-queue events, and process resumptions alike),
+    (heap entries, ready-queue events, link grants and process
+    resumptions alike; ``resumed_fast`` counts the resumptions),
     so a drop between two equivalent runs is direct evidence that a
     fast path elided events (compare ``processed`` with
     :attr:`Simulator.fastpath` on and off).  ``fastpath_batches`` counts
@@ -458,12 +466,24 @@ class Simulator:
         self.stats.scheduled += 1
         self._ready.append((process, value, exc))
 
+    def _push_grant(self, owner: Callable[[Any], None], direction: Any) -> None:
+        """Queue a link grant: ``owner(direction)`` runs at its pop."""
+        self.stats.scheduled += 1
+        self._ready.append((None, owner, direction))
+
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event.
+
+        The ready queue holds Events, resumption tuples and link-grant
+        tuples (see the module notes), drained FIFO before the heap.
+        """
         self.stats.processed += 1
         if self._ready:
             item = self._ready.popleft()
             if item.__class__ is tuple:
+                if item[0] is None:
+                    item[1](item[2])
+                    return
                 self.stats.resumed_fast += 1
                 proc, value, exc = item
                 proc._step(value, exc)

@@ -1,8 +1,11 @@
 """Shared-capacity primitives: :class:`Resource` and :class:`Store`.
 
-``Resource`` models limited concurrent occupancy (a PCIe link direction,
-a DMA engine, an HCA doorbell).  ``Store`` is an unbounded FIFO mailbox
-used for message hand-off (e.g. proxy work queues).
+``Resource`` models limited concurrent occupancy held by a process (a
+GPU's compute slot, an HCA's atomic unit, a CUDA stream's order); link
+directions keep their own Event-free slot FIFO
+(:class:`repro.hardware.links.LinkDirection`).  ``Store`` is an
+unbounded FIFO mailbox used for message hand-off (e.g. proxy work
+queues).
 
 Both follow the engine's yield protocol: ``request()`` / ``get()``
 return events a process yields on.

@@ -550,17 +550,20 @@ def _run_hold_case(case, monkeypatch):
 
     monkeypatch.setattr(TransferSpec, "execute", recording_execute)
 
-    # Grant instants on the direction the second transfer queues on.
+    # Grant instants on the direction the second transfer queues on.  A
+    # grant pops at the instant it is pushed (the ready queue drains
+    # before time moves), so the push is where it is recorded; the
+    # owner passes through untouched.
     grants = []
-    resource = next(d for d in _link_directions(faulted) if d.name == watched).resource
-    request = resource.request
+    direction = next(d for d in _link_directions(faulted) if d.name == watched)
+    push_grant = Simulator._push_grant
 
-    def recording_request():
-        req = request()
-        req.callbacks.append(lambda _ev: grants.append(faulted.sim.now))
-        return req
+    def recording_push_grant(sim, owner, d):
+        if d is direction:
+            grants.append(sim.now)
+        push_grant(sim, owner, d)
 
-    monkeypatch.setattr(resource, "request", recording_request)
+    monkeypatch.setattr(Simulator, "_push_grant", recording_push_grant)
 
     res = faulted.run(program)
     return dict(

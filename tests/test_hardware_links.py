@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError, LinkDown
 from repro.hardware.links import Link, TransferSpec, chunked
-from repro.simulator import Simulator
+from repro.shmem import Domain, ShmemJob
+from repro.simulator import Request, SimulationError, Simulator
+from repro.units import KiB, MiB
 
 
 def test_transfer_spec_total_latency():
@@ -266,6 +268,225 @@ def test_label_scoped_failure():
     link.fwd.repair("gdrP2P")
     assert not link.fwd.blocks("gdrP2Pwrite")
     assert link.fwd.idle
+
+
+def test_whole_direction_failures_nest():
+    d = Link(Simulator(), "l").fwd
+    d.fail()
+    d.fail()
+    d.repair()
+    assert d.is_down and d.blocks("rdma_write")
+    d.repair()
+    assert not d.is_down and not d.blocks("rdma_write")
+
+
+def test_whole_direction_repair_leaves_label_window_open():
+    d = Link(Simulator(), "l").fwd
+    d.fail("gdrP2P")
+    d.fail()
+    d.repair()
+    assert d.blocks("gdrP2Pwrite")
+    assert not d.blocks("rdma_write")
+    d.repair("gdrP2P")
+    assert d.idle
+
+
+# ------------------------------------------------------------- link FIFO
+class _Owners:
+    """Link-slot owners that log ``(name, now)`` as their grants pop."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.popped = []
+
+    def __call__(self, name):
+        def owner(direction):
+            self.popped.append((name, self.sim.now))
+        return owner
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+def test_link_grants_fifo_order(capacity):
+    sim = Simulator()
+    d = Link(sim, "l", capacity=capacity).fwd
+    owners = _Owners(sim)
+    immediate = [d.grant(owners(n)) for n in "abcde"]
+    assert immediate == [n < capacity for n in range(5)]
+    assert d.holders == capacity
+    sim.run()
+    assert owners.popped == [(n, 0.0) for n in "abcde"[:capacity]]
+
+    def releaser():
+        for _ in range(5):
+            yield sim.timeout(1.0)
+            d.release()
+
+    sim.process(releaser())
+    sim.run()
+    handed = [(n, float(t)) for t, n in enumerate("abcde"[capacity:], start=1)]
+    assert owners.popped[capacity:] == handed
+    assert d.holders == 0 and d.idle
+
+
+def test_link_grants_count_as_scheduler_work_not_resumes():
+    sim = Simulator()
+    d = Link(sim, "l").fwd
+    d.grant(lambda _d: None)
+    assert sim.stats.scheduled == 1
+    sim.run()
+    assert (sim.stats.processed, sim.stats.resumed_fast) == (1, 0)
+
+
+def test_cancel_queued_waiter_leaves_the_queue():
+    sim = Simulator()
+    d = Link(sim, "l").fwd
+    owners = _Owners(sim)
+    a, b, c = owners("a"), owners("b"), owners("c")
+    d.grant(a)
+    assert not d.grant(b)
+    assert not d.grant(c)
+    d.cancel(b)
+    assert d.holders == 1
+    d.release()
+    sim.run()
+    assert owners.popped == [("a", 0.0), ("c", 0.0)]
+    assert d.holders == 1
+    d.release()
+    assert d.idle
+
+
+def test_cancel_handed_over_grant_releases_its_slot():
+    """What ``AnalyticTransfer._die`` does with its last direction: a
+    grant handed over but not yet popped is released, and its pop still
+    reaches the owner."""
+    sim = Simulator()
+    d = Link(sim, "l").fwd
+    owners = _Owners(sim)
+    a, b = owners("a"), owners("b")
+    d.grant(a)
+    sim.run()
+    assert not d.grant(b)
+    d.release()
+    assert d.holders == 1 and not d._waiters
+    d.cancel(b)
+    assert d.holders == 0
+    assert d.grant(owners("c"))
+    sim.run()
+    assert owners.popped == [("a", 0.0), ("b", 0.0), ("c", 0.0)]
+    d.release()
+    assert d.idle
+
+
+def test_release_of_unheld_slot_raises():
+    with pytest.raises(SimulationError):
+        Link(Simulator(), "l").fwd.release()
+
+
+def test_idle_tracks_holders_and_waiters():
+    sim = Simulator()
+    d = Link(sim, "l").fwd
+    assert d.idle
+    a, b = (lambda _d: None), (lambda _d: None)
+    d.grant(a)
+    assert not d.idle
+    d.grant(b)
+    d.release()
+    assert not d.idle  # b now holds the slot
+    d.release()
+    assert d.idle
+    d.grant(a)
+    d.grant(b)
+    d.cancel(b)
+    assert not d.idle
+    d.cancel(a)
+    assert d.idle
+
+
+def test_dying_transfer_hands_its_slots_on():
+    """A transfer killed at grant time releases what it holds; the
+    transfers queued behind it still run."""
+    sim = Simulator()
+    link = Link(sim, "l")
+    results = []
+
+    def xfer(name, label):
+        spec = TransferSpec(100, label=label).add(link.fwd, 0.0, 100.0)
+        spec.add(link.rev, 0.0, 100.0)
+        try:
+            yield from spec.execute(sim)
+            results.append((name, sim.now))
+        except LinkDown:
+            results.append((name, "down", sim.now))
+
+    def saboteur():
+        yield sim.timeout(0.5)
+        link.rev.fail("gdrP2P")
+
+    sim.process(xfer("a", "memcpy"))
+    sim.process(xfer("b", "gdrP2Pwrite"))
+    sim.process(xfer("c", "memcpy"))
+    sim.process(saboteur())
+    sim.run()
+    assert results == [("a", 1.0), ("b", "down", 1.0), ("c", 2.0)]
+    assert link.fwd.idle and link.rev.holders == 0
+
+
+# ---------------------------------------------------- Request-free holds
+def _contended_puts(ctx):
+    """Every PE streams windows of non-blocking puts to the PE on the
+    other node, so the holds queue behind one another."""
+    sizes, window = (4 * KiB, 64 * KiB, 1 * MiB), 4
+    span = window * max(sizes)
+    sym = yield from ctx.shmalloc(span, domain=Domain.GPU)
+    src = ctx.cuda.malloc(span)
+    src.fill(0x5A ^ ctx.pe, span)
+    peer = (ctx.pe + ctx.npes // 2) % ctx.npes
+    yield from ctx.barrier_all()
+    for nbytes in sizes:
+        for i in range(window):
+            ctx.putmem_nbi(sym + i * nbytes, src + i * nbytes, nbytes, pe=peer)
+        yield from ctx.quiet()
+    yield from ctx.barrier_all()
+    return ctx.now
+
+
+def test_link_holds_build_no_request(monkeypatch):
+    """A contended put-only job takes every link slot without a
+    ``Request`` event (it built 594 when each link direction held a
+    ``Resource``), and its scheduler counters keep their values."""
+    built = []
+    init = Request.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Request, "__init__", counting_init)
+    job = ShmemJob(nodes=2, pes_per_node=2, design="enhanced-gdr")
+    res = job.run(_contended_puts)
+    assert built == []
+    assert res.elapsed == 0.0010082002014665625
+    assert job.sim.stats.as_dict() == dict(
+        scheduled=2122, processed=2122, resumed_fast=138, fastpath_batches=0,
+        analytic_flows=46, contended_windows=106, collective_closed_forms=0,
+        vectorised_events=0, retries=0, failovers=0, flap_windows=0,
+        hca_stalls=0, cq_errors=0, rc_retx_holds=0, rc_aborted_wrs=0,
+        msg_eager=0, msg_rendezvous=0, ud_packets=0, ud_drops=0,
+        ud_resends=0, degraded_time=0.0,
+    )
+
+
+def test_clean_run_looks_up_no_leg_label(monkeypatch):
+    calls = []
+    leg_label = TransferSpec.leg_label
+
+    def counting(spec, d):
+        calls.append(d)
+        return leg_label(spec, d)
+
+    monkeypatch.setattr(TransferSpec, "leg_label", counting)
+    ShmemJob(nodes=2, pes_per_node=2, design="enhanced-gdr").run(_contended_puts)
+    assert calls == []
 
 
 # ------------------------------------------------------------------ chunked

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware.links import Link
 from repro.simulator import Resource, Simulator, Store
 
 
@@ -76,6 +77,32 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     sim.run()
     assert peak["v"] <= capacity
     assert res.count == 0 and res.queued == 0
+
+
+@given(
+    capacity=st.integers(1, 5),
+    holds=st.lists(st.floats(0.001, 2.0), min_size=1, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_link_slots_never_exceed_capacity(capacity, holds):
+    sim = Simulator()
+    d = Link(sim, "l", capacity=capacity).fwd
+    peak = {"v": 0}
+    order = []
+
+    def owner(i, h):
+        def granted(_direction):
+            order.append(i)
+            peak["v"] = max(peak["v"], d.holders)
+            sim.wake_at(sim.now + h).callbacks.append(lambda _ev: d.release())
+        return granted
+
+    for i, h in enumerate(holds):
+        d.grant(owner(i, h))
+    sim.run()
+    assert peak["v"] <= capacity
+    assert order == list(range(len(holds)))
+    assert d.holders == 0 and d.idle
 
 
 @given(items=st.lists(st.integers(), min_size=1, max_size=30))
