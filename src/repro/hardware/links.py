@@ -245,9 +245,16 @@ class TransferSpec:
     #: label-scoped failure (e.g. ``"gdrP2P"``) still matches the GDR
     #: leg of a composite path relabelled ``"rdma_write"``.
     leg_labels: Dict[int, str] = field(default_factory=dict)
+    #: Memos of :meth:`directions` and :meth:`duration`; :meth:`add` and
+    #: :meth:`extend`, the only mutators, reset both.
+    _dirs: Optional[Tuple[LinkDirection, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _duration: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, direction: LinkDirection, latency: float, bandwidth: float) -> "TransferSpec":
         self.segments.append((direction, latency, bandwidth))
+        self._dirs = self._duration = None
         return self
 
     def extend(self, other: "TransferSpec") -> "TransferSpec":
@@ -267,6 +274,7 @@ class TransferSpec:
             self.leg_labels.setdefault(id(d), other.label)
         self.setup += other.setup
         self.segments.extend(other.segments)
+        self._dirs = self._duration = None
         return self
 
     def leg_label(self, direction: LinkDirection) -> str:
@@ -296,24 +304,32 @@ class TransferSpec:
 
         The batched fast paths replay :meth:`execute` in closed form, so
         this must perform the *same float operations in the same order*
-        as the event-accurate path — down to the last ulp.
+        as the event-accurate path — down to the last ulp.  Computed
+        once per spec.
         """
-        duration = sum(lat for _d, lat, _bw in self.segments)
-        bw = self.bottleneck_bandwidth()
-        if bw > 0:
-            duration += self.nbytes / bw
+        duration = self._duration
+        if duration is None:
+            duration = sum(lat for _d, lat, _bw in self.segments)
+            bw = self.bottleneck_bandwidth()
+            if bw > 0:
+                duration += self.nbytes / bw
+            self._duration = duration
         return duration
 
-    def directions(self) -> List[LinkDirection]:
-        """The deduplicated hop directions, in global acquisition order."""
-        out: List[LinkDirection] = []
-        seen = set()
-        for d, _lat, _bw in self.segments:
-            if id(d) not in seen:
-                seen.add(id(d))
-                out.append(d)
-        out.sort(key=lambda d: d.name)
-        return out
+    def directions(self) -> Tuple[LinkDirection, ...]:
+        """The deduplicated hop directions, in global acquisition order.
+        Computed once per spec."""
+        dirs = self._dirs
+        if dirs is None:
+            out: List[LinkDirection] = []
+            seen = set()
+            for d, _lat, _bw in self.segments:
+                if id(d) not in seen:
+                    seen.add(id(d))
+                    out.append(d)
+            out.sort(key=lambda d: d.name)
+            dirs = self._dirs = tuple(out)
+        return dirs
 
     def count_transfer(self) -> None:
         """Bump per-direction byte/transfer counters for one execution."""
@@ -387,8 +403,6 @@ class AnalyticTransfer:
     __slots__ = (
         "sim",
         "spec",
-        "dirs",
-        "duration",
         "completion",
         "_marks",
         "_idx",
@@ -399,23 +413,12 @@ class AnalyticTransfer:
         "contended",
     )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: TransferSpec,
-        dirs: Optional[Sequence[LinkDirection]] = None,
-        duration: Optional[float] = None,
-    ):
+    def __init__(self, sim: Simulator, spec: TransferSpec):
         self.sim = sim
         self.spec = spec
-        # Commit sites with a route cache pass the spec's (topology-pure)
-        # acquisition order and pipelined duration instead of
-        # recomputing them per transfer.
-        self.dirs = spec.directions() if dirs is None else dirs
-        self.duration = spec.duration() if duration is None else duration
         self.completion = Event(sim, name="an-x:done")
         self._marks: List[int] = []
-        #: Directions requested so far (a prefix of ``dirs``).
+        #: Directions requested so far (a prefix of ``spec.directions()``).
         self._idx = 0
         self._dead = False
         self._hold_start = 0.0
@@ -453,7 +456,7 @@ class AnalyticTransfer:
 
     def _die(self, exc: BaseException) -> None:
         self._dead = True
-        dirs = self.dirs
+        dirs = self.spec.directions()
         n = self._idx
         for k in range(n - 1):
             dirs[k].release()
@@ -479,8 +482,8 @@ class AnalyticTransfer:
         # transfers contend.
         if self._dead:
             return
-        dirs = self.dirs
         spec = self.spec
+        dirs = spec.directions()
         i = self._idx
         if i:
             d = dirs[i - 1]
@@ -500,7 +503,7 @@ class AnalyticTransfer:
         self._marks = [len(d._fail_log) for d in dirs]
         sim = self.sim
         self._hold_start = sim.now
-        end = sim.wake_at(sim.now + self.duration, name=spec.label)
+        end = sim.wake_at(sim.now + spec.duration(), name=spec.label)
         end.callbacks.append(self._finish)
 
     def _finish(self, _ev: Event) -> None:
@@ -508,7 +511,7 @@ class AnalyticTransfer:
             return
         spec = self.spec
         sim = self.sim
-        dirs = self.dirs
+        dirs = spec.directions()
         tracer = sim.tracer
         if tracer is not None:
             # One completed crossing per hop direction, recorded

@@ -149,7 +149,8 @@ class Verbs:
         A path is a pure function of the endpoint, the local buffer's
         placement, the remote region, the size and the remote-HCA hint,
         so it is built once per signature and memoised.  Callers share
-        the returned spec and never mutate it."""
+        the returned spec, and with it the spec's own memos of its
+        directions and duration, and never mutate it."""
         key = (ep.node_id, ep.hca_id, local.kind, local.alloc.device_id,
                remote_mr.rkey, nbytes, remote_hca)
         entry = self._write_paths.get(key)

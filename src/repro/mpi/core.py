@@ -59,17 +59,7 @@ class MpiWorld:
         if pe not in pools:
             kind = "rx" if rx else "tx"
             node_id, _ = self.job.hw.pe_location(pe)
-            alloc = self.job.space.allocate(
-                MemKind.HOST,
-                self.params.pipeline_chunk * self.params.pipeline_depth,
-                node_id=node_id,
-                owner=pe,
-                tag=f"mpi.pe{pe}.{kind}-staging",
-            )
-            pools[pe] = StagingPool(
-                self.sim, alloc, MemoryRegion(alloc), self.params.pipeline_chunk,
-                name=f"mpi.pe{pe}.{kind}-staging",
-            )
+            pools[pe] = StagingPool.host(self.job, node_id, pe, f"mpi.pe{pe}.{kind}-staging")
         return pools[pe]
 
     def mr_of(self, alloc) -> MemoryRegion:

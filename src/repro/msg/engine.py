@@ -126,17 +126,7 @@ class MsgEngine:
         pool = self._bounce.get((pe, kind))
         if pool is None:
             node_id, _ = self.job.hw.pe_location(pe)
-            alloc = self.job.space.allocate(
-                MemKind.HOST,
-                self.params.pipeline_chunk * self.params.pipeline_depth,
-                node_id=node_id,
-                owner=pe,
-                tag=f"msg.pe{pe}.{kind}-bounce",
-            )
-            pool = StagingPool(
-                self.sim, alloc, MemoryRegion(alloc), self.params.pipeline_chunk,
-                name=f"msg.pe{pe}.{kind}-bounce",
-            )
+            pool = StagingPool.host(self.job, node_id, pe, f"msg.pe{pe}.{kind}-bounce")
             self._bounce[(pe, kind)] = pool
         return pool
 

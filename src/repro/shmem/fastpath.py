@@ -155,8 +155,6 @@ class AnalyticFlow:
     __slots__ = (
         "sim",
         "spec",
-        "dirs",
-        "duration",
         "src",
         "dst_ptr",
         "nbytes",
@@ -182,15 +180,9 @@ class AnalyticFlow:
         src_hca,
         dst_hca,
         notify: Callable[[], None],
-        dirs: Optional[Sequence[LinkDirection]] = None,
-        duration: Optional[float] = None,
     ):
         self.sim = sim
         self.spec = spec
-        # Cached acquisition order and pipelined duration, handed on to
-        # the transfer (it computes them when these are None).
-        self.dirs = dirs
-        self.duration = duration
         self.src = src
         self.dst_ptr = dst_ptr
         self.nbytes = nbytes
@@ -230,7 +222,7 @@ class AnalyticFlow:
         # its scheduler sequence number at the same instant the event
         # path allocates its setup timeout (tie order among same-instant
         # events).
-        tr = AnalyticTransfer(sim, self.spec, self.dirs, self.duration)
+        tr = AnalyticTransfer(sim, self.spec)
         if tr.boot_exc is not None:
             # Zero setup and a direction already down: the event path's
             # write raises here, at the post instant.

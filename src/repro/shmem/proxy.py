@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.cuda.api import CudaContext
-from repro.cuda.memory import MemKind, Ptr
+from repro.cuda.memory import Ptr
 from repro.errors import ShmemError
 from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.shmem.fastpath import claim, claimable, plan_pipeline, release
 from repro.shmem.service import ServiceItem
+from repro.shmem.staging import StagingPool
 from repro.simulator import Event, Store
 
 
@@ -66,19 +67,7 @@ class ProxyDaemon:
         node = runtime.hw.nodes[node_id]
         job = runtime.job
         #: The proxy's pinned staging buffers (pre-registered, §III-C).
-        staging_alloc = job.space.allocate(
-            MemKind.HOST,
-            self.params.pipeline_chunk * self.params.pipeline_depth,
-            node_id=node_id,
-            owner=self._owner_id(),
-            tag=f"proxy{node_id}.staging",
-        )
-        from repro.shmem.staging import StagingPool
-
-        self.staging = StagingPool(
-            self.sim, staging_alloc, MemoryRegion(staging_alloc),
-            self.params.pipeline_chunk, name=f"proxy{node_id}.staging",
-        )
+        self.staging = StagingPool.host(job, node_id, self._owner_id(), f"proxy{node_id}.staging")
         self.endpoint = runtime.verbs.endpoint(node_id, node.hca_for_host(), owner=self._owner_id())
         #: CUDA context used for IPC copies; bound to GPU 0 but routes
         #: each copy by the pointer's actual device (one context per GPU

@@ -108,16 +108,8 @@ class Runtime:
         self.protocol_counts: Dict[Protocol, int] = {}
         #: On-the-fly registrations of user (non-heap) buffers.
         self._mr_cache: Dict[int, MemoryRegion] = {}
-        #: Analytic-put route/path cache: everything the tier-2 commit
-        #: derives purely from topology — (route, TransferSpec, dst HCA,
-        #: acquisition-ordered directions, pipelined duration) — keyed
-        #: by the tuple those derivations actually depend on.  ``False``
-        #: marks a key whose selected protocol is analytically
-        #: ineligible.  Topology, endpoints and heap registrations are
-        #: fixed after job setup, so entries never go stale; per-call
-        #: state (offsets, link health, registration validity) is still
-        #: validated on every hit.
-        self._an_route_cache: Dict[tuple, object] = {}
+        #: Protocol decisions memoised by :meth:`_route`.
+        self._routes: Dict[tuple, Route] = {}
         self._an_notify_cb: Dict[int, object] = {}
         #: Device-initiated design: PEs whose persistent communication
         #: kernel is running.  The first device-issued op of a PE pays
@@ -191,34 +183,8 @@ class Runtime:
                 # pools.  A device-initiated kernel cannot reach host
                 # staging at all, so that design skips them entirely
                 # (and its init_pe registers one region fewer).
-                staging_alloc = job.space.allocate(
-                    MemKind.HOST,
-                    self.params.pipeline_chunk * self.params.pipeline_depth,
-                    node_id=node_id,
-                    owner=pe,
-                    tag=f"pe{pe}.staging",
-                )
-                self.staging[pe] = StagingPool(
-                    self.sim,
-                    staging_alloc,
-                    MemoryRegion(staging_alloc),
-                    self.params.pipeline_chunk,
-                    name=f"pe{pe}.staging",
-                )
-                rx_alloc = job.space.allocate(
-                    MemKind.HOST,
-                    self.params.pipeline_chunk * self.params.pipeline_depth,
-                    node_id=node_id,
-                    owner=pe,
-                    tag=f"pe{pe}.rx-staging",
-                )
-                self.rx_staging[pe] = StagingPool(
-                    self.sim,
-                    rx_alloc,
-                    MemoryRegion(rx_alloc),
-                    self.params.pipeline_chunk,
-                    name=f"pe{pe}.rx-staging",
-                )
+                self.staging[pe] = StagingPool.host(job, node_id, pe, f"pe{pe}.staging")
+                self.rx_staging[pe] = StagingPool.host(job, node_id, pe, f"pe{pe}.rx-staging")
             self.service[pe] = ServiceEngine(
                 self.sim, pe, self.params.target_progress_poll, always_on=self.service_thread
             )
@@ -508,55 +474,86 @@ class Runtime:
         else:
             yield self.sim.timeout(p.shmem_lookup_overhead, name="shmem:lookup")
 
+    def _route(
+        self, ctx, op: Op, local_on_device: bool, domain: Domain, nbytes: int, pe: int
+    ) -> Route:
+        """The design's protocol for one put or get, selected once per
+        key.  Selection is pure — the parameters are frozen and the
+        topology is fixed after setup — so the memo never goes stale.  A
+        selection error propagates and is never cached: every call that
+        hits it raises again."""
+        key = (op, ctx.pe, pe, local_on_device, domain, nbytes)
+        route = self._routes.get(key)
+        if route is None:
+            local_ss, remote_ss = self._socket_flags(ctx, pe)
+            route = self._routes[key] = self.selector.select(
+                op, Config.of(local_on_device, domain is Domain.GPU), self.locality(ctx, pe),
+                nbytes, local_same_socket=local_ss, remote_same_socket=remote_ss,
+            )
+        return route
+
+    def _issue(
+        self, ctx, op: Op, local_on_device: bool, sym: SymAddr, nbytes: int, pe: int
+    ) -> Generator:
+        """The put/get prologue: dispatch, route (steered off unhealthy
+        paths), count, ``route:`` instant, lookup, then resolve the
+        remote address.  Returns ``(route, remote_ptr)``."""
+        yield from self._issue_dispatch(ctx)
+        route = self._route(ctx, op, local_on_device, sym.domain, nbytes, pe)
+        if self.health is not None:
+            route = self._health_reroute(route, ctx, pe)
+        self._count(route)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.instant(
+                self.sim, f"route:{route.protocol.value}", "route", f"pe{ctx.pe}",
+                **route.span_args(),
+            )
+        yield from self._issue_lookup(ctx)
+        return route, self.resolve(sym, pe)
+
+    def _sample(self, ctx, kind: str, route: Route, t0: float) -> None:
+        """Record one op's protocol-execution time, globally and per PE."""
+        elapsed = self.sim.now - t0
+        ctx.probe.sample(f"{kind}:{route.protocol.value}", elapsed)
+        ctx.probe.sample(f"pe{ctx.pe}.{kind}:{route.protocol.value}", elapsed)
+
+    def _fallback(self, route: Route, ctx, pe: int) -> Optional[Route]:
+        """Reactive failover step for a put or get that died even after
+        RC retries: the next rung of the design's ladder (descending
+        further while a rung shares the bad leg — the pipeline still
+        GDR-writes the target GPU), counted; ``None`` when there is no
+        rung to take."""
+        fallback = self._failover_route(route)
+        if fallback is None:
+            return None
+        self.sim.stats.failovers += 1
+        fallback = self._health_reroute(fallback, ctx, pe)
+        self._count(fallback)
+        return fallback
+
     # ============================================================== put
     def putmem(self, ctx, dst: SymAddr, src: Ptr, nbytes: int, pe: int) -> Generator:
         """One-sided put; returns at local completion.  See module docs."""
         self._check_pe(pe)
         if nbytes <= 0:
             raise ShmemError(f"putmem of {nbytes} bytes")
-        tracer = self.sim.tracer
-        if tracer is None:
-            fast = self._fast_rdma_put(ctx, dst, src, nbytes, pe)
-            if fast is not None:
-                posted, route, t0 = fast
-                yield posted
-                elapsed = self.sim.now - t0
-                ctx.probe.sample(f"put:{route.protocol.value}", elapsed)
-                ctx.probe.sample(f"pe{ctx.pe}.put:{route.protocol.value}", elapsed)
-                return None
-        op_span = None
-        if tracer is not None:
-            op_span = tracer.begin(
-                self.sim, "shmem:put", "shmem", f"pe{ctx.pe}", nbytes=nbytes, target_pe=pe
-            )
-        try:
-            yield from self._issue_dispatch(ctx)
-            config = Config.of(src.kind is MemKind.DEVICE, dst.domain is Domain.GPU)
-            locality = self.locality(ctx, pe)
-            local_ss, remote_ss = self._socket_flags(ctx, pe)
-            route = self.selector.select(
-                Op.PUT, config, locality, nbytes,
-                local_same_socket=local_ss, remote_same_socket=remote_ss,
-            )
-            if self.health is not None:
-                route = self._health_reroute(route, ctx, pe)
-            self._count(route)
-            if tracer is not None:
-                tracer.instant(
-                    self.sim, f"route:{route.protocol.value}", "route", f"pe{ctx.pe}",
-                    **route.span_args(),
+        fast = self._fast_rdma_put(ctx, dst, src, nbytes, pe)
+        if fast is not None:
+            posted, route, t0 = fast
+            yield posted
+        else:
+            span = self._op_span(ctx, "shmem:put", nbytes=nbytes, target_pe=pe)
+            try:
+                route, dst_ptr = yield from self._issue(
+                    ctx, Op.PUT, src.kind is MemKind.DEVICE, dst, nbytes, pe
                 )
-            yield from self._issue_lookup(ctx)
-            dst_ptr = self.resolve(dst, pe)
-            handler = self._PUT_HANDLERS[route.protocol]
-            t0 = self.sim.now
-            yield from handler(self, ctx, route, src, dst, dst_ptr, nbytes, pe)
-        finally:
-            if tracer is not None:
-                tracer.end(self.sim, op_span)
-        elapsed = self.sim.now - t0
-        ctx.probe.sample(f"put:{route.protocol.value}", elapsed)
-        ctx.probe.sample(f"pe{ctx.pe}.put:{route.protocol.value}", elapsed)
+                handler = self._PUT_HANDLERS[route.protocol]
+                t0 = self.sim.now
+                yield from handler(self, ctx, route, src, dst, dst_ptr, nbytes, pe)
+            finally:
+                self._end_span(span)
+        self._sample(ctx, "put", route, t0)
         return None
 
     # --- copy-based puts (blocking; delivery == return) ----------------
@@ -650,6 +647,8 @@ class Runtime:
         contention: the flow requests the same FIFO resources at the
         same instants as the event path, so contended windows price
         themselves bit-identically (see the AnalyticFlow docstring).
+        The route comes from :meth:`_route` and the path from
+        :meth:`Verbs.write_path`, the memos the event path reads too.
         Returns ``(posted, route, t0)`` for the caller to yield/sample
         on, or ``None`` to take the event path.  Declines whole-hog on
         any validation error so the event path raises at the accurate
@@ -660,31 +659,27 @@ class Runtime:
         sim = self.sim
         if not (sim.fastpath and sim.tracer is None and self.health is None):
             return None
-        alloc = src.alloc
-        key = (ctx.pe, pe, alloc.kind, alloc.device_id, dst.domain, nbytes)
-        entry = self._an_route_cache.get(key)
-        if entry is None:
-            entry = self._an_route_fill(ctx, src, dst, nbytes, pe, key)
-            if entry is None:
-                return None
-        if entry is False:
+        device = self.spec.device_initiated
+        if device and ctx.pe not in self._warmed_pes:
+            # First device op of this PE: the event path must charge
+            # the kernel-launch warm-up (identically in every mode).
             return None
-        route, path, dst_hca, dirs, duration = entry
         ep = ctx.endpoint
         try:
+            route = self._route(ctx, Op.PUT, src.kind is MemKind.DEVICE, dst.domain, nbytes, pe)
+            if route.protocol not in _ANALYTIC_PUT_PROTOCOLS:
+                return None
             mr = self._remote_mr(dst, pe)
             self.resolve(dst, pe)
             self.verbs._check_local(ep, src)
             mr.check_range(dst.offset, nbytes)
+            remote_hca = ep.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
+            path, dst_hca = self.verbs.write_path(ep, src, mr, nbytes, remote_hca)
             dst_ptr = mr.ptr(dst.offset)
         except Exception:
             return None  # event path raises at the accurate instant
         p = self.params
-        if self.spec.device_initiated:
-            if ctx.pe not in self._warmed_pes:
-                # First device op of this PE: the event path must charge
-                # the kernel-launch warm-up (identically in every mode).
-                return None
+        if device:
             # Same float arithmetic as the two elided device Timeouts.
             t0 = (sim.now + p.device_issue_overhead) + p.device_translate_overhead
         else:
@@ -701,41 +696,10 @@ class Runtime:
             ack_latency=p.rdma_ack_latency,
             src_hca=ep.hca, dst_hca=dst_hca,
             notify=notify,
-            dirs=dirs, duration=duration,
         )
         ctx.track(flow.completion)
         sim.stats.analytic_flows += 1
         return flow.posted, route, t0
-
-    def _an_route_fill(self, ctx, src, dst, nbytes, pe, key):
-        """Populate :attr:`_an_route_cache` for one analytic-put key.
-
-        Returns the cache entry, ``False`` (cached: the selected
-        protocol has no analytic form), or ``None`` (transient decline —
-        a validation error the event path must raise at the accurate
-        instant; nothing is cached so the error stays per-call).
-        """
-        config = Config.of(src.kind is MemKind.DEVICE, dst.domain is Domain.GPU)
-        locality = self.locality(ctx, pe)
-        local_ss, remote_ss = self._socket_flags(ctx, pe)
-        route = self.selector.select(
-            Op.PUT, config, locality, nbytes,
-            local_same_socket=local_ss, remote_same_socket=remote_ss,
-        )
-        if route.protocol not in _ANALYTIC_PUT_PROTOCOLS:
-            self._an_route_cache[key] = False
-            return False
-        ep = ctx.endpoint
-        try:
-            mr = self._remote_mr(dst, pe)
-            self.verbs._check_local(ep, src)
-            remote_hca = ep.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
-            path, dst_hca = self.verbs.write_path(ep, src, mr, nbytes, remote_hca)
-        except Exception:
-            return None
-        entry = (route, path, dst_hca, tuple(path.directions()), path.duration())
-        self._an_route_cache[key] = entry
-        return entry
 
     def _remote_mr(self, dst: SymAddr, pe: int) -> MemoryRegion:
         info = self.heap_of(pe, dst.domain)
@@ -746,12 +710,18 @@ class Runtime:
             )
         return info.mr
 
-    def _put_rdma(self, ctx, route, src, dst, dst_ptr, nbytes, pe, *, loopback: bool) -> Generator:
+    def _put_rdma(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
+        """Single-RDMA put: Direct GDR, host RDMA, GDR loopback (the
+        local HCA writes back into its own node) and the device-initiated
+        design's put.  In the last, a GPU thread rings the HCA doorbell
+        itself: on the wire it is the same single RDMA as Direct GDR, and
+        under faults it replays in place (no host-staged ladder — see
+        :meth:`_device_rdma_replay`)."""
         mr = self._remote_mr(dst, pe)
         posted = self.sim.event("put:posted")
         delivered = self.sim.event("put:delivered")
         delivered.callbacks.append(lambda _ev: self._notify(pe))
-        remote_hca = ctx.endpoint.hca_id if loopback else None
+        remote_hca = ctx.endpoint.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
         gen = self.verbs.rdma_write(
             ctx.endpoint, src, mr, dst.offset, nbytes,
             remote_hca=remote_hca, delivered=delivered, posted=posted,
@@ -780,14 +750,9 @@ class Runtime:
             result = yield from gen
             return result
         except (LinkDown, CompletionError):
-            fallback = self._failover_route(route)
-            if fallback is None or fallback.protocol is route.protocol:
+            fallback = self._fallback(route, ctx, pe)
+            if fallback is None:
                 raise
-            self.sim.stats.failovers += 1
-            # The first fallback may share the bad leg (pipeline still
-            # GDR-writes the target GPU): keep descending the ladder.
-            fallback = self._health_reroute(fallback, ctx, pe)
-            self._count(fallback)
             if not posted.triggered:
                 posted.succeed()
             handler = self._PUT_HANDLERS[fallback.protocol]
@@ -845,12 +810,6 @@ class Runtime:
             if not any(d.blocks(path.leg_label(d)) for d in path.directions()):
                 return
             yield self.sim.timeout(p.health_cooldown, name="device:defer-wqe")
-
-    def _put_gdr_loopback(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
-        yield from self._put_rdma(ctx, route, src, dst, dst_ptr, nbytes, pe, loopback=True)
-
-    def _put_direct_gdr(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
-        yield from self._put_rdma(ctx, route, src, dst, dst_ptr, nbytes, pe, loopback=False)
 
     def _put_pipeline_gdr_write(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
         """Proposed large-message put (Fig 4 dotted): D2H staging chunks
@@ -1144,22 +1103,15 @@ class Runtime:
             )
         )
 
-    def _put_device_gdr(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
-        """Device-initiated put: a GPU thread rings the HCA doorbell
-        itself.  On the wire this is the same single RDMA as Direct
-        GDR; under faults it replays in place (no host-staged ladder —
-        see :meth:`_device_rdma_replay`)."""
-        yield from self._put_rdma(ctx, route, src, dst, dst_ptr, nbytes, pe, loopback=False)
-
     _PUT_HANDLERS = {
         Protocol.LOCAL_COPY: _put_copy,
         Protocol.SHM_COPY: _put_copy,
         Protocol.IPC_COPY: _put_copy,
         Protocol.SHM_DIRECT_COPY: _put_copy,
         Protocol.STAGED_HOST_COPY: _put_staged_host,
-        Protocol.GDR_LOOPBACK: _put_gdr_loopback,
-        Protocol.DIRECT_GDR: _put_direct_gdr,
-        Protocol.RDMA_HOST: _put_direct_gdr,
+        Protocol.GDR_LOOPBACK: _put_rdma,
+        Protocol.DIRECT_GDR: _put_rdma,
+        Protocol.RDMA_HOST: _put_rdma,
         Protocol.PIPELINE_GDR_WRITE: _put_pipeline_gdr_write,
         Protocol.HOST_PIPELINE: _put_host_pipeline,
         Protocol.PROXY: _put_proxy,
@@ -1167,7 +1119,7 @@ class Runtime:
         #: peer-mapped memory; on simulated hardware that moves the
         #: same bytes over the same wires as the one-copy protocols.
         Protocol.DEVICE_P2P: _put_copy,
-        Protocol.DEVICE_GDR: _put_device_gdr,
+        Protocol.DEVICE_GDR: _put_rdma,
     }
 
     # ============================================================== get
@@ -1176,31 +1128,11 @@ class Runtime:
         self._check_pe(pe)
         if nbytes <= 0:
             raise ShmemError(f"getmem of {nbytes} bytes")
-        tracer = self.sim.tracer
-        op_span = None
-        if tracer is not None:
-            op_span = tracer.begin(
-                self.sim, "shmem:get", "shmem", f"pe{ctx.pe}", nbytes=nbytes, target_pe=pe
-            )
+        span = self._op_span(ctx, "shmem:get", nbytes=nbytes, target_pe=pe)
         try:
-            yield from self._issue_dispatch(ctx)
-            config = Config.of(dst.kind is MemKind.DEVICE, src.domain is Domain.GPU)
-            locality = self.locality(ctx, pe)
-            local_ss, remote_ss = self._socket_flags(ctx, pe)
-            route = self.selector.select(
-                Op.GET, config, locality, nbytes,
-                local_same_socket=local_ss, remote_same_socket=remote_ss,
+            route, src_ptr = yield from self._issue(
+                ctx, Op.GET, dst.kind is MemKind.DEVICE, src, nbytes, pe
             )
-            if self.health is not None:
-                route = self._health_reroute(route, ctx, pe)
-            self._count(route)
-            if tracer is not None:
-                tracer.instant(
-                    self.sim, f"route:{route.protocol.value}", "route", f"pe{ctx.pe}",
-                    **route.span_args(),
-                )
-            yield from self._issue_lookup(ctx)
-            src_ptr = self.resolve(src, pe)
             handler = self._GET_HANDLERS[route.protocol]
             t0 = self.sim.now
             if self.health is None:
@@ -1213,21 +1145,15 @@ class Runtime:
                 except (LinkDown, CompletionError):
                     # Reactive failover: gets block, so the caller is still
                     # here — replay the whole range on the fallback path.
-                    fallback = self._failover_route(route)
-                    if fallback is None or fallback.protocol is route.protocol:
+                    fallback = self._fallback(route, ctx, pe)
+                    if fallback is None:
                         raise
-                    self.sim.stats.failovers += 1
-                    fallback = self._health_reroute(fallback, ctx, pe)
-                    self._count(fallback)
                     route = fallback
                     fb = self._GET_HANDLERS[fallback.protocol]
                     yield from fb(self, ctx, fallback, dst, src, src_ptr, nbytes, pe)
         finally:
-            if tracer is not None:
-                tracer.end(self.sim, op_span)
-        elapsed = self.sim.now - t0
-        ctx.probe.sample(f"get:{route.protocol.value}", elapsed)
-        ctx.probe.sample(f"pe{ctx.pe}.get:{route.protocol.value}", elapsed)
+            self._end_span(span)
+        self._sample(ctx, "get", route, t0)
         ctx.memory_changed()
         return None
 
@@ -1237,23 +1163,14 @@ class Runtime:
     def _get_staged_host(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
         yield from self._staged_host(ctx, dst, src_ptr, nbytes)
 
-    def _get_rdma(self, ctx, route, dst, src, src_ptr, nbytes, pe, *, loopback: bool) -> Generator:
+    def _get_rdma(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
+        """Single-RDMA get: Direct GDR, host RDMA, GDR loopback and the
+        device-initiated design's get (doorbell rung from the device)."""
         mr = self._remote_mr(src, pe)
-        remote_hca = ctx.endpoint.hca_id if loopback else None
+        remote_hca = ctx.endpoint.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
         yield from self.verbs.rdma_read(
             ctx.endpoint, dst, mr, src.offset, nbytes, remote_hca=remote_hca
         )
-
-    def _get_gdr_loopback(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
-        yield from self._get_rdma(ctx, route, dst, src, src_ptr, nbytes, pe, loopback=True)
-
-    def _get_direct_gdr(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
-        yield from self._get_rdma(ctx, route, dst, src, src_ptr, nbytes, pe, loopback=False)
-
-    def _get_device_gdr(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
-        """Device-initiated get: same single RDMA read as Direct GDR,
-        doorbell rung from the device."""
-        yield from self._get_rdma(ctx, route, dst, src, src_ptr, nbytes, pe, loopback=False)
 
     def _device_get_replay(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
         """Faulted device-initiated get: no host-staged ladder exists,
@@ -1345,13 +1262,13 @@ class Runtime:
         Protocol.IPC_COPY: _get_copy,
         Protocol.SHM_DIRECT_COPY: _get_copy,
         Protocol.STAGED_HOST_COPY: _get_staged_host,
-        Protocol.GDR_LOOPBACK: _get_gdr_loopback,
-        Protocol.DIRECT_GDR: _get_direct_gdr,
-        Protocol.RDMA_HOST: _get_direct_gdr,
+        Protocol.GDR_LOOPBACK: _get_rdma,
+        Protocol.DIRECT_GDR: _get_rdma,
+        Protocol.RDMA_HOST: _get_rdma,
         Protocol.HOST_PIPELINE: _get_host_pipeline,
         Protocol.PROXY: _get_proxy,
         Protocol.DEVICE_P2P: _get_copy,
-        Protocol.DEVICE_GDR: _get_device_gdr,
+        Protocol.DEVICE_GDR: _get_rdma,
     }
 
     # ======================================================== ordering

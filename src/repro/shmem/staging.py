@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.cuda.memory import Ptr
+from repro.cuda.memory import MemKind, Ptr
 from repro.errors import ShmemError
 from repro.ib.mr import MemoryRegion
 from repro.simulator import Simulator, Store
@@ -52,6 +52,20 @@ class StagingPool:
         self._free: Store = Store(sim, name=f"{name}.free")
         for i in range(self.depth):
             self._free.put(StagingSlot(self, i))
+
+    @classmethod
+    def host(cls, job, node_id: int, owner: int, name: str) -> "StagingPool":
+        """A registered pool of ``pipeline_depth`` host chunks on node
+        ``node_id``, its allocation tagged ``name``."""
+        p = job.params
+        alloc = job.space.allocate(
+            MemKind.HOST,
+            p.pipeline_chunk * p.pipeline_depth,
+            node_id=node_id,
+            owner=owner,
+            tag=name,
+        )
+        return cls(job.sim, alloc, MemoryRegion(alloc), p.pipeline_chunk, name=name)
 
     def acquire(self) -> Generator:
         """Blocking: ``slot = yield from pool.acquire()``."""

@@ -97,9 +97,9 @@ class Resource:
 class Store:
     """Unbounded FIFO of items with blocking ``get``.
 
-    ``put`` never blocks (returns an already-succeeded event for
-    symmetry); ``get`` yields until an item is available.  Items are
-    delivered in put-order to getters in get-order.
+    ``put`` never blocks and schedules nothing of its own; ``get``
+    yields until an item is available.  Items are delivered in
+    put-order to getters in get-order.
     """
 
     def __init__(self, sim: Simulator, name: str = "store"):
@@ -111,15 +111,12 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim, name=f"{self.name}:put")
+    def put(self, item: Any) -> None:
         if self._getters:
             getter = self._getters.popleft()
             getter.succeed(item, priority=URGENT)
         else:
             self._items.append(item)
-        ev.succeed(priority=URGENT)
-        return ev
 
     def get(self) -> Event:
         ev = Event(self.sim, name=f"{self.name}:get")

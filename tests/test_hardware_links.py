@@ -125,6 +125,22 @@ def test_extend_merges_specs():
         s1.extend(TransferSpec(7))
 
 
+def test_spec_memos_reset_on_add_and_extend():
+    """``directions()`` and ``duration()`` are computed once per spec;
+    ``add`` and ``extend`` must each invalidate both."""
+    sim = Simulator()
+    a, b, c = Link(sim, "a"), Link(sim, "b"), Link(sim, "c")
+    spec = TransferSpec(100).add(b.fwd, 1.0, 100.0)
+    assert spec.directions() == (b.fwd,)
+    assert spec.duration() == pytest.approx(2.0)
+    spec.add(a.fwd, 1.0, 50.0)
+    assert spec.directions() == (a.fwd, b.fwd)
+    assert spec.duration() == pytest.approx(4.0)
+    spec.extend(TransferSpec(100).add(c.fwd, 0.5, 25.0))
+    assert spec.directions() == (a.fwd, b.fwd, c.fwd)
+    assert spec.duration() == pytest.approx(6.5)
+
+
 def test_multi_hop_same_direction_counted_once():
     """A path that crosses the same direction twice must not deadlock."""
     sim = Simulator()
@@ -467,7 +483,7 @@ def test_link_holds_build_no_request(monkeypatch):
     assert built == []
     assert res.elapsed == 0.0010082002014665625
     assert job.sim.stats.as_dict() == dict(
-        scheduled=2122, processed=2122, resumed_fast=138, fastpath_batches=0,
+        scheduled=2002, processed=2002, resumed_fast=138, fastpath_batches=0,
         analytic_flows=46, contended_windows=106, collective_closed_forms=0,
         vectorised_events=0, retries=0, failovers=0, flap_windows=0,
         hca_stalls=0, cq_errors=0, rc_retx_holds=0, rc_aborted_wrs=0,

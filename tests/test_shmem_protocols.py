@@ -317,3 +317,40 @@ def test_all_designs_resolve_identical_route_echo_fields():
                         assert (r.op, r.config, r.locality, r.nbytes) == (
                             op, config, loc, n,
                         ), (sel.design, op, config, loc, n)
+
+
+@pytest.mark.parametrize("nbytes", [SMALL, LARGE])
+def test_runtime_route_memo_agrees_with_fresh_selection(nbytes):
+    """``Runtime._route`` memoises ``selector.select``: for every design,
+    op, config and locality its answer — first call and memo hit alike —
+    equals a fresh selection, and an unsupported configuration raises on
+    every call without being cached."""
+    from types import SimpleNamespace
+
+    from repro.shmem import Domain, ShmemJob
+    from repro.shmem.designs import design_names
+
+    for name in design_names():
+        job = ShmemJob(nodes=2, pes_per_node=2, design=name)
+        rt = job.runtime
+        fresh = make_selector(name, job.params)
+        ctx = SimpleNamespace(pe=0)
+        for pe in range(job.npes):
+            local_ss, remote_ss = rt._socket_flags(ctx, pe)
+            for op in (Op.PUT, Op.GET):
+                for config in Config:
+                    domain = Domain.GPU if config.remote_on_device else Domain.HOST
+                    args = (ctx, op, config.local_on_device, domain, nbytes, pe)
+                    try:
+                        want = fresh.select(
+                            op, config, rt.locality(ctx, pe), nbytes,
+                            local_same_socket=local_ss, remote_same_socket=remote_ss,
+                        )
+                    except UnsupportedConfiguration:
+                        for _ in range(2):
+                            with pytest.raises(UnsupportedConfiguration):
+                                rt._route(*args)
+                        assert (op, 0, pe, config.local_on_device, domain, nbytes) not in rt._routes
+                        continue
+                    assert rt._route(*args) == want, (name, op, config, pe)
+                    assert rt._route(*args) == want, (name, op, config, pe)

@@ -86,6 +86,33 @@ def test_host_pipeline_rejects_internode_interdomain():
         job.run(main)
 
 
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_unsupported_put_raises_after_dispatch_in_every_mode(fastpath):
+    """An unsupported put raises at the instant the route is chosen,
+    after the dispatch cost, whether or not the analytic put commit is
+    enabled — and raises again on a second try (errors are not
+    memoised)."""
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(64, domain=G)
+        elapsed = []
+        if ctx.my_pe() == 0:
+            src = ctx.cuda.malloc_host(64)
+            for _ in range(2):
+                t0 = ctx.now
+                try:
+                    yield from ctx.putmem(sym, src, 64, pe=ctx.npes - 1)
+                except UnsupportedConfiguration:
+                    elapsed.append(ctx.now - t0)
+        return elapsed
+
+    job = ShmemJob(nodes=2, design="host-pipeline")
+    job.sim.fastpath = fastpath
+    res = job.run(main)
+    dispatch = job.params.shmem_dispatch_overhead
+    assert res.results[0] == [pytest.approx(dispatch)] * 2
+
+
 # ----------------------------------------------------- protocol auditing
 def test_protocols_used_match_selector_small_dd():
     _lat, _ok, job = run_put("enhanced-gdr", 8, G, G, nodes=2)
