@@ -320,20 +320,6 @@ class Verbs:
         return nbytes
 
     # -------------------------------------------------------------- atomics
-    def _atomic_rtt(self, ep: Endpoint, remote_mr: MemoryRegion, remote_hca: Optional[int]) -> Generator:
-        """Common request-leg timing shared by both atomic ops; returns
-        ``(dst_node_id, dst_hca_id)`` after arriving at the target HCA."""
-        p = self.params
-        sim = self.sim
-        yield sim.timeout(p.rdma_post_overhead, name="atomic:post")
-        ep.hca.count_tx()
-        dst_node_id, dst_hca_id = self._remote_endpoint_hca(remote_mr, remote_hca)
-        dst_hca = self.hw.nodes[dst_node_id].hcas[dst_hca_id]
-        yield from self._execute(self.hw.fabric.wire(ep.hca, dst_hca, 8), ep.hca)
-        yield sim.timeout(p.hca_rx_overhead)
-        dst_hca.count_rx()
-        return dst_node_id, dst_hca_id
-
     def _atomic_execute(
         self,
         ep: Endpoint,
@@ -343,7 +329,8 @@ class Verbs:
         rmw,
         remote_hca: Optional[int],
     ) -> Generator:
-        """Target-side RMW under the HCA atomic unit, then the response."""
+        """The one body of every remote atomic: request leg, target-side
+        RMW under the HCA atomic unit, then the response."""
         if nbytes not in (1, 2, 4, 8):
             raise IBError(f"atomic width must be 1/2/4/8 bytes, got {nbytes}")
         remote_mr.check_range(remote_offset, nbytes)
@@ -357,53 +344,42 @@ class Verbs:
                 nbytes=nbytes, target_node=remote_mr.node_id,
             )
         try:
-            old = yield from self._atomic_timed(
-                ep, remote_mr, remote_offset, nbytes, rmw, remote_hca
-            )
+            # Request leg to the target HCA.
+            yield sim.timeout(p.rdma_post_overhead, name="atomic:post")
+            ep.hca.count_tx()
+            dst_node_id, dst_hca_id = self._remote_endpoint_hca(remote_mr, remote_hca)
+            node = self.hw.nodes[dst_node_id]
+            dst_hca = node.hcas[dst_hca_id]
+            yield from self._execute(self.hw.fabric.wire(ep.hca, dst_hca, 8), ep.hca)
+            yield sim.timeout(p.hca_rx_overhead)
+            dst_hca.count_rx()
+            req = dst_hca.atomic_unit.request()
+            yield req
+            try:
+                yield sim.timeout(p.hca_atomic_overhead)
+                if nbytes < 8:
+                    # Masked emulation for sub-8-byte types (§III-D).
+                    yield sim.timeout(p.masked_atomic_overhead)
+                target = remote_mr.ptr(remote_offset)
+                if target.kind is MemKind.DEVICE:
+                    # GDR atomic: one PCIe P2P round-trip to device memory.
+                    same = node.pcie.same_socket(target.device_id, dst_hca_id)
+                    extra = p.p2p_latency + (0.0 if same else p.qpi_latency)
+                    yield sim.timeout(2 * extra)
+                old = int.from_bytes(target.read(nbytes), "little")
+                new = rmw(old)
+                mask = (1 << (8 * nbytes)) - 1
+                target.write(int(new & mask).to_bytes(nbytes, "little"))
+            finally:
+                dst_hca.atomic_unit.release(req)
+
+            # Response (old value) returns to the source.
+            yield from self._execute(self.hw.fabric.wire(dst_hca, ep.hca, 8), dst_hca)
+            yield sim.timeout(p.hca_rx_overhead)
+            ep.hca.count_rx()
         finally:
             if tracer is not None:
                 tracer.end(sim, span)
-        return old
-
-    def _atomic_timed(
-        self,
-        ep: Endpoint,
-        remote_mr: MemoryRegion,
-        remote_offset: int,
-        nbytes: int,
-        rmw,
-        remote_hca: Optional[int],
-    ) -> Generator:
-        p = self.params
-        sim = self.sim
-        dst_node_id, dst_hca_id = yield from self._atomic_rtt(ep, remote_mr, remote_hca)
-        node = self.hw.nodes[dst_node_id]
-        dst_hca = node.hcas[dst_hca_id]
-
-        req = dst_hca.atomic_unit.request()
-        yield req
-        try:
-            yield sim.timeout(p.hca_atomic_overhead)
-            if nbytes < 8:
-                # Masked emulation for sub-8-byte types (§III-D).
-                yield sim.timeout(p.masked_atomic_overhead)
-            target = remote_mr.ptr(remote_offset)
-            if target.kind is MemKind.DEVICE:
-                # GDR atomic: one PCIe P2P round-trip to device memory.
-                same = node.pcie.same_socket(target.device_id, dst_hca_id)
-                extra = p.p2p_latency + (0.0 if same else p.qpi_latency)
-                yield sim.timeout(2 * extra)
-            old = int.from_bytes(target.read(nbytes), "little")
-            new = rmw(old)
-            mask = (1 << (8 * nbytes)) - 1
-            target.write(int(new & mask).to_bytes(nbytes, "little"))
-        finally:
-            dst_hca.atomic_unit.release(req)
-
-        # Response (old value) returns to the source.
-        yield from self._execute(self.hw.fabric.wire(dst_hca, ep.hca, 8), dst_hca)
-        yield sim.timeout(p.hca_rx_overhead)
-        ep.hca.count_rx()
         return old
 
     def fetch_add(

@@ -8,6 +8,13 @@ messages with IPC copies + RDMA, keeping both the *target PE* (puts)
 and the *remote PE* (gets) completely out of the transfer — the
 asynchronous, truly one-sided behaviour the paper claims.
 
+The proxy's progress loop is an always-on
+:class:`~repro.shmem.service.ServiceEngine`: the same engine that runs
+the baseline's target-side copies, minus the runtime gate.  Put chunks
+land in its staging pool through the runtime's one landing step
+(:meth:`repro.shmem.runtime.Runtime._land`) and its :attr:`landing`;
+gets run :meth:`ProxyDaemon.get_pipeline` on its engine.
+
 The proxy progresses work for all PEs of its node; because it serves
 only large messages, a single daemon saturates PCIe and the fabric
 (§III-C), which the model reflects by contending on the same links.
@@ -15,7 +22,6 @@ only large messages, a single daemon saturates PCIe and the fabric
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.cuda.api import CudaContext
@@ -24,36 +30,9 @@ from repro.errors import ShmemError
 from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.shmem.fastpath import claim, claimable, plan_pipeline, release
-from repro.shmem.service import ServiceItem
+from repro.shmem.service import Landing, ServiceEngine
 from repro.shmem.staging import StagingPool
-from repro.simulator import Event, Store
-
-
-@dataclass
-class ProxyRequest:
-    """One unit of proxy work.
-
-    ``put_h2d``      — a source PE RDMA-wrote a chunk into proxy staging
-    ``slot``; copy it into ``dst_ptr`` (an IPC-mapped GPU buffer) and
-    recycle the slot.
-
-    ``get_pipeline`` — read ``nbytes`` at ``src_ptr`` (a local GPU heap
-    region) and pipeline it back to ``requester_pe``'s ``dst_ptr``;
-    when ``stage_at_requester`` is set, land in the requester's host
-    staging and let its (blocked-in-get, hence in-runtime) service
-    engine do the final H2D copy — the inter-socket workaround.
-    """
-
-    kind: str
-    done: Event
-    nbytes: int = 0
-    slot: object = None
-    src_ptr: Optional[Ptr] = None
-    dst_ptr: Optional[Ptr] = None
-    dst_mr: Optional[MemoryRegion] = None
-    requester_pe: int = -1
-    target_pe: int = -1
-    stage_at_requester: bool = False
+from repro.simulator import Event
 
 
 class ProxyDaemon:
@@ -66,86 +45,69 @@ class ProxyDaemon:
         self.params = runtime.params
         node = runtime.hw.nodes[node_id]
         job = runtime.job
+        owner = -(node_id + 1)
         #: The proxy's pinned staging buffers (pre-registered, §III-C).
-        self.staging = StagingPool.host(job, node_id, self._owner_id(), f"proxy{node_id}.staging")
-        self.endpoint = runtime.verbs.endpoint(node_id, node.hca_for_host(), owner=self._owner_id())
+        self.staging = StagingPool.host(job, node_id, owner, f"proxy{node_id}.staging")
+        self.endpoint = runtime.verbs.endpoint(node_id, node.hca_for_host(), owner=owner)
         #: CUDA context used for IPC copies; bound to GPU 0 but routes
         #: each copy by the pointer's actual device (one context per GPU
         #: is maintained implicitly — mapping happened at heap creation).
         self.cuda = (
-            CudaContext(self.sim, node, 0, owner=self._owner_id(), space=job.space)
+            CudaContext(self.sim, node, 0, owner=owner, space=job.space)
             if node.gpus
             else None
         )
-        self.queue: Store = Store(self.sim, name=f"proxy{node_id}.queue")
-        self.requests_served = 0
-        self.sim.process(self._loop(), name=f"proxy{node_id}")
+        self.engine = ServiceEngine(
+            self.sim, owner, self.params.proxy_dispatch_overhead, always_on=True
+        )
+        #: Put chunks land in proxy staging; the proxy finishes them
+        #: with an IPC copy after the PE's work-request signal.
+        self.landing = Landing(
+            self.staging, self.engine, self._ipc_copy, self.params.proxy_signal_overhead
+        )
 
-    def _owner_id(self) -> int:
-        return -(self.node_id + 1)
-
-    def submit(self, req: ProxyRequest) -> None:
-        self.queue.put(req)
-
-    # ---------------------------------------------------------------- loop
-    def _loop(self) -> Generator:
-        while True:
-            req = yield self.queue.get()
-            yield self.sim.timeout(self.params.proxy_dispatch_overhead, name="proxy:dispatch")
-            try:
-                if req.kind == "put_h2d":
-                    yield from self._do_put_h2d(req)
-                elif req.kind == "get_pipeline":
-                    yield from self._do_get_pipeline(req)
-                else:
-                    raise ShmemError(f"unknown proxy request kind {req.kind!r}")
-            except BaseException as exc:
-                if not req.done.triggered:
-                    req.done.fail(exc)
-                continue
-            self.requests_served += 1
-            if not req.done.triggered:
-                req.done.succeed(self.sim.now)
-
-    # ------------------------------------------------------------- handlers
-    def _do_put_h2d(self, req: ProxyRequest) -> Generator:
+    def _ipc_copy(self, dst: Ptr, src: Ptr, nbytes: int) -> Generator:
+        """Staging -> IPC-mapped buffer; retried idempotently under an
+        active fault plan (the chunk stays in its slot until it lands)."""
         if self.cuda is None:
             raise ShmemError(f"proxy on GPU-less node {self.node_id} asked to do an H2D copy")
-        try:
-            # Idempotent retry: the staged chunk stays in the slot until
-            # the H2D copy lands, so replays rewrite the same range.
-            yield from self.runtime.reliable_memcpy(
-                self.cuda, req.dst_ptr, req.slot.ptr, req.nbytes
-            )
-        finally:
-            self.staging.release(req.slot)
-        self.runtime._notify(req.target_pe)
+        yield from self.runtime.reliable_memcpy(self.cuda, dst, src, nbytes)
 
-    def _do_get_pipeline(self, req: ProxyRequest) -> Generator:
+    # ------------------------------------------------------------------ get
+    def get_pipeline(
+        self,
+        src_ptr: Ptr,
+        dst: Ptr,
+        dst_mr: Optional[MemoryRegion],
+        nbytes: int,
+        requester_pe: int,
+        stage_at_requester: bool,
+    ) -> Generator:
+        """Read ``nbytes`` at ``src_ptr`` (a local GPU heap region) and
+        pipeline it back to ``requester_pe``'s ``dst``.  When
+        ``stage_at_requester`` is set, land in the requester's host
+        staging and let its (blocked-in-get, hence in-runtime) service
+        engine do the final H2D copy — the inter-socket workaround."""
         if self.cuda is None:
             raise ShmemError(f"proxy on GPU-less node {self.node_id} asked to read a GPU")
-        if not req.stage_at_requester:
-            fast = self._fast_get_pipeline(req)
+        if not stage_at_requester:
+            fast = self._fast_get_pipeline(src_ptr, dst, dst_mr, nbytes)
             if fast is not None:
                 yield fast
                 return
-        runtime = self.runtime
-        requester = runtime.job.contexts[req.requester_pe]
         pending = []
         offset = 0
-        for csize in chunked(req.nbytes, self.params.pipeline_chunk):
+        for csize in chunked(nbytes, self.params.pipeline_chunk):
             slot = yield from self.staging.acquire()
             # IPC read of the owning PE's GPU heap into proxy staging
             # (retried idempotently under an active fault plan).
-            yield from self.runtime.reliable_memcpy(
-                self.cuda, slot.ptr, req.src_ptr + offset, csize
-            )
+            yield from self.runtime.reliable_memcpy(self.cuda, slot.ptr, src_ptr + offset, csize)
             ev = self.sim.event("proxy-get:chunk")
             ev.defuse()  # observed via the all_of below, never raw
             handler = (
-                self._chunk_via_requester_staging(req, requester, slot, offset, csize, ev)
-                if req.stage_at_requester
-                else self._chunk_direct(req, slot, offset, csize, ev)
+                self._chunk_via_requester_staging(requester_pe, slot, dst + offset, csize, ev)
+                if stage_at_requester
+                else self._chunk_direct(slot, dst_mr, dst.offset + offset, csize, ev)
             )
             self.sim.process(handler, name=f"proxy{self.node_id}:get-chunk")
             pending.append(ev)
@@ -153,12 +115,14 @@ class ProxyDaemon:
         if pending:
             yield self.sim.all_of(pending)
 
-    def _fast_get_pipeline(self, req: ProxyRequest) -> Optional[Event]:
+    def _fast_get_pipeline(
+        self, src_ptr: Ptr, dst: Ptr, dst_mr: MemoryRegion, nbytes: int
+    ) -> Optional[Event]:
         """Closed-form replay of the direct (reverse Pipeline-GDR-write)
         get: identical chunk machinery to the put fast path in
         :mod:`repro.shmem.runtime`, minus watcher notifies (the blocked
         requester is the only observer and wakes at the final ack).
-        Returns the event the proxy loop resumes on, or ``None``."""
+        Returns the event the proxy engine resumes on, or ``None``."""
         sim = self.sim
         if not (
             sim.fastpath
@@ -171,29 +135,29 @@ class ProxyDaemon:
         if not pool.idle:
             return None
         p = self.params
-        chunks = chunked(req.nbytes, p.pipeline_chunk)
+        chunks = chunked(nbytes, p.pipeline_chunk)
         if not chunks:
             return None
         slot_ptr = pool.alloc.ptr(0)
         verbs = self.runtime.verbs
         try:
-            req.dst_mr.check_range(req.dst_ptr.offset, req.nbytes)
+            dst_mr.check_range(dst.offset, nbytes)
             sizes = sorted(set(chunks))
-            copy_specs = {c: self.cuda._spec_for(slot_ptr, req.src_ptr, c) for c in sizes}
+            copy_specs = {c: self.cuda._spec_for(slot_ptr, src_ptr, c) for c in sizes}
             write_specs = {}
             dst_hca = None
             for c in sizes:
                 write_specs[c], dst_hca = verbs.write_path(
-                    self.endpoint, slot_ptr, req.dst_mr, c
+                    self.endpoint, slot_ptr, dst_mr, c
                 )
-            req.src_ptr._check(req.nbytes)
+            src_ptr._check(nbytes)
         except Exception:
             return None  # let the event path raise at the accurate instant
         cdirs = copy_specs[chunks[0]].directions()
         wdirs = write_specs[chunks[0]].directions()
         if not claimable(cdirs, wdirs):
             return None
-        payload = req.src_ptr.snapshot(req.nbytes)
+        payload = src_ptr.snapshot(nbytes)
 
         plan = plan_pipeline(
             sim.now, chunks, pool.depth, copy_specs, write_specs,
@@ -205,7 +169,6 @@ class ProxyDaemon:
         nslots = min(n, pool.depth)
         slots = [pool.take_nowait() for _ in range(nslots)]
         ep_hca = self.endpoint.hca
-        dst = req.dst_ptr
 
         wrel = sim.wake_at(plan.wire_release, name="proxy-get:fast:wire")
 
@@ -233,7 +196,7 @@ class ProxyDaemon:
         sim.stats.fastpath_batches += 1
         return last
 
-    def _chunk_direct(self, req, slot, offset, csize, ev) -> Generator:
+    def _chunk_direct(self, slot, dst_mr, dst_offset, csize, ev) -> Generator:
         """Reverse Pipeline-GDR-write: staging chunk straight to the
         requester's final buffer (GDR write when it is device memory).
         Failures are routed into ``ev`` so the blocked requester sees
@@ -241,7 +204,7 @@ class ProxyDaemon:
         try:
             try:
                 yield from self.runtime.verbs.rdma_write(
-                    self.endpoint, slot.ptr, req.dst_mr, req.dst_ptr.offset + offset, csize
+                    self.endpoint, slot.ptr, dst_mr, dst_offset, csize
                 )
             finally:
                 self.staging.release(slot)
@@ -251,31 +214,15 @@ class ProxyDaemon:
             return
         ev.succeed()
 
-    def _chunk_via_requester_staging(self, req, requester, slot, offset, csize, ev) -> Generator:
+    def _chunk_via_requester_staging(self, requester_pe, slot, dst, csize, ev) -> Generator:
         """Inter-socket landing: stage in the requester's host pool and
-        let its service engine finish with a local IPC H2D copy."""
+        let its service engine finish with a local IPC H2D copy.
+        Failures are routed into ``ev``."""
         runtime = self.runtime
-        rpool = runtime.rx_staging[req.requester_pe]
-        rslot = yield from rpool.acquire()
+        landing = runtime.landings[requester_pe]
+        rslot = yield from landing.pool.acquire()
         try:
-            try:
-                yield from runtime.verbs.rdma_write(
-                    self.endpoint, slot.ptr, rpool.mr, rslot.offset, csize
-                )
-            finally:
-                self.staging.release(slot)
+            yield from runtime._land(self.endpoint, slot.ptr, slot, landing, rslot, dst, csize, ev)
         except BaseException as exc:
-            rpool.release(rslot)
             if not ev.triggered:
                 ev.fail(exc)
-            return
-
-        def finish() -> Generator:
-            try:
-                yield from requester.cuda.memcpy(req.dst_ptr + offset, rslot.ptr, csize)
-            finally:
-                rpool.release(rslot)
-
-        runtime.service[req.requester_pe].submit(
-            ServiceItem(run=finish, done=ev, label="proxy-get:h2d")
-        )

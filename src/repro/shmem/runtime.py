@@ -48,7 +48,7 @@ from repro.shmem.fastpath import (
 )
 from repro.shmem.heap import SymmetricHeap
 from repro.shmem.protocols import ProtocolSelector, Route, make_selector
-from repro.shmem.service import ServiceEngine, ServiceItem
+from repro.shmem.service import Landing, ServiceEngine, ServiceItem
 from repro.shmem.staging import StagingPool
 from repro.simulator import Event, Simulator
 
@@ -103,6 +103,8 @@ class Runtime:
         self.staging: Dict[int, StagingPool] = {}
         self.rx_staging: Dict[int, StagingPool] = {}
         self.service: Dict[int, ServiceEngine] = {}
+        #: Each PE's rx pool, finished by its own (gated) service engine.
+        self.landings: Dict[int, Landing] = {}
         self.endpoints: Dict[int, Endpoint] = {}
         self.proxies: Dict[int, "ProxyDaemon"] = {}
         self.protocol_counts: Dict[Protocol, int] = {}
@@ -188,6 +190,10 @@ class Runtime:
             self.service[pe] = ServiceEngine(
                 self.sim, pe, self.params.target_progress_poll, always_on=self.service_thread
             )
+            if self.spec.host_staging:
+                self.landings[pe] = Landing(
+                    self.rx_staging[pe], self.service[pe], job.contexts[pe].cuda.memcpy
+                )
 
     def _build_proxies(self) -> None:
         from repro.shmem.proxy import ProxyDaemon
@@ -859,28 +865,16 @@ class Runtime:
         """Re-deliver one staged pipeline chunk whose GDR write died:
         host staging -> proxy staging (a pure host RDMA, no GDR legs)
         -> proxy cudaMemcpy into the final buffer.  Idempotent — the
-        chunk stays in its source slot until re-delivered."""
-        from repro.shmem.proxy import ProxyRequest
-
+        chunk stays in its source slot, which the caller hands back,
+        until re-delivered."""
         self.sim.stats.failovers += 1
         if not posted.triggered:
             posted.succeed()
-        pslot = yield from proxy.staging.acquire()
-        yield from self.verbs.rdma_write(
-            ctx.endpoint, slot.ptr, proxy.staging.mr, pslot.offset, csize
-        )
-        yield self.sim.timeout(self.params.proxy_signal_overhead, name="proxy:signal")
+        dst = mr.ptr(offset)
+        landing = proxy.landing
+        pslot = yield from landing.pool.acquire()
         done = self.sim.event("pgw-failover:done")
-        proxy.submit(
-            ProxyRequest(
-                kind="put_h2d",
-                slot=pslot,
-                dst_ptr=mr.ptr(offset),
-                nbytes=csize,
-                target_pe=pe,
-                done=done,
-            )
-        )
+        yield from self._land(ctx.endpoint, slot.ptr, None, landing, pslot, dst, csize, done, pe)
         yield done
 
     def _fast_pipeline_put(self, ctx, src, dst, mr, nbytes, pe) -> Optional[Event]:
@@ -1004,104 +998,74 @@ class Runtime:
         sim.stats.fastpath_batches += 1
         return ret
 
-    def _put_host_pipeline(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
-        """Baseline inter-node pipeline (Fig 1): D2H + IB + *target-side*
-        H2D.  The final copy is queued on the target's service engine and
-        only progresses while the target is inside the runtime."""
+    def _put_landed(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
+        """Far-side staged put: the baseline host pipeline (Fig 1) and
+        the proxy put (Fig 5).  Each chunk — staged D2H first when the
+        source is device memory — lands in far-side staging through
+        :meth:`_land`.  The baseline pays a rendezvous handshake and
+        lands at the target PE, whose engine progresses only while the
+        target is inside the runtime; the target node's proxy is always
+        on."""
         p = self.params
-        yield self.sim.timeout(p.pipeline_handshake_overhead, name="hp:handshake")
-        target_pool = self.rx_staging[pe]
-        target_mr = target_pool.mr
+        if route.protocol is Protocol.HOST_PIPELINE:
+            yield self.sim.timeout(p.pipeline_handshake_overhead, name="hp:handshake")
+            landing = self.landings[pe]
+        else:
+            target_node, _ = self.hw.pe_location(pe)
+            landing = self.proxies[target_node].landing
+        staged = src.kind is MemKind.DEVICE
         offset = 0
         for csize in chunked(nbytes, p.pipeline_chunk):
-            src_slot = yield from self.staging[ctx.pe].acquire()
-            yield from ctx.cuda.memcpy(src_slot.ptr, src + offset, csize)
-            tgt_slot = yield from target_pool.acquire()
-            done = self.sim.event("hp:done")
+            src_slot, wire_src = None, src + offset
+            if staged:
+                src_slot = yield from self.staging[ctx.pe].acquire()
+                yield from ctx.cuda.memcpy(src_slot.ptr, wire_src, csize)
+                wire_src = src_slot.ptr
+            lslot = yield from landing.pool.acquire()
+            done = self.sim.event("land:done")
             proc = self.sim.process(
-                self._hp_wire_and_finish(
-                    ctx, src_slot, tgt_slot, target_mr, dst_ptr, offset, csize, pe, done
+                self._land(
+                    ctx.endpoint, wire_src, src_slot, landing, lslot, dst_ptr + offset, csize,
+                    done, pe,
                 ),
-                name=f"pe{ctx.pe}:hp",
+                name=f"pe{ctx.pe}:land",
             )
             ctx.track(proc)
             ctx.track(done)
             offset += csize
 
-    def _hp_wire_and_finish(
-        self, ctx, src_slot, tgt_slot, target_mr, dst_ptr, offset, csize, pe, done
+    def _land(
+        self, endpoint, src, src_slot, landing, lslot, dst, nbytes, done, notify_pe=None
     ) -> Generator:
+        """The far-side landing of one staged chunk: RDMA-write
+        ``nbytes`` at ``src`` into ``landing``'s slot ``lslot``, hand
+        back the source slot (``None``: the caller keeps it), wait the
+        landing's signal delay, then queue on the landing's engine the
+        final copy into ``dst``, the slot's release and a notify of
+        ``notify_pe``; the engine succeeds or fails ``done``.  A write
+        that dies hands back both slots, source first, and re-raises."""
+        pool = landing.pool
         try:
-            yield from self.verbs.rdma_write(
-                ctx.endpoint, src_slot.ptr, target_mr, tgt_slot.offset, csize
-            )
-        finally:
-            self.staging[ctx.pe].release(src_slot)
-        target_ctx = self.job.contexts[pe]
-        runtime = self
+            try:
+                yield from self.verbs.rdma_write(endpoint, src, pool.mr, lslot.offset, nbytes)
+            finally:
+                if src_slot is not None:
+                    src_slot.pool.release(src_slot)
+        except BaseException:
+            pool.release(lslot)
+            raise
+        if landing.signal is not None:
+            yield self.sim.timeout(landing.signal, name="land:signal")
 
         def finish() -> Generator:
             try:
-                yield from target_ctx.cuda.memcpy(dst_ptr + offset, tgt_slot.ptr, csize)
+                yield from landing.copy(dst, lslot.ptr, nbytes)
             finally:
-                runtime.rx_staging[pe].release(tgt_slot)
-            runtime._notify(pe)
+                pool.release(lslot)
+            if notify_pe is not None:
+                self._notify(notify_pe)
 
-        self.service[pe].submit(ServiceItem(run=finish, done=done, label="hp:h2d"))
-
-    def _put_proxy(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
-        from repro.shmem.proxy import ProxyRequest
-
-        p = self.params
-        target_node, _ = self.hw.pe_location(pe)
-        proxy = self.proxies[target_node]
-        mr_needed = dst.domain is Domain.GPU
-        proxy_mr = proxy.staging.mr
-        offset = 0
-        for csize in chunked(nbytes, p.pipeline_chunk):
-            # Source-side stage when the source buffer is device memory.
-            if src.kind is MemKind.DEVICE:
-                src_slot = yield from self.staging[ctx.pe].acquire()
-                yield from ctx.cuda.memcpy(src_slot.ptr, src + offset, csize)
-                wire_src = src_slot.ptr
-            else:
-                src_slot = None
-                wire_src = src + offset
-            pslot = yield from proxy.staging.acquire()
-            done = self.sim.event("proxy-put:done")
-            proc = self.sim.process(
-                self._proxy_put_chunk(
-                    ctx, wire_src, src_slot, proxy, proxy_mr, pslot, dst_ptr, offset, csize, pe, done
-                ),
-                name=f"pe{ctx.pe}:proxy-put",
-            )
-            ctx.track(proc)
-            ctx.track(done)
-            offset += csize
-
-    def _proxy_put_chunk(
-        self, ctx, wire_src, src_slot, proxy, proxy_mr, pslot, dst_ptr, offset, csize, pe, done
-    ) -> Generator:
-        from repro.shmem.proxy import ProxyRequest
-
-        try:
-            yield from self.verbs.rdma_write(
-                ctx.endpoint, wire_src, proxy_mr, pslot.offset, csize
-            )
-        finally:
-            if src_slot is not None:
-                self.staging[ctx.pe].release(src_slot)
-        yield self.sim.timeout(self.params.proxy_signal_overhead, name="proxy:signal")
-        proxy.submit(
-            ProxyRequest(
-                kind="put_h2d",
-                slot=pslot,
-                dst_ptr=dst_ptr + offset,
-                nbytes=csize,
-                target_pe=pe,
-                done=done,
-            )
-        )
+        landing.engine.submit(ServiceItem(run=finish, done=done, label="land"))
 
     _PUT_HANDLERS = {
         Protocol.LOCAL_COPY: _put_copy,
@@ -1113,8 +1077,8 @@ class Runtime:
         Protocol.DIRECT_GDR: _put_rdma,
         Protocol.RDMA_HOST: _put_rdma,
         Protocol.PIPELINE_GDR_WRITE: _put_pipeline_gdr_write,
-        Protocol.HOST_PIPELINE: _put_host_pipeline,
-        Protocol.PROXY: _put_proxy,
+        Protocol.HOST_PIPELINE: _put_landed,
+        Protocol.PROXY: _put_landed,
         #: Device-initiated kernels load/store straight through
         #: peer-mapped memory; on simulated hardware that moves the
         #: same bytes over the same wires as the one-copy protocols.
@@ -1225,8 +1189,6 @@ class Runtime:
     def _get_proxy(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
         """Proposed large get: the *remote proxy* pipelines the data back
         (Fig 5) — reverse Pipeline-GDR-write, no remote PE involvement."""
-        from repro.shmem.proxy import ProxyRequest
-
         p = self.params
         remote_node, _ = self.hw.pe_location(pe)
         proxy = self.proxies[remote_node]
@@ -1241,17 +1203,13 @@ class Runtime:
         if not stage_at_requester:
             dst_mr = yield from self.ensure_mr(dst.alloc)
         done = self.sim.event("proxy-get:done")
-        proxy.submit(
-            ProxyRequest(
-                kind="get_pipeline",
-                src_ptr=src_ptr,
-                dst_ptr=dst,
-                dst_mr=dst_mr,
-                nbytes=nbytes,
-                requester_pe=ctx.pe,
-                target_pe=pe,
-                stage_at_requester=stage_at_requester,
+        proxy.engine.submit(
+            ServiceItem(
+                run=partial(
+                    proxy.get_pipeline, src_ptr, dst, dst_mr, nbytes, ctx.pe, stage_at_requester
+                ),
                 done=done,
+                label="proxy-get",
             )
         )
         yield done
@@ -1319,49 +1277,45 @@ class Runtime:
             self.sim.tracer.end(self.sim, span)
 
     # ========================================================= atomics
-    def _atomic_common(self, ctx, sym: SymAddr, pe: int) -> MemoryRegion:
-        """Validate the target and fetch its registered region.  Every
+    def _atomic(
+        self, ctx, name: str, call, sym: SymAddr, pe: int, nbytes: int, *operands
+    ) -> Generator:
+        """One remote atomic: span, dispatch, target validation, then the
+        verbs ``call(endpoint, mr, offset, *operands, nbytes)``; wakes
+        the target's watchers and returns the previous value.  Every
         design supports host-heap atomics (the host heap is always
         registered); GPU-resident atomics additionally need the GDR
         registration only the enhanced designs perform (§III-D)."""
-        self._check_pe(pe)
-        return self._remote_mr(sym, pe)
-
-    def atomic_fetch_add(self, ctx, sym: SymAddr, value: int, pe: int, nbytes: int = 8) -> Generator:
-        span = self._op_span(ctx, "shmem:atomic_fetch_add", target_pe=pe, nbytes=nbytes)
+        span = self._op_span(ctx, name, target_pe=pe, nbytes=nbytes)
         try:
             yield from self._issue_dispatch(ctx, name=None)
-            mr = self._atomic_common(ctx, sym, pe)
-            old = yield from self.verbs.fetch_add(ctx.endpoint, mr, sym.offset, value, nbytes)
+            self._check_pe(pe)
+            mr = self._remote_mr(sym, pe)
+            old = yield from call(ctx.endpoint, mr, sym.offset, *operands, nbytes)
         finally:
             self._end_span(span)
         self._notify(pe)
+        return old
+
+    def atomic_fetch_add(self, ctx, sym: SymAddr, value: int, pe: int, nbytes: int = 8) -> Generator:
+        old = yield from self._atomic(
+            ctx, "shmem:atomic_fetch_add", self.verbs.fetch_add, sym, pe, nbytes, value
+        )
         return old
 
     def atomic_compare_swap(
         self, ctx, sym: SymAddr, compare: int, swap: int, pe: int, nbytes: int = 8
     ) -> Generator:
-        span = self._op_span(ctx, "shmem:atomic_compare_swap", target_pe=pe, nbytes=nbytes)
-        try:
-            yield from self._issue_dispatch(ctx, name=None)
-            mr = self._atomic_common(ctx, sym, pe)
-            old = yield from self.verbs.compare_swap(
-                ctx.endpoint, mr, sym.offset, compare, swap, nbytes
-            )
-        finally:
-            self._end_span(span)
-        self._notify(pe)
+        old = yield from self._atomic(
+            ctx, "shmem:atomic_compare_swap", self.verbs.compare_swap, sym, pe, nbytes,
+            compare, swap,
+        )
         return old
 
     def atomic_swap(self, ctx, sym: SymAddr, value: int, pe: int, nbytes: int = 8) -> Generator:
-        span = self._op_span(ctx, "shmem:atomic_swap", target_pe=pe, nbytes=nbytes)
-        try:
-            yield from self._issue_dispatch(ctx, name=None)
-            mr = self._atomic_common(ctx, sym, pe)
-            old = yield from self.verbs.swap(ctx.endpoint, mr, sym.offset, value, nbytes)
-        finally:
-            self._end_span(span)
-        self._notify(pe)
+        old = yield from self._atomic(
+            ctx, "shmem:atomic_swap", self.verbs.swap, sym, pe, nbytes, value
+        )
         return old
 
     def atomic_fetch(self, ctx, sym: SymAddr, pe: int, nbytes: int = 8) -> Generator:

@@ -1,15 +1,23 @@
-"""Target-side progress engine.
+"""Far-side progress engines and the landings they finish.
 
-The baseline host-pipeline design (Fig 1) needs the *target process* to
-execute the final cudaMemcpy of every inter-node GPU message.  Real
-MVAPICH2-X progresses such work only when the target is inside the
-runtime (or from an optional service thread that burns a core — the
-paper measures without it, §V-B).
+Every staged put chunk ends the same way: it is RDMA-written into a
+far-side staging slot, and a far-side agent copies it into the final
+buffer.  The designs differ only in *when* that agent makes progress:
 
-:class:`ServiceEngine` models that faithfully: queued work items run
-only while the owning PE is *inside an OpenSHMEM call*.  While the PE
-computes, items wait — which is exactly the overlap-killing behaviour
-Fig 10 demonstrates for the baseline.
+* The baseline host-pipeline design (Fig 1) needs the *target process*
+  to execute the final cudaMemcpy.  Real MVAPICH2-X progresses such
+  work only when the target is inside the runtime (or from an optional
+  service thread that burns a core — the paper measures without it,
+  §V-B).  :class:`ServiceEngine` models that faithfully: queued work
+  items run only while the owning PE is *inside an OpenSHMEM call*.
+  While the PE computes, items wait — which is exactly the
+  overlap-killing behaviour Fig 10 demonstrates for the baseline.
+* The proposed per-node proxy (§III-C, Fig 5) is the same engine with
+  ``always_on=True``: it progresses regardless of what any PE does.
+
+A :class:`Landing` names one such far side: its registered staging
+pool, the engine that runs the final copy, the copy itself and the
+signal delay before the work request.
 """
 
 from __future__ import annotations
@@ -17,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.shmem.staging import StagingPool
 from repro.simulator import Event, Simulator, Store
 
 
 @dataclass
 class ServiceItem:
-    """One unit of target-side work (e.g. 'copy staging chunk to GPU')."""
+    """One unit of far-side work (e.g. 'copy staging chunk to GPU')."""
 
     #: Zero-arg callable returning a generator that performs the work.
     run: Callable
@@ -32,12 +41,13 @@ class ServiceItem:
 
 
 class ServiceEngine:
-    """Per-PE queue of deferred target-side work.
+    """Queue of deferred far-side work for one owner (a PE, or a node's
+    proxy under its negative owner id).
 
-    With ``always_on=True`` the engine models the reference
-    implementation's *service thread* (§III-C): progress no longer
-    depends on the PE being inside the runtime — but the thread burns
-    CPU, which the job charges back to application compute time."""
+    With ``always_on=True`` the engine progresses whether or not the
+    owner is inside the runtime: the per-node proxy, or the reference
+    implementation's *service thread* (§III-C), which burns CPU that
+    the job charges back to application compute time."""
 
     def __init__(self, sim: Simulator, pe: int, poll_overhead: float, always_on: bool = False):
         self.sim = sim
@@ -85,3 +95,18 @@ class ServiceEngine:
             self.items_served += 1
             if not item.done.triggered:
                 item.done.succeed(self.sim.now)
+
+
+@dataclass(frozen=True)
+class Landing:
+    """Where a staged chunk lands and who finishes it
+    (:meth:`repro.shmem.runtime.Runtime._land`)."""
+
+    #: The registered staging pool the chunk is RDMA-written into.
+    pool: StagingPool
+    #: The engine that runs the final copy.
+    engine: ServiceEngine
+    #: ``copy(dst, src, nbytes)`` generator: staging slot -> final buffer.
+    copy: Callable
+    #: Delay before the work request is queued (``None``: no signal).
+    signal: Optional[float] = None

@@ -644,3 +644,64 @@ _HOLD_PINS = {
 @pytest.mark.parametrize("case", sorted(_HOLD_CASES))
 def test_hold_failure_pins(case, monkeypatch):
     assert _run_hold_case(case, monkeypatch) == _HOLD_PINS[case]
+
+
+# ------------------------------------------------- landing-slot recycling
+def _landing_leak_program(wait):
+    """PE 0 puts 1 MiB D-D to PE 1 while node 1's HCA port is down (the
+    put dies at quiet), both PEs sit the flap out, then PE 0 puts a
+    second 1 MiB pattern over the repaired port.  PE 0 returns the
+    error it caught; PE 1 whether the second payload arrived."""
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(MiB, domain=Domain.GPU)
+        yield from ctx.barrier_all()
+        caught = None
+        if ctx.pe == 0:
+            src = ctx.cuda.malloc(MiB)
+            src.fill(0x21, MiB)
+            yield from ctx.putmem(sym, src, MiB, pe=1)
+            try:
+                yield from ctx.quiet()
+            except RetryExceeded as exc:
+                caught = type(exc).__name__
+        yield from ctx.compute(wait)
+        yield from ctx.barrier_all()
+        if ctx.pe == 0:
+            src.fill(0x42, MiB)
+            yield from ctx.putmem(sym, src, MiB, pe=1)
+            yield from ctx.quiet()
+        yield from ctx.barrier_all()
+        if ctx.pe == 0:
+            return caught
+        return sym.read(MiB) == bytes([0x42]) * MiB
+
+    return main
+
+
+@pytest.mark.parametrize("design", ["host-pipeline", "enhanced-gdr"])
+def test_failed_landing_write_recycles_its_slot(design):
+    """A landing write that dies after RC retries must hand back its
+    landing slot as well as its source slot: the target's rx pool
+    (host pipeline) or the target node's proxy pool (a pipeline chunk's
+    proxy failover) is full again, and a later put to the same target
+    lands instead of blocking on a leaked slot."""
+
+    def job(plan=None):
+        return ShmemJob(
+            nodes=2, pes_per_node=1, design=design, fault_plan=plan,
+            params=wilkes_params(rc_timeout=usec(5), rc_retry_cnt=2),
+        )
+
+    program = _landing_leak_program(usec(6000))
+    start = job().run(program).start_time
+    plan = FaultPlan(seed=7).flap(
+        at=start + usec(10), down_for=usec(5000), node=1, kind="hca-port", direction="both"
+    )
+    faulted = job(plan)
+    res = faulted.run(program)
+    assert res.results == ["RetryExceeded", True]
+    rt = faulted.runtime
+    pools = [*rt.staging.values(), *rt.rx_staging.values(),
+             *(proxy.staging for proxy in rt.proxies.values())]
+    assert [pool.available for pool in pools] == [pool.depth for pool in pools]

@@ -138,7 +138,7 @@ def test_proxy_get_leaves_remote_pe_untouched():
     job.run(main)
     remote_engine = job.runtime.service[job.npes - 1]
     assert remote_engine.items_served == 0
-    assert any(p.requests_served for p in job.runtime.proxies.values())
+    assert any(p.engine.items_served for p in job.runtime.proxies.values())
 
 
 def test_put_returns_before_delivery_for_rdma_paths():

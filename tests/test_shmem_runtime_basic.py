@@ -128,7 +128,7 @@ def test_protocols_used_proxy_get():
     _lat, _ok, job = run_get("enhanced-gdr", 1 * MiB, G, G, nodes=2)
     assert job.runtime.protocol_counts.get(Protocol.PROXY, 0) >= 1
     proxies = job.runtime.proxies
-    assert sum(p.requests_served for p in proxies.values()) >= 1
+    assert sum(p.engine.items_served for p in proxies.values()) >= 1
 
 
 def test_protocols_host_pipeline_counts():

@@ -48,6 +48,28 @@ def test_service_items_fifo_and_poll_charged():
     assert log[-1][1] == pytest.approx(3 * usec(6))
 
 
+def test_always_on_service_ignores_the_runtime_gate():
+    """The proxy's engine: items run although the owner never entered
+    the runtime, keep running after ``exit_runtime``, and each is
+    charged exactly one poll (1 us poll + 5 us work)."""
+    sim = Simulator()
+    engine = ServiceEngine(sim, pe=-1, poll_overhead=usec(1), always_on=True)
+    log = []
+    engine.submit(make_item(sim, log, "a"))
+    sim.run()
+    assert log == [("a", pytest.approx(usec(6)))]
+
+    engine.exit_runtime()
+    t0 = sim.now
+    for tag in ("b", "c"):
+        engine.submit(make_item(sim, log, tag))
+    sim.run()
+    assert [t for t, _ in log] == ["a", "b", "c"]
+    assert log[1][1] == pytest.approx(t0 + usec(6))
+    assert log[2][1] == pytest.approx(t0 + 2 * usec(6))
+    assert engine.items_served == 3
+
+
 def test_service_exit_runtime_stalls_queue():
     sim = Simulator()
     engine = ServiceEngine(sim, pe=0, poll_overhead=usec(1))

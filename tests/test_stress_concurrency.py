@@ -85,7 +85,7 @@ def test_concurrent_gets_through_one_proxy():
     job = ShmemJob(nodes=2, design="enhanced-gdr")
     res = job.run(main)
     assert res.results[0] and res.results[1]
-    assert job.runtime.proxies[1].requests_served == 2
+    assert job.runtime.proxies[1].engine.items_served == 2
 
 
 def test_port_contention_halves_per_flow_rate():
