@@ -8,7 +8,7 @@ Usage:
     PYTHONPATH=src python benchmarks/perf_smoke.py BENCH_smoke.json \
         --update-baseline   # re-record the archived per-target counts
 
-Two checks:
+Three checks:
 
 1. **Tier liveness** — the analytic engine must have carried real work
    in the quick sweep: ``fastpath_batches + analytic_flows > 0`` in
@@ -27,6 +27,13 @@ Two checks:
    increase fails, and so does a target the baseline lacks; a change
    that adds scheduler work on purpose re-records the baseline with
    ``--update-baseline`` and says why.
+
+3. **Copy guard** — per target, the bytes the memory model physically
+   copied (the report's ``bytes_copied``, from
+   ``repro.cuda.memory.MemorySpace.bytes_copied``) must not exceed the
+   archived baseline either.  Host copies schedule no event, so the
+   scheduler guard cannot see a change that copies payloads again; this
+   deterministic count can.
 
 Total target wall is printed as a diagnostic only.
 """
@@ -55,11 +62,18 @@ TIER_COUNTERS = ("fastpath_batches", "analytic_flows")
 #: Per-target SimStats counters that may never grow over the baseline.
 WORK_COUNTERS = ("processed", "scheduled")
 
+#: Every per-target count guarded against the baseline: the scheduler
+#: work above plus the bytes the memory model copied.
+GUARDED = WORK_COUNTERS + ("bytes_copied",)
+
 
 def target_counts(doc: dict) -> dict:
     """``{exp_id: {counter: value}}`` for every target in a sweep report."""
     return {
-        rec["exp_id"]: {k: rec["sim_stats"][k] for k in WORK_COUNTERS}
+        rec["exp_id"]: {
+            **{k: rec["sim_stats"][k] for k in WORK_COUNTERS},
+            "bytes_copied": rec["bytes_copied"],
+        }
         for rec in doc.get("targets", [])
     }
 
@@ -107,8 +121,10 @@ def main(argv=None) -> int:
         if want is None:
             failures.append(f"{exp_id}: not in the baseline")
             continue
-        for k in WORK_COUNTERS:
-            if got[k] > want[k]:
+        for k in GUARDED:
+            if k not in want:
+                failures.append(f"{exp_id}: no baseline {k}; re-record it with --update-baseline")
+            elif got[k] > want[k]:
                 failures.append(f"{exp_id}: {k} {got[k]} > baseline {want[k]}")
             elif got[k] < want[k]:
                 print(f"note: {exp_id}: {k} {got[k]} < baseline {want[k]} "
@@ -118,7 +134,7 @@ def main(argv=None) -> int:
             print(f"FAIL: {line}", file=sys.stderr)
         return 1
     print(f"ok: {len(counts)} targets within their baseline "
-          f"{'/'.join(WORK_COUNTERS)} counts")
+          f"{'/'.join(GUARDED)} counts")
     return 0
 
 

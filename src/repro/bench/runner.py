@@ -77,6 +77,9 @@ class TargetResult:
     error: Optional[str] = None
     #: Flat dotted-key metrics snapshot (``repro.obs.snapshot_stats``).
     metrics: Dict[str, object] = field(default_factory=dict)
+    #: Bytes the memory model physically copied
+    #: (``repro.cuda.memory.MemorySpace.bytes_copied``).
+    bytes_copied: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -87,6 +90,7 @@ class TargetResult:
             "cached": self.cached,
             "error": self.error,
             "metrics": self.metrics,
+            "bytes_copied": self.bytes_copied,
         }
 
 
@@ -133,11 +137,13 @@ class SweepReport:
 
 def _run_one(exp_id: str, quick: bool) -> dict:
     """Worker: run one experiment, return a plain dict (picklable)."""
+    from repro.cuda.memory import MemorySpace
     from repro.obs import snapshot_stats
     from repro.reporting.experiments import run_experiment
     from repro.simulator.core import GLOBAL_STATS, reset_global_stats
 
     reset_global_stats()
+    copied = MemorySpace.bytes_copied
     t0 = time.perf_counter()
     try:
         output = run_experiment(exp_id, quick=quick)
@@ -154,6 +160,7 @@ def _run_one(exp_id: str, quick: bool) -> dict:
         "sim_stats": GLOBAL_STATS.as_dict(),
         "error": err,
         "metrics": snapshot_stats(GLOBAL_STATS),
+        "bytes_copied": MemorySpace.bytes_copied - copied,
     }
 
 
@@ -189,6 +196,7 @@ class SweepRunner:
             cached=True,
             error=rec.get("error"),
             metrics=rec.get("metrics", {}),
+            bytes_copied=rec.get("bytes_copied", 0),
         )
 
     def _store(self, rec: dict) -> None:
@@ -247,6 +255,7 @@ class SweepRunner:
                     cached=False,
                     error=rec["error"],
                     metrics=rec.get("metrics", {}),
+                    bytes_copied=rec["bytes_copied"],
                 )
                 if verbose:
                     r = by_id[rec["exp_id"]]

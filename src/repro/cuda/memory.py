@@ -10,12 +10,26 @@ array views, and bounds-checked raw access.  All data movement in the
 simulator ultimately goes through :meth:`Ptr.read` / :meth:`Ptr.write`.
 
 Only :meth:`Ptr.write`, :meth:`Ptr.fill` and :meth:`Ptr.as_array` mutate
-memory.  That invariant is what lets a timed transfer's payload be a
-deferred :class:`Snapshot`: it reads through to its source until one of
-those three is about to change the bytes it covers, and only then copies
-them out.  ``as_array`` hands out a mutable view the model cannot watch,
-so it *escapes* its allocation: snapshots of an escaped allocation are
-copied eagerly.
+memory, and only :meth:`Ptr.read`, :meth:`Ptr.read_view`,
+:meth:`Ptr.as_array` and :meth:`Ptr.snapshot` observe it.  That
+invariant lets a timed transfer move its bytes lazily at both ends:
+
+* its payload is a deferred :class:`Snapshot`, which reads through to
+  its source until a mutator is about to change the bytes it covers,
+  and only then is copied out;
+* delivering it with :meth:`Ptr.write` records an :class:`Inbound`
+  range on the destination instead of copying.  The range is *applied*
+  (the one copy, source to destination) only when its bytes could be
+  observed: a read of it, a write that covers only part of it, a
+  snapshot not wholly inside it, or a write about to change its source.
+  A snapshot wholly inside it is taken from its source instead, and a
+  write or fill that covers all of it drops it unread.
+
+``as_array`` and ``read_view`` hand out views the model cannot watch, so
+they *escape* their allocation: it is settled first, and from then on
+its snapshots are copied and its writes land at once.
+:attr:`MemorySpace.bytes_copied` counts every byte the model physically
+copies: eager writes, copy-outs and applies.
 """
 
 from __future__ import annotations
@@ -30,6 +44,8 @@ from repro.errors import CudaError
 
 class MemKind(enum.Enum):
     """Which physical memory an allocation lives in."""
+
+    __hash__ = object.__hash__  # identity: members are singletons
 
     HOST = "host"
     DEVICE = "device"
@@ -47,7 +63,7 @@ class Allocation:
 
     __slots__ = (
         "space", "kind", "node_id", "device_id", "owner", "size", "_data", "base", "freed", "tag",
-        "pending", "escaped",
+        "pending", "inbound", "escaped",
     )
 
     def __init__(
@@ -75,9 +91,12 @@ class Allocation:
         self.base = base
         self.freed = False
         self.tag = tag
-        #: Unmaterialised snapshots still reading through to this buffer.
+        #: Unmaterialised snapshots (and inbound ranges elsewhere) still
+        #: reading through to this buffer.
         self.pending: list = []
-        #: Set once :meth:`Ptr.as_array` has handed out a mutable view.
+        #: Delivered payloads not yet copied into this buffer; disjoint.
+        self.inbound: list = []
+        #: Set once a view the model cannot watch has been handed out.
         self.escaped = False
 
     @property
@@ -98,15 +117,32 @@ class Allocation:
         return Ptr(self, offset)
 
     def materialise(self, lo: int, hi: int) -> None:
-        """Copy out every pending snapshot overlapping ``[lo, hi)``; the
-        caller is about to overwrite that range."""
-        hit = False
+        """Settle every registration reading ``[lo, hi)``; the caller is
+        about to overwrite that range.  A snapshot is copied out; an
+        inbound range is applied to its destination."""
+        keep = []
         for snap in self.pending:
             if snap.offset < hi and lo < snap.offset + snap.nbytes:
                 snap.materialise()
-                hit = True
-        if hit:
-            self.pending = [s for s in self.pending if s.data is None]
+            else:
+                keep.append(snap)
+        self.pending = keep
+
+    def settle(self, lo: int, hi: int, overwrite: bool = False) -> None:
+        """Apply every inbound range overlapping ``[lo, hi)``, which is
+        about to be observed; with ``overwrite`` (it is about to be
+        written) a range inside ``[lo, hi)`` is dropped unread instead."""
+        keep = []
+        for rng in self.inbound:
+            at = rng.at
+            end = at + rng.nbytes
+            if not (at < hi and lo < end):
+                keep.append(rng)
+            elif overwrite and lo <= at and end <= hi:
+                rng.release()
+            else:
+                rng.apply()
+        self.inbound = keep
 
     def contains_va(self, va: int) -> bool:
         return self.base <= va < self.base + self.size
@@ -122,12 +158,13 @@ class Snapshot:
     While *pending* (``data is None``) it holds no copy and reads through
     to its source allocation, where it is registered in
     :attr:`Allocation.pending`; the first write over its range copies it
-    out first (:meth:`Allocation.materialise`).  Delivering a pending
-    snapshot with :meth:`Ptr.write` is therefore one copy, source to
-    destination.  Slicing (``payload[lo:hi]``) gives a view that reads
-    through to its parent.  The transfer that took a snapshot must
-    :meth:`release` it once it has delivered or died, or every later
-    write to the source allocation keeps scanning it.
+    out first (:meth:`Allocation.materialise`).  Delivering a snapshot
+    with :meth:`Ptr.write` copies nothing: the destination records an
+    :class:`Inbound` range with its own registration.  Slicing
+    (``payload[lo:hi]``) gives a view that reads through to its parent.
+    The transfer that took a snapshot must :meth:`release` it once it
+    has delivered or died, or every later write to the source
+    allocation keeps scanning it.
     """
 
     __slots__ = ("alloc", "offset", "nbytes", "data", "parent")
@@ -166,16 +203,72 @@ class Snapshot:
         """Copy the bytes out of the source (the caller unregisters)."""
         lo = self.offset
         self.data = self.alloc.data[lo : lo + self.nbytes].copy()
+        MemorySpace.bytes_copied += self.nbytes
 
     def release(self) -> None:
         """Drop the payload: its transfer delivered or died."""
         alloc = self.alloc
-        if alloc is None:
-            return
-        if self.data is None:
+        if alloc is not None and self.data is None:
             alloc.pending.remove(self)
         self.alloc = None
         self.data = None
+
+
+class Inbound(Snapshot):
+    """A payload delivered to ``dst`` at offset ``at``, not yet copied.
+
+    It is a snapshot of its own of the delivered bytes (registered on
+    their source, or sharing a copied-out payload's bytes), so the
+    transfer releases its payload at delivery as before.  It sits in
+    ``dst``'s :attr:`Allocation.inbound` until it is applied or dropped.
+    """
+
+    __slots__ = ("dst", "at")
+
+    def __init__(self, payload: Snapshot, dst: Allocation, at: int):
+        n = payload.nbytes
+        off = 0
+        while payload.parent is not None:
+            off += payload.offset
+            payload = payload.parent
+        super().__init__(payload.alloc, payload.offset + off, n)
+        data = payload.data
+        if data is not None:
+            self.alloc = None
+            self.data = data[off : off + n]
+        elif payload.alloc is None:
+            raise CudaError("payload snapshot used after release")
+        else:
+            payload.alloc.pending.append(self)
+        self.dst = dst
+        self.at = at
+
+    def _copy(self) -> None:
+        at = self.at
+        self.dst.data[at : at + self.nbytes] = self.array()
+        MemorySpace.bytes_copied += self.nbytes
+
+    def apply(self) -> None:
+        """Copy into the destination (the caller unlinks it there)."""
+        self._copy()
+        self.release()
+
+    def materialise(self) -> None:
+        """The source is about to change: apply now, straight into the
+        destination (the caller unregisters it from the source)."""
+        self.dst.inbound.remove(self)
+        self._copy()
+        self.alloc = None
+
+    def forward(self, off: int, nbytes: int) -> Snapshot:
+        """A snapshot of ``nbytes`` at ``off`` into this range, taken
+        from its source so that chains stay one deep."""
+        snap = Snapshot(self.alloc, self.offset + off, nbytes)
+        if self.data is not None:
+            snap.data = self.data[off : off + nbytes]
+        else:
+            self.alloc.pending.append(snap)
+        return snap
 
 
 class Ptr:
@@ -242,18 +335,28 @@ class Ptr:
     def read(self, nbytes: int) -> bytes:
         """Copy ``nbytes`` out as an immutable snapshot."""
         self._check(nbytes)
-        return self.alloc.data[self.offset : self.offset + nbytes].tobytes()
+        alloc = self.alloc
+        lo = self.offset
+        if alloc.inbound:
+            alloc.settle(lo, lo + nbytes)
+        return alloc.data[lo : lo + nbytes].tobytes()
 
     def read_view(self, nbytes: int) -> np.ndarray:
         """Zero-copy read-only view of ``nbytes`` at this pointer.
 
         Unlike :meth:`read` this does NOT snapshot: the view aliases the
-        allocation and sees every later write to it.  No data path uses
-        it; timed transfers take a :meth:`snapshot`, which costs no copy
-        unless the source is overwritten in flight.
+        allocation and sees every later write to it, so it escapes the
+        allocation.  No data path uses it; timed transfers take a
+        :meth:`snapshot`, which costs no copy unless the source is
+        overwritten in flight.
         """
         self._check(nbytes)
-        view = self.alloc.data[self.offset : self.offset + nbytes]
+        alloc = self.alloc
+        lo = self.offset
+        if alloc.inbound:
+            alloc.settle(lo, lo + nbytes)
+        alloc.escaped = True
+        view = alloc.data[lo : lo + nbytes]
         view.flags.writeable = False
         return view
 
@@ -263,11 +366,19 @@ class Ptr:
         Every timed transfer takes its payload this way at issue time and
         writes it at completion.  No bytes are copied unless something
         overwrites the source range before the snapshot is released (or
-        the allocation has escaped through :meth:`as_array`).
+        the allocation has escaped).  A range wholly inside one inbound
+        range is taken from that range's source.
         """
         self._check(nbytes)
         alloc = self.alloc
-        snap = Snapshot(alloc, self.offset, nbytes)
+        lo = self.offset
+        hi = lo + nbytes
+        if alloc.inbound:
+            for rng in alloc.inbound:
+                if rng.at <= lo and hi <= rng.at + rng.nbytes:
+                    return rng.forward(lo - rng.at, nbytes)
+            alloc.settle(lo, hi)
+        snap = Snapshot(alloc, lo, nbytes)
         if alloc.escaped:
             snap.materialise()
         else:
@@ -276,25 +387,36 @@ class Ptr:
 
     def write(self, payload) -> None:
         """Write a :class:`Snapshot`, ``bytes``/``memoryview`` or uint8
-        ndarray here; pending snapshots of the range are copied out first."""
+        ndarray here.  Registrations reading the range are settled first
+        and inbound ranges it covers are dropped; a snapshot is recorded
+        as an inbound range unless the allocation has escaped."""
         snap = type(payload) is Snapshot
         n = payload.nbytes if snap else len(payload)
         self._check(n)
         alloc = self.alloc
         lo = self.offset
+        if snap and payload.alloc is alloc and payload.offset == lo and payload.data is None:
+            return  # bytes written back where they are read from: no change
         if alloc.pending:
             alloc.materialise(lo, lo + n)
+        if alloc.inbound:
+            alloc.settle(lo, lo + n, overwrite=True)
         if snap:
+            if n and not alloc.escaped:
+                alloc.inbound.append(Inbound(payload, alloc, lo))
+                return
             payload = payload.array()
         elif not isinstance(payload, np.ndarray):
             payload = np.frombuffer(payload, dtype=np.uint8)
         alloc.data[lo : lo + n] = payload
+        MemorySpace.bytes_copied += n
 
     def as_array(self, dtype, count: Optional[int] = None) -> np.ndarray:
         """A mutable numpy view (used by compute kernels and tests).
 
-        The model cannot see writes through the view, so this copies out
-        every pending snapshot of the allocation and marks it escaped.
+        The model cannot see writes through the view, so this settles
+        every registration and inbound range of the allocation and marks
+        it escaped.
         """
         dtype = np.dtype(dtype)
         if count is None:
@@ -304,6 +426,8 @@ class Ptr:
         alloc = self.alloc
         if alloc.pending:
             alloc.materialise(0, alloc.size)
+        if alloc.inbound:
+            alloc.settle(0, alloc.size)
         alloc.escaped = True
         return alloc.data[self.offset : self.offset + nbytes].view(dtype)
 
@@ -316,6 +440,8 @@ class Ptr:
         lo = self.offset
         if alloc.pending:
             alloc.materialise(lo, lo + nbytes)
+        if alloc.inbound:
+            alloc.settle(lo, lo + nbytes, overwrite=True)
         alloc.data[lo : lo + nbytes] = value
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -328,6 +454,11 @@ class MemorySpace:
     #: Leave a guard gap between allocations so adjacent-range bugs
     #: surface as lookup failures rather than silent corruption.
     GUARD = 4096
+
+    #: Bytes the memory model has physically copied in this process
+    #: (eager writes, snapshot copy-outs, inbound applies); monotone, so
+    #: read it as a difference across the work being measured.
+    bytes_copied = 0
 
     def __init__(self) -> None:
         self._next_va = 0x7F00_0000_0000
@@ -354,9 +485,13 @@ class MemorySpace:
         if alloc.freed:
             raise CudaError("double free")
         alloc.freed = True
+        for rng in alloc.inbound:  # nothing can read them any more
+            rng.release()
+        alloc.inbound = []
 
     def materialise_pending(self) -> None:
-        """Copy out every pending snapshot in the space."""
+        """Copy out every pending snapshot in the space (inbound ranges
+        reading through are applied)."""
         for alloc in self._allocs:
             if alloc.pending:
                 alloc.materialise(0, alloc.size)

@@ -9,12 +9,16 @@ class Domain(enum.Enum):
     """Symmetric-heap domain, per the paper's ``shmalloc(size, domain)``
     extension (§II-A / [15]): where a symmetric allocation lives."""
 
+    __hash__ = object.__hash__  # identity: members are singletons
+
     HOST = "host"
     GPU = "gpu"
 
 
 class Op(enum.Enum):
     """One-sided operation direction."""
+
+    __hash__ = object.__hash__  # identity: members are singletons
 
     PUT = "put"
     GET = "get"
@@ -28,6 +32,8 @@ class Config(enum.Enum):
     "H-D put" moves host -> remote device, while an "H-D get" moves
     remote device -> local host.
     """
+
+    __hash__ = object.__hash__  # identity: members are singletons
 
     HH = "H-H"
     HD = "H-D"
@@ -55,6 +61,8 @@ class Config(enum.Enum):
 class Locality(enum.Enum):
     """Where source and target PEs sit relative to each other."""
 
+    __hash__ = object.__hash__  # identity: members are singletons
+
     SELF = "self"
     INTRA_NODE = "intra-node"
     INTER_NODE = "inter-node"
@@ -62,6 +70,8 @@ class Locality(enum.Enum):
 
 class Protocol(enum.Enum):
     """Every data-movement scheme the three runtimes can choose (§III)."""
+
+    __hash__ = object.__hash__  # identity: members are singletons
 
     #: Plain local copy (pe == self).
     LOCAL_COPY = "local-copy"

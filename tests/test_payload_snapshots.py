@@ -1,14 +1,19 @@
-"""Deferred payload snapshots: issue-time bytes, one copy, no leaks.
+"""Deferred payloads: issue-time bytes, at most one copy, no leaks.
 
 Every timed transfer takes its payload with :meth:`Ptr.snapshot` at
 issue time and writes it at completion.  The snapshot copies nothing
 until a write is about to change its source range (see
-:class:`repro.cuda.memory.Snapshot`).  The tests here overwrite sources
+:class:`repro.cuda.memory.Snapshot`), and the delivery copies nothing
+until the delivered bytes could be observed (see
+:class:`repro.cuda.memory.Inbound`).  The tests here overwrite sources
 at the worst moments — right after the op returns, or mid-flight, in the
 same virtual instant the snapshot was taken — and demand that the target
-still receives the bytes as they were at issue time.  The leak tests
-demand that every transfer releases its snapshot when it delivers or
-dies, after every registered experiment and under faults.
+still receives the bytes as they were at issue time.  They read every
+snapshot site's destination after a lazy delivery, drive each trigger
+that applies an inbound range, and count the bytes the memory model
+copies (:attr:`MemorySpace.bytes_copied`).  The leak tests demand that
+every transfer releases its snapshot when it delivers or dies, after
+every registered experiment and under faults.
 """
 
 import numpy as np
@@ -16,7 +21,7 @@ import pytest
 
 from repro.check.oracles import check_workload
 from repro.check.workload import generate_workload
-from repro.cuda.memory import MemKind, MemorySpace, Ptr, Snapshot
+from repro.cuda.memory import Inbound, MemKind, MemorySpace, Ptr, Snapshot
 from repro.errors import CudaError
 from repro.reporting.experiments import EXPERIMENTS, run_experiment
 from repro.shmem import Domain, ShmemJob
@@ -47,6 +52,13 @@ def count_copies(monkeypatch):
 
 
 @pytest.fixture
+def copied():
+    """Bytes the memory model has copied since the test began."""
+    start = MemorySpace.bytes_copied
+    return lambda: MemorySpace.bytes_copied - start
+
+
+@pytest.fixture
 def spaces(monkeypatch):
     """Every :class:`MemorySpace` built while active."""
     made = []
@@ -60,8 +72,37 @@ def spaces(monkeypatch):
     return made
 
 
-def pending_snapshots(spaces):
-    return sum(len(a.pending) for s in spaces for a in s._allocs)
+def leaked_snapshots(spaces):
+    """Registrations no live inbound range holds.  An inbound range keeps
+    its own registration on its source until it is applied or dropped;
+    every other one is a transfer's snapshot, which must be released."""
+    allocs = [a for s in spaces for a in s._allocs]
+    live = {id(r) for a in allocs for r in a.inbound}
+    return [snap for a in allocs for snap in a.pending if id(snap) not in live]
+
+
+def held(ptr, nbytes):
+    """Bytes of ``[ptr, ptr + nbytes)`` delivered but not yet copied."""
+    lo, hi = ptr.offset, ptr.offset + nbytes
+    return sum(
+        min(hi, r.at + r.nbytes) - max(lo, r.at) for r in ptr.alloc.inbound if r.at < hi and lo < r.at + r.nbytes
+    )
+
+
+def read_delivered(ptr, nbytes, probe):
+    """Read ``nbytes`` at ``ptr``, noting in ``probe`` how many were still
+    held uncopied and how many the read (and a second read) copied."""
+    probe["held"] = held(ptr, nbytes)
+    start = MemorySpace.bytes_copied
+    data = ptr.read(nbytes)
+    probe["copied"] = MemorySpace.bytes_copied - start
+    assert ptr.read(nbytes) == data
+    probe["copied_again"] = MemorySpace.bytes_copied - start - probe["copied"]
+    return data
+
+
+def assert_copied_on_read(probe, nbytes):
+    assert probe == {"held": nbytes, "copied": nbytes, "copied_again": 0}
 
 
 class Clobber:
@@ -115,11 +156,12 @@ def _job(design, nodes, pes_per_node, fast):
     return job
 
 
-def run_put(design, nodes, ppn, src_dom, dst_dom, nbytes, *, fast, clobber=None, nbi=False):
+def run_put(design, nodes, ppn, src_dom, dst_dom, nbytes, *, fast, clobber=None, nbi=False, probe=None):
     """PE 0 puts ``nbytes`` of OLD to the last PE, then overwrites its
     source with NEW right after the put returns (or, with ``clobber``,
     mid-flight).  A warm-up put and a quiet go first, so the measured
-    put is issued quiescent and the tier-1 batches can fire."""
+    put is issued quiescent and the tier-1 batches can fire.  With
+    ``probe`` the target reads through :func:`read_delivered`."""
     job = _job(design, nodes, ppn, fast)
     landing = {}
 
@@ -145,7 +187,9 @@ def run_put(design, nodes, ppn, src_dom, dst_dom, nbytes, *, fast, clobber=None,
             if clobber is not None:
                 clobber.disarm()
         yield from ctx.barrier_all()
-        return sym.read(nbytes) if ctx.my_pe() == tgt else None
+        if ctx.my_pe() != tgt:
+            return None
+        return sym.read(nbytes) if probe is None else read_delivered(sym.local, nbytes, probe)
 
     if clobber is not None:
         clobber.job = job
@@ -153,11 +197,13 @@ def run_put(design, nodes, ppn, src_dom, dst_dom, nbytes, *, fast, clobber=None,
     return res.results[-1], job
 
 
-def run_get(design, nodes, ppn, local_dom, remote_dom, nbytes, *, fast, clobber):
+def run_get(design, nodes, ppn, local_dom, remote_dom, nbytes, *, fast, clobber=None, probe=None):
     """PE 0 gets ``nbytes`` of OLD from the last PE while the remote
-    source is overwritten mid-flight."""
+    source is overwritten mid-flight (with ``clobber``).  With ``probe``
+    PE 0 reads through :func:`read_delivered`."""
     job = _job(design, nodes, ppn, fast)
-    clobber.job = job
+    if clobber is not None:
+        clobber.job = job
     sources = {}
 
     def main(ctx):
@@ -172,10 +218,12 @@ def run_get(design, nodes, ppn, local_dom, remote_dom, nbytes, *, fast, clobber)
             yield from ctx.getmem(dst, sym, nbytes, pe=tgt)
             dst.fill(0, nbytes)
             yield from ctx.quiet()
-            clobber.arm(sources[tgt], nbytes, dst)
+            if clobber is not None:
+                clobber.arm(sources[tgt], nbytes, dst)
             yield from ctx.getmem(dst, sym, nbytes, pe=tgt)
-            clobber.disarm()
-            got = dst.read(nbytes)
+            if clobber is not None:
+                clobber.disarm()
+            got = dst.read(nbytes) if probe is None else read_delivered(dst, nbytes, probe)
         yield from ctx.barrier_all()
         return got
 
@@ -225,6 +273,19 @@ def test_put_overwritten_mid_flight_delivers_issue_time_bytes(site, fast, clobbe
     assert proto in _protocols(job)
 
 
+@pytest.mark.parametrize("fast", [True, False], ids=["tiered", "event"])
+@pytest.mark.parametrize("site", PUT_SITES, ids=[s[0] for s in PUT_SITES])
+def test_put_delivery_is_copied_only_when_read(site, fast):
+    """Read-after-lazy-write: the put lands without a copy, and the
+    target's read copies every landed byte exactly once."""
+    _, design, nodes, ppn, sd, dd, nbytes, proto = site
+    probe = {}
+    got, job = run_put(design, nodes, ppn, sd, dd, nbytes, fast=fast, nbi=True, probe=probe)
+    assert got == bytes([OLD]) * nbytes
+    assert_copied_on_read(probe, nbytes)
+    assert proto in _protocols(job)
+
+
 def test_tier_coverage_of_the_put_sites():
     """The parametrised sites above really exercise each execution tier."""
     _, job = run_put("enhanced-gdr", 2, 1, H, H, 4 * KiB, fast=True)
@@ -264,6 +325,17 @@ def test_get_source_overwritten_mid_flight(site, fast, clobber):
     assert proto in _protocols(job)
 
 
+@pytest.mark.parametrize("fast", [True, False], ids=["tiered", "event"])
+@pytest.mark.parametrize("site", GET_SITES, ids=[s[0] for s in GET_SITES])
+def test_get_delivery_is_copied_only_when_read(site, fast):
+    _, design, ld, rd, nbytes, proto = site
+    probe = {}
+    got, job = run_get(design, 2, 1, ld, rd, nbytes, fast=fast, probe=probe)
+    assert got == bytes([OLD]) * nbytes
+    assert_copied_on_read(probe, nbytes)
+    assert proto in _protocols(job)
+
+
 def test_proxy_get_takes_the_tier1_batch(clobber):
     _, job = run_get("enhanced-gdr", 2, 1, H, G, 600 * KiB, fast=True, clobber=clobber)
     assert job.sim.stats.fastpath_batches > 0
@@ -285,6 +357,20 @@ def test_memcpy_source_overwritten_mid_flight(clobber):
 
     assert job.run(main).results[0] == bytes([OLD]) * n
     assert clobber.hits == [False]
+
+
+def test_memcpy_delivery_is_copied_only_when_read():
+    n = 256 * KiB
+    probe = {}
+
+    def main(ctx):
+        src, dst = ctx.cuda.malloc(n), ctx.cuda.malloc_host(n)
+        src.fill(OLD, n)
+        yield from ctx.cuda.memcpy(dst, src, n)
+        return read_delivered(dst, n, probe)
+
+    assert ShmemJob(nodes=1, pes_per_node=1).run(main).results[0] == bytes([OLD]) * n
+    assert_copied_on_read(probe, n)
 
 
 @pytest.mark.parametrize("send_dom", [G, H], ids=["device-send", "host-send"])
@@ -311,6 +397,51 @@ def test_mpi_pipelined_baseline_send_overwritten_mid_flight(send_dom, clobber):
 
     assert job.run(main).results[1] == bytes([OLD]) * n
     assert clobber.hits and not any(clobber.hits)
+
+
+@pytest.mark.parametrize("send_dom", [G, H], ids=["device-send", "host-send"])
+def test_mpi_pipelined_delivery_is_copied_only_when_read(send_dom):
+    """The pipeline's staging slots forward each chunk's snapshot, so the
+    receive buffer's ranges read straight from the send buffer."""
+    n = 600 * KiB
+    probe = {}
+
+    def main(ctx):
+        comm = ctx.job.mpi.comm(ctx)
+        if ctx.my_pe() == 0:
+            buf = _alloc(ctx, send_dom, n)
+            buf.fill(OLD, n)
+            yield from comm.send(buf, n, dst=1)
+            return None
+        buf = ctx.cuda.malloc(n)
+        yield from comm.recv(buf, n, src=0)
+        return read_delivered(buf, n, probe)
+
+    job = ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr")
+    assert job.run(main).results[1] == bytes([OLD]) * n
+    assert_copied_on_read(probe, n)
+
+
+@pytest.mark.parametrize("nodes", [1, 2], ids=["intra-node", "inter-node"])
+def test_msg_rendezvous_delivery_is_copied_only_when_read(nodes):
+    """(An eager send's payload is ``bytes`` read at post time, so it
+    has no snapshot to defer.)"""
+    nbytes = 32 * KiB
+    probe = {}
+
+    def main(ctx):
+        buf = ctx.cuda.malloc_host(nbytes)
+        if ctx.pe == 0:
+            buf.fill(OLD, nbytes)
+            yield from ctx.send(buf, nbytes, 1)
+            return None
+        yield from ctx.recv(buf, nbytes, src=0)
+        return read_delivered(buf, nbytes, probe)
+
+    job = ShmemJob(nodes=nodes, pes_per_node=2 // nodes, design="enhanced-gdr")
+    assert job.run(main).results[1] == bytes([OLD]) * nbytes
+    assert_copied_on_read(probe, nbytes)
+    assert [row[4] for row in job.msg.match_log] == ["rendezvous"]
 
 
 # ------------------------------------------------------ memory-model cases
@@ -435,15 +566,194 @@ def test_undisturbed_put_materialises_nothing(count_copies):
     assert count_copies["materialised"] == 0
 
 
-def test_write_of_pending_snapshot_copies_once(space, count_copies):
+def test_write_of_pending_snapshot_copies_once(space, count_copies, copied):
+    """At most one copy, and only on read: delivering a pending snapshot
+    records an inbound range; the first read applies it."""
     a, b = _host(space, 64), _host(space, 64)
     a.ptr().fill(OLD)
     snap = a.ptr().snapshot(64)
     assert a.pending == [snap]
     b.ptr().write(snap)
     snap.release()
-    assert not a.pending and count_copies["materialised"] == 0
+    assert copied() == 0 and len(b.inbound) == 1
+    assert a.pending == b.inbound  # the range's own registration
     assert b.ptr().read(64) == bytes([OLD]) * 64
+    assert copied() == 64 and count_copies["materialised"] == 0
+    assert not a.pending and not b.inbound
+    assert b.ptr().read(64) == bytes([OLD]) * 64
+    assert copied() == 64
+
+
+def _lazy(space, n=64, size=64):
+    """``b[0:n]`` holds an inbound range of OLD read from ``a``."""
+    a, b = _host(space, n), _host(space, size)
+    a.ptr().fill(OLD)
+    snap = a.ptr().snapshot(n)
+    b.ptr().write(snap)
+    snap.release()
+    return a, b
+
+
+#: A read or write of ``b[8:16]`` (or ``b[32:96]``) of a 128-byte ``b``
+#: whose first 64 bytes are an inbound range: each must apply it first.
+#: Each returns what it observed (``None`` for writes).
+APPLY_TRIGGERS = {
+    "read": lambda b: b.ptr(8).read(8),
+    "read_view": lambda b: b.ptr(8).read_view(8).tobytes(),
+    "as_array": lambda b: b.ptr(8).as_array(np.uint8, 8).tobytes(),
+    "partial-write": lambda b: b.ptr(8).write(bytes([NEW]) * 8),
+    "partial-fill": lambda b: b.ptr(8).fill(NEW, 8),
+    "partial-snapshot": lambda b: b.ptr(32).snapshot(64),
+}
+
+
+@pytest.mark.parametrize("trigger", sorted(APPLY_TRIGGERS))
+def test_apply_trigger(trigger, space, count_copies, copied):
+    a, b = _lazy(space, size=128)
+    seen = APPLY_TRIGGERS[trigger](b)
+    assert not b.inbound and not a.pending  # applied, registration gone
+    assert count_copies["materialised"] == 0
+    assert copied() == 64 + (8 if trigger == "partial-write" else 0)
+    a.ptr().fill(NEW)  # the range no longer reads through
+    want = bytes([OLD]) * 64
+    if trigger.startswith("partial-") and trigger != "partial-snapshot":
+        want = want[:8] + bytes([NEW]) * 8 + want[16:]
+    assert b.ptr().read(64) == want
+    if trigger == "partial-snapshot":
+        assert seen.array().tobytes() == bytes([OLD]) * 32 + bytes(32)
+        seen.release()
+    elif seen is not None:
+        assert seen == bytes([OLD]) * 8
+
+
+def test_source_overwrite_applies_straight_into_the_destination(space, count_copies, copied):
+    a, b = _lazy(space)
+    a.ptr(16).fill(NEW, 8)  # a write about to change the range's source
+    assert count_copies["materialised"] == 0  # not copied out first
+    assert copied() == 64 and not b.inbound and not a.pending
+    assert b.ptr().read(64) == bytes([OLD]) * 64
+    assert copied() == 64
+
+
+@pytest.mark.parametrize("how", ["fill", "write-bytes", "write-snapshot"])
+def test_full_overwrite_drops_a_range_unread(how, space, copied):
+    a, b = _lazy(space)
+    c = _host(space, 64)
+    c.ptr().fill(NEW)
+    if how == "fill":
+        b.ptr().fill(NEW)
+    elif how == "write-bytes":
+        b.ptr().write(bytes([NEW]) * 64)
+    else:
+        snap = c.ptr().snapshot(64)
+        b.ptr().write(snap)
+        snap.release()
+    assert not a.pending  # the dropped range's registration is gone
+    assert [r.alloc for r in b.inbound] == ([c] if how == "write-snapshot" else [])
+    assert copied() == (64 if how == "write-bytes" else 0)
+    a.ptr().fill(NEW)  # nothing reads a any more
+    assert b.ptr().read(64) == bytes([NEW]) * 64
+    assert copied() == (0 if how == "fill" else 64)  # the new bytes, once
+
+
+def test_snapshot_inside_a_range_forwards_to_its_source(space, copied):
+    """Chains stay one deep: a snapshot of delivered bytes reads the
+    original source, and so does the next range built from it."""
+    a, b = _lazy(space)
+    c = _host(space, 64)
+    snap = b.ptr(8).snapshot(16)
+    assert snap.alloc is a and snap.offset == 8 and snap in a.pending
+    c.ptr().write(snap)
+    snap.release()
+    assert copied() == 0 and [r.alloc for r in c.inbound] == [a]
+    a.ptr().fill(NEW)  # applies both ranges, each straight from a
+    assert copied() == 64 + 16
+    assert c.ptr().read(16) == b.ptr(8).read(16) == bytes([OLD]) * 16
+    assert copied() == 80
+
+
+def test_snapshot_inside_a_copied_out_range_shares_its_bytes(space, count_copies, copied):
+    a = _host(space, 64)
+    a.ptr().write(bytes(range(64)))
+    snap = a.ptr(0).snapshot(32)
+    a.ptr(8).write(snap)  # overlaps its own source: copied out
+    snap.release()
+    inner = a.ptr(16).snapshot(8)
+    assert inner.data is not None and count_copies["materialised"] == 1
+    assert inner.array().tobytes() == bytes(range(8, 16))
+    inner.release()
+
+
+def test_inbound_cycle_between_two_allocations(space, count_copies, copied):
+    """``b[0:16]`` reads ``a`` while ``a[32:48]`` reads ``b``.  A write
+    over all of ``a`` applies the range reading from it and drops the
+    range it covers; each byte moves once, and no range is applied
+    twice."""
+    a, b = _host(space, 64), _host(space, 64)
+    a.ptr().fill(0xA0)
+    b.ptr().fill(0xB0)
+    for src, dst, at in ((a, b, 0), (b, a, 32)):
+        snap = src.ptr(at).snapshot(16)
+        dst.ptr(at).write(snap)
+        snap.release()
+    assert copied() == 0 and len(a.pending) == len(b.pending) == 1
+    a.ptr().fill(0xA1)
+    assert copied() == 16 and count_copies["materialised"] == 0
+    assert not (a.pending or b.pending or a.inbound or b.inbound)
+    assert b.ptr().read(64) == bytes([0xA0]) * 16 + bytes([0xB0]) * 48
+    assert a.ptr().read(64) == bytes([0xA1]) * 64
+    assert copied() == 16
+
+
+def test_write_back_to_its_own_source_copies_nothing(space, count_copies, copied):
+    """``b`` reads ``a``; a snapshot of ``b`` forwards to ``a``, and
+    writing it back onto ``a`` leaves ``a``'s bytes as they are: nothing
+    is applied, copied out or recorded."""
+    a, b = _lazy(space, 16, 16)
+    back = b.ptr().snapshot(16)
+    assert back.alloc is a
+    a.ptr().write(back)
+    back.release()
+    assert copied() == 0 and count_copies["materialised"] == 0
+    assert not a.inbound and len(b.inbound) == 1
+    assert a.ptr().read(16) == b.ptr().read(16) == bytes([OLD]) * 16
+    assert copied() == 16
+
+
+def test_freed_destination_drops_its_ranges(space, copied):
+    a, b = _lazy(space)
+    space.free(b)
+    assert not b.inbound and not a.pending
+    a.ptr().fill(NEW)
+    assert copied() == 0
+
+
+def test_recycled_destination_heap_offset():
+    """A put lands lazily in a heap block that is then freed and
+    reallocated at the same offset: the new owner's partial overwrite
+    and read see what an eager write would have left."""
+    n = 4 * KiB
+
+    def main(ctx):
+        dst = yield from ctx.shmalloc(n, domain=H)
+        yield from ctx.barrier_all()
+        if ctx.my_pe() == 0:
+            src = ctx.cuda.malloc_host(n)
+            src.fill(OLD, n)
+            yield from ctx.putmem(dst, src, n, pe=1)
+            yield from ctx.quiet()
+        yield from ctx.barrier_all()
+        if ctx.my_pe() == 0:
+            return None
+        heap = ctx.runtime.heap_of(ctx.pe, H).heap
+        lazy = held(dst.local, n)
+        heap.shfree(dst.offset, generation=dst.gen)
+        again = heap.shmalloc(n)
+        heap.ptr(again).fill(NEW, n // 2)
+        return again == dst.offset, lazy, heap.ptr(again).read(n)
+
+    res = ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr").run(main)
+    assert res.results[1] == (True, n, bytes([NEW]) * (n // 2) + bytes([OLD]) * (n // 2))
 
 
 def test_non_overlapping_write_leaves_snapshot_pending(space, count_copies):
@@ -477,10 +787,24 @@ def test_analytic_flow_death_releases_its_snapshot(monkeypatch):
 
 
 # ------------------------------------------------------------- no leaks
+def unregistered_ranges(spaces):
+    """Live inbound ranges reading a source they are not registered on."""
+    return [
+        r
+        for s in spaces
+        for a in s._allocs
+        for r in a.inbound
+        if r.data is None and (r.alloc is None or all(x is not r for x in r.alloc.pending))
+    ]
+
+
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
 def test_no_pending_snapshot_after_quick_experiment(exp_id, spaces):
+    """Every transfer-held snapshot is released; every registration
+    left belongs to a live inbound range."""
     run_experiment(exp_id, quick=True)
-    assert pending_snapshots(spaces) == 0
+    assert leaked_snapshots(spaces) == []
+    assert unregistered_ranges(spaces) == []
 
 
 def test_no_pending_snapshot_after_faulted_msg_check_seed(spaces, monkeypatch):
@@ -498,7 +822,7 @@ def test_no_pending_snapshot_after_faulted_msg_check_seed(spaces, monkeypatch):
         write(ptr, payload)
 
     def tracked_release(snap):
-        if snap.alloc is not None and written.get(id(snap)) is not snap:
+        if type(snap) is Snapshot and snap.alloc is not None and written.get(id(snap)) is not snap:
             died.append(snap)
         release(snap)
 
@@ -508,4 +832,5 @@ def test_no_pending_snapshot_after_faulted_msg_check_seed(spaces, monkeypatch):
     report = check_workload(w)
     assert report.passed, report.summary()
     assert died  # undelivered transfers released their payloads
-    assert pending_snapshots(spaces) == 0
+    assert leaked_snapshots(spaces) == []
+    assert unregistered_ranges(spaces) == []
