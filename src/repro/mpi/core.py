@@ -6,15 +6,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Generator, Optional, Tuple
 
-from repro.cuda.memory import MemKind, Ptr
+from repro.cuda.memory import MemKind, Ptr, Snapshot
 from repro.errors import ShmemError
-from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
-from repro.shmem.staging import StagingPool
+from repro.shmem.staging import StagingPool, chunk_stream
 from repro.simulator import Event
 
 #: Messages at or below this size (host-resident) use the eager path.
 EAGER_LIMIT = 8 * 1024
+
+
+def _snapshot_copy(dst: Ptr, src: Ptr, nbytes: int) -> Generator:
+    """A host chunk copy: a snapshot write, with no copy event."""
+    payload = src.snapshot(nbytes)
+    dst.write(payload)
+    payload.release()
+    yield from ()
 
 
 @dataclass
@@ -28,9 +35,10 @@ class _Posted:
     buf: Ptr
     nbytes: int
     done: Event
-    #: Eager sends snapshot their payload at post time; the sender's
-    #: buffer is immediately reusable (its ``done`` fires at post).
-    payload: Optional[bytes] = None
+    #: Eager sends snapshot their payload at post time (released once
+    #: delivered or refused); the sender's buffer is immediately
+    #: reusable (its ``done`` fires at post).
+    payload: Optional[Snapshot] = None
 
 
 class MpiWorld:
@@ -97,6 +105,8 @@ class MpiWorld:
                 f"MPI truncation: recv of {recv.nbytes} B matched a "
                 f"send of {send.nbytes} B (src {send.pe} -> dst {recv.pe})"
             )
+            if send.payload is not None:
+                send.payload.release()
             if not send.done.triggered:
                 send.done.fail(exc)
             recv.done.fail(exc)
@@ -111,98 +121,73 @@ class MpiWorld:
         p = self.params
         sim = self.sim
         job = self.job
-        src_ctx = job.contexts[send.pe]
-        dst_ctx = job.contexts[recv.pe]
+        src_ep = self.verbs_endpoint(send.pe)
         same_node = job.hw.same_node(send.pe, recv.pe)
-        gpu_involved = (
-            send.buf.kind is MemKind.DEVICE or recv.buf.kind is MemKind.DEVICE
-        )
-
-        # Eager path: the payload was snapshotted at post; deliver it.
+        gpu_involved = MemKind.DEVICE in (send.buf.kind, recv.buf.kind)
         if send.payload is not None:
+            # Eager path: the payload was snapshotted at post; deliver it.
+            try:
+                if same_node:
+                    yield from job.hw.node_of(send.pe).pcie.host_copy(send.nbytes).execute(sim)
+                else:
+                    yield from self.verbs.post_send(src_ep, self.verbs_endpoint(recv.pe), send.payload)
+                    # drain the matched message from the endpoint queue
+                    self.verbs_endpoint(recv.pe).recv_nowait()
+                recv.buf.write(send.payload)
+            finally:
+                send.payload.release()
+        else:
+            # Rendezvous round-trip for anything past the eager limit or
+            # touching GPU memory (MVAPICH2-GPU behaviour for device buffers).
+            if send.nbytes > EAGER_LIMIT or gpu_involved:
+                rtt_wire = 0.0 if same_node else p.ib_wire_latency
+                yield sim.timeout(2 * (p.rdma_post_overhead + rtt_wire), name="mpi:rendezvous")
             if same_node:
-                spec = self.job.hw.node_of(send.pe).pcie.host_copy(send.nbytes)
-                yield from spec.execute(sim)
+                # Intra-node: one staged/IPC copy issued on the sender's side.
+                yield from job.contexts[send.pe].cuda.memcpy(recv.buf, send.buf, send.nbytes)
+            elif not gpu_involved:
+                # Host-host: single RDMA write into the recv buffer.
+                mr = self.mr_of(recv.buf.alloc)
+                yield from self.verbs.rdma_write(src_ep, send.buf, mr, recv.buf.offset, send.nbytes)
             else:
-                yield from self.verbs.post_send(
-                    self.verbs_endpoint(send.pe), self.verbs_endpoint(recv.pe), send.payload
-                )
-                # drain the matched message from the endpoint queue
-                self.verbs_endpoint(recv.pe).recv_nowait()
-            recv.buf.write(send.payload)
-            if not send.done.triggered:
-                send.done.succeed(sim.now)
-            recv.done.succeed(sim.now)
-            return
-
-        # Rendezvous round-trip for anything past the eager limit or
-        # touching GPU memory (MVAPICH2-GPU behaviour for device buffers).
-        if send.nbytes > EAGER_LIMIT or gpu_involved:
-            rtt_wire = 0.0 if same_node else p.ib_wire_latency
-            yield sim.timeout(2 * (p.rdma_post_overhead + rtt_wire), name="mpi:rendezvous")
-
-        if same_node:
-            # Intra-node: one staged/IPC copy issued on the sender's side.
-            yield from src_ctx.cuda.memcpy(recv.buf, send.buf, send.nbytes)
+                yield from self._pipeline(send, recv, src_ep)
+        if not send.done.triggered:
             send.done.succeed(sim.now)
-            recv.done.succeed(sim.now)
-            return
+        recv.done.succeed(sim.now)
 
-        if not gpu_involved:
-            # Host-host: single RDMA write into the recv buffer.
-            mr = self.mr_of(recv.buf.alloc)
-            yield from self.verbs.rdma_write(
-                self.verbs_endpoint(send.pe), send.buf, mr,
-                recv.buf.offset, send.nbytes,
-            )
-            send.done.succeed(sim.now)
-            recv.done.succeed(sim.now)
-            return
-
-        # Inter-node GPU pipeline: D2H -> IB -> H2D, chunked.  The last
-        # H2D is charged to the receiver, which sits blocked in recv.
+    def _pipeline(self, send: _Posted, recv: _Posted, src_ep) -> Generator:
+        """Inter-node GPU pipeline: D2H -> IB -> H2D, chunked.  The last
+        H2D is charged to the receiver, which sits blocked in recv."""
+        sim = self.sim
         src_pool = self.staging_of(send.pe)
         dst_pool = self.staging_of(recv.pe, rx=True)
-        chunk_events = []
-        offset = 0
-        for csize in chunked(send.nbytes, p.pipeline_chunk):
-            sslot = yield from src_pool.acquire()
-            if send.buf.kind is MemKind.DEVICE:
-                yield from src_ctx.cuda.memcpy(sslot.ptr, send.buf + offset, csize)
-            else:
-                payload = (send.buf + offset).snapshot(csize)
-                sslot.ptr.write(payload)
-                payload.release()
+        ctxs = self.job.contexts
+        stage = ctxs[send.pe].cuda.memcpy if send.buf.kind is MemKind.DEVICE else _snapshot_copy
+        unstage = ctxs[recv.pe].cuda.memcpy if recv.buf.kind is MemKind.DEVICE else _snapshot_copy
+
+        def land(sslot, dslot, offset, csize, ev) -> Generator:
+            try:
+                yield from self.verbs.rdma_write(src_ep, sslot.ptr, dst_pool.mr, dslot.offset, csize)
+            finally:
+                src_pool.release(sslot)
+            try:
+                yield from unstage(recv.buf + offset, dslot.ptr, csize)
+            finally:
+                dst_pool.release(dslot)
+            ev.succeed()
+
+        def tail(_src, sslot, offset, csize) -> Generator:
             dslot = yield from dst_pool.acquire()
             ev = sim.event("mpi:chunk")
-            sim.process(
-                self._chunk_tail(send, recv, dst_ctx, sslot, dslot, src_pool, dst_pool, offset, csize, ev),
-                name="mpi:chunk",
-            )
-            chunk_events.append(ev)
-            offset += csize
+            sim.process(land(sslot, dslot, offset, csize, ev), name="mpi:chunk")
+            return ev
+
+        chunk_events = yield from chunk_stream(
+            send.nbytes, self.params.pipeline_chunk, send.buf, tail, (src_pool, stage)
+        )
         # Sender done: its buffer is drained after the last D2H stage.
         send.done.succeed(sim.now)
         yield sim.all_of(chunk_events)
-        recv.done.succeed(sim.now)
-
-    def _chunk_tail(self, send, recv, dst_ctx, sslot, dslot, src_pool, dst_pool, offset, csize, ev) -> Generator:
-        try:
-            yield from self.verbs.rdma_write(
-                self.verbs_endpoint(send.pe), sslot.ptr, dst_pool.mr, dslot.offset, csize
-            )
-        finally:
-            src_pool.release(sslot)
-        try:
-            if recv.buf.kind is MemKind.DEVICE:
-                yield from dst_ctx.cuda.memcpy(recv.buf + offset, dslot.ptr, csize)
-            else:
-                payload = dslot.ptr.snapshot(csize)
-                (recv.buf + offset).write(payload)
-                payload.release()
-        finally:
-            dst_pool.release(dslot)
-        ev.succeed()
 
     def verbs_endpoint(self, pe: int):
         return self.job.runtime.endpoints[pe]
@@ -233,7 +218,7 @@ class MpiComm:
         done = self.world.sim.event(f"mpi:send:{self.rank}->{dst}")
         item = _Posted("send", self.rank, dst, tag, buf, nbytes, done)
         if nbytes <= EAGER_LIMIT and buf.kind is not MemKind.DEVICE:
-            item.payload = buf.read(nbytes)
+            item.payload = buf.snapshot(nbytes)
             done.succeed(self.world.sim.now)
         self.world.post(item)
         return done

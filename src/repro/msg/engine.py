@@ -29,14 +29,15 @@ transport — restores them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.cuda.memory import MemKind, Ptr
+from repro.cuda.api import CudaContext
+from repro.cuda.memory import MemKind, Ptr, Snapshot
 from repro.errors import CompletionError, LinkDown, ShmemError
-from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.ib.ud import UDTransport
-from repro.shmem.staging import StagingPool
+from repro.shmem.staging import StagingPool, chunk_stream
 from repro.simulator import Event
 
 #: Wildcard source for :meth:`MsgEngine.irecv` (matches any sender).
@@ -45,11 +46,6 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 _TRANSPORTS = ("rc", "ud")
-
-
-def _plain_memcpy(cuda, dst: Ptr, src: Ptr, nbytes: int) -> Generator:
-    """A bounce-slot copy leg without the RC retry ladder."""
-    return cuda.memcpy(dst, src, nbytes)
 
 
 @dataclass
@@ -64,8 +60,9 @@ class _MsgPosted:
     nbytes: int
     done: Event
     transport: str = "rc"  # send side only
-    #: Eager sends snapshot their payload at post time.
-    payload: Optional[bytes] = None
+    #: Eager sends snapshot their payload at post time; released once
+    #: delivered, refused or failed.
+    payload: Optional[Snapshot] = None
 
 
 class MsgEngine:
@@ -166,7 +163,7 @@ class MsgEngine:
             transport=transport or self.transport_for(src_pe, dst),
         )
         if nbytes <= self.eager_limit and buf.kind is not MemKind.DEVICE:
-            item.payload = buf.read(nbytes)
+            item.payload = buf.snapshot(nbytes)
             done.succeed(sim.now)
         recvs = self._posted.get(dst)
         if recvs:
@@ -216,6 +213,8 @@ class MsgEngine:
                 f"msg truncation: recv of {recv.nbytes} B matched a send of "
                 f"{send.nbytes} B (src {send.pe} -> dst {recv.pe}, tag {send.tag})"
             )
+            if send.payload is not None:
+                send.payload.release()
             if not send.done.triggered:
                 send.done.fail(exc)
             recv.done.fail(exc)
@@ -244,6 +243,8 @@ class MsgEngine:
         try:
             yield from body
         except Exception as exc:  # noqa: BLE001 — any failure fails the message
+            if send.payload is not None:
+                send.payload.release()
             if not send.done.triggered:
                 send.done.fail(exc)
             if not recv.done.triggered:
@@ -288,6 +289,7 @@ class MsgEngine:
         finally:
             pool.release(slot)
         recv.buf.write(payload)
+        payload.release()
         recv.done.succeed((send.pe, send.tag))
 
     # -------------------------------------------------------- rendezvous path
@@ -388,7 +390,8 @@ class MsgEngine:
         by chunk.  This is precisely why UD loses the crossover at
         large sizes.
         """
-        yield from self._staged(send, recv, self.ud.send, _plain_memcpy)
+        # Bounce-slot copy legs without the RC retry ladder.
+        yield from self._staged(send, recv, self.ud.send, CudaContext.memcpy)
 
     def _staged(self, send: _MsgPosted, recv: _MsgPosted, wire, copy) -> Generator:
         """The store-and-forward chunk loop: a device payload's chunk
@@ -400,12 +403,8 @@ class MsgEngine:
         src_cuda, dst_cuda = job.contexts[send.pe].cuda, job.contexts[recv.pe].cuda
         tx_pool = self._bounce_pool(send.pe, "tx")
         rx_pool = self._bounce_pool(recv.pe)
-        offset = 0
-        for csize in chunked(send.nbytes, self.params.pipeline_chunk):
-            sslot = None
-            if send.buf.kind is MemKind.DEVICE:
-                sslot = yield from tx_pool.acquire()
-                yield from copy(src_cuda, sslot.ptr, send.buf + offset, csize)
+
+        def forward(_src, sslot, offset, csize) -> Generator:
             dslot = yield from rx_pool.acquire()
             try:
                 yield from wire(src_ep, dst_ep, csize)
@@ -415,4 +414,6 @@ class MsgEngine:
                 rx_pool.release(dslot)
                 if sslot is not None:
                     tx_pool.release(sslot)
-            offset += csize
+
+        stage = (tx_pool, partial(copy, src_cuda)) if send.buf.kind is MemKind.DEVICE else None
+        yield from chunk_stream(send.nbytes, self.params.pipeline_chunk, send.buf, forward, stage)

@@ -22,6 +22,7 @@ only large messages, a single daemon saturates PCIe and the fabric
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Optional
 
 from repro.cuda.api import CudaContext
@@ -31,7 +32,7 @@ from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.shmem.fastpath import claim, claimable, plan_pipeline, release
 from repro.shmem.service import Landing, ServiceEngine
-from repro.shmem.staging import StagingPool
+from repro.shmem.staging import StagingPool, chunk_stream
 from repro.simulator import Event
 
 
@@ -79,41 +80,36 @@ class ProxyDaemon:
         src_ptr: Ptr,
         dst: Ptr,
         dst_mr: Optional[MemoryRegion],
+        landing: Optional[Landing],
         nbytes: int,
-        requester_pe: int,
-        stage_at_requester: bool,
     ) -> Generator:
         """Read ``nbytes`` at ``src_ptr`` (a local GPU heap region) and
-        pipeline it back to ``requester_pe``'s ``dst``.  When
-        ``stage_at_requester`` is set, land in the requester's host
+        pipeline it back to the requester's ``dst`` through ``dst_mr``.
+        Given the requester's ``landing`` instead, land in its host
         staging and let its (blocked-in-get, hence in-runtime) service
         engine do the final H2D copy — the inter-socket workaround."""
         if self.cuda is None:
             raise ShmemError(f"proxy on GPU-less node {self.node_id} asked to read a GPU")
-        if not stage_at_requester:
+        if landing is None:
             fast = self._fast_get_pipeline(src_ptr, dst, dst_mr, nbytes)
             if fast is not None:
                 yield fast
                 return
-        pending = []
-        offset = 0
-        for csize in chunked(nbytes, self.params.pipeline_chunk):
-            slot = yield from self.staging.acquire()
-            # IPC read of the owning PE's GPU heap into proxy staging
-            # (retried idempotently under an active fault plan).
-            yield from self.runtime.reliable_memcpy(self.cuda, slot.ptr, src_ptr + offset, csize)
+
+        def send(_src, slot, offset, csize) -> Event:
             ev = self.sim.event("proxy-get:chunk")
             ev.defuse()  # observed via the all_of below, never raw
-            handler = (
-                self._chunk_via_requester_staging(requester_pe, slot, dst + offset, csize, ev)
-                if stage_at_requester
-                else self._chunk_direct(slot, dst_mr, dst.offset + offset, csize, ev)
+            self.sim.process(
+                self._get_chunk(slot, dst + offset, dst_mr, landing, csize, ev),
+                name=f"proxy{self.node_id}:get-chunk",
             )
-            self.sim.process(handler, name=f"proxy{self.node_id}:get-chunk")
-            pending.append(ev)
-            offset += csize
-        if pending:
-            yield self.sim.all_of(pending)
+            return ev
+
+        # IPC read of the owning PE's GPU heap into proxy staging
+        # (retried idempotently under an active fault plan).
+        stage = (self.staging, partial(self.runtime.reliable_memcpy, self.cuda))
+        pending = yield from chunk_stream(nbytes, self.params.pipeline_chunk, src_ptr, send, stage)
+        yield self.sim.all_of(pending)
 
     def _fast_get_pipeline(
         self, src_ptr: Ptr, dst: Ptr, dst_mr: MemoryRegion, nbytes: int
@@ -196,33 +192,22 @@ class ProxyDaemon:
         sim.stats.fastpath_batches += 1
         return last
 
-    def _chunk_direct(self, slot, dst_mr, dst_offset, csize, ev) -> Generator:
-        """Reverse Pipeline-GDR-write: staging chunk straight to the
-        requester's final buffer (GDR write when it is device memory).
-        Failures are routed into ``ev`` so the blocked requester sees
-        them instead of the scheduler aborting."""
+    def _get_chunk(self, slot, dst, dst_mr, landing, csize, ev) -> Generator:
+        """One staged get chunk to ``dst``: a reverse Pipeline-GDR-write
+        through ``dst_mr``, or, given the requester's ``landing``, the
+        inter-socket landing.  Failures are routed into ``ev`` so the
+        blocked requester sees them instead of the scheduler aborting."""
+        ep = self.endpoint
         try:
-            try:
-                yield from self.runtime.verbs.rdma_write(
-                    self.endpoint, slot.ptr, dst_mr, dst_offset, csize
-                )
-            finally:
-                self.staging.release(slot)
-        except BaseException as exc:
-            if not ev.triggered:
-                ev.fail(exc)
-            return
-        ev.succeed()
-
-    def _chunk_via_requester_staging(self, requester_pe, slot, dst, csize, ev) -> Generator:
-        """Inter-socket landing: stage in the requester's host pool and
-        let its service engine finish with a local IPC H2D copy.
-        Failures are routed into ``ev``."""
-        runtime = self.runtime
-        landing = runtime.landings[requester_pe]
-        rslot = yield from landing.pool.acquire()
-        try:
-            yield from runtime._land(self.endpoint, slot.ptr, slot, landing, rslot, dst, csize, ev)
+            if landing is None:
+                try:
+                    yield from self.runtime.verbs.rdma_write(ep, slot.ptr, dst_mr, dst.offset, csize)
+                finally:
+                    self.staging.release(slot)
+                ev.succeed()
+            else:
+                rslot = yield from landing.pool.acquire()
+                yield from self.runtime._land(ep, slot.ptr, slot, landing, rslot, dst, csize, ev)
         except BaseException as exc:
             if not ev.triggered:
                 ev.fail(exc)

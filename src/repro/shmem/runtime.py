@@ -49,7 +49,7 @@ from repro.shmem.fastpath import (
 from repro.shmem.heap import SymmetricHeap
 from repro.shmem.protocols import ProtocolSelector, Route, make_selector
 from repro.shmem.service import Landing, ServiceEngine, ServiceItem
-from repro.shmem.staging import StagingPool
+from repro.shmem.staging import StagingPool, chunk_stream
 from repro.simulator import Event, Simulator
 
 #: Bytes reserved at the start of every host heap for runtime-internal
@@ -578,15 +578,16 @@ class Runtime:
         if fast is not None:
             yield fast
             return
-        offset = 0
-        for csize in chunked(nbytes, self.params.pipeline_chunk):
-            slot = yield from self.staging[ctx.pe].acquire()
+        pool = self.staging[ctx.pe]
+
+        def unstage(wire_src, slot, offset, csize) -> Generator:
             try:
-                yield from ctx.cuda.memcpy(slot.ptr, orig_src + offset, csize)
-                yield from ctx.cuda.memcpy(final_dst + offset, slot.ptr, csize)
+                yield from ctx.cuda.memcpy(final_dst + offset, wire_src, csize)
             finally:
-                self.staging[ctx.pe].release(slot)
-            offset += csize
+                pool.release(slot)
+
+        stage = (pool, ctx.cuda.memcpy)
+        yield from chunk_stream(nbytes, self.params.pipeline_chunk, orig_src, unstage, stage)
 
     def _fast_staged(self, ctx, final_dst, orig_src, nbytes) -> Optional[Event]:
         """Closed-form replay of the serial two-copy staging loop.
@@ -828,11 +829,8 @@ class Runtime:
         if fast is not None:
             yield fast
             return
-        offset = 0
-        last_posted: Optional[Event] = None
-        for csize in chunked(nbytes, self.params.pipeline_chunk):
-            slot = yield from self.staging[ctx.pe].acquire()
-            yield from self.reliable_memcpy(ctx.cuda, slot.ptr, src + offset, csize)
+
+        def write(_src, slot, offset, csize) -> Event:
             posted = self.sim.event("pgw:posted")
             proc = self.sim.process(
                 self._write_then_release(ctx, slot, mr, dst.offset + offset, csize, pe, posted),
@@ -840,12 +838,17 @@ class Runtime:
             )
             ctx.track(proc)
             self._bridge_failure(proc, posted)
-            last_posted = posted
-            offset += csize
-        if last_posted is not None:
-            yield last_posted
+            return posted
+
+        stage = (self.staging[ctx.pe], partial(self.reliable_memcpy, ctx.cuda))
+        posts = yield from chunk_stream(nbytes, self.params.pipeline_chunk, src, write, stage)
+        yield posts[-1]
 
     def _write_then_release(self, ctx, slot, mr, offset, csize, pe, posted) -> Generator:
+        """Write one staged chunk to its final place.  Under a fault plan
+        a write that dies even after RC retries is re-delivered through
+        the target node's proxy (a pure host RDMA into proxy staging, no
+        GDR legs); idempotent, as the chunk stays in its slot until then."""
         try:
             try:
                 yield from self.verbs.rdma_write(
@@ -856,26 +859,19 @@ class Runtime:
                 proxy = self.proxies.get(target_node) if self.health is not None else None
                 if proxy is None:
                     raise
-                yield from self._chunk_failover(ctx, proxy, slot, mr, offset, csize, pe, posted)
+                self.sim.stats.failovers += 1
+                if not posted.triggered:
+                    posted.succeed()
+                landing = proxy.landing
+                pslot = yield from landing.pool.acquire()
+                done = self.sim.event("pgw-failover:done")
+                yield from self._land(
+                    ctx.endpoint, slot.ptr, None, landing, pslot, mr.ptr(offset), csize, done, pe
+                )
+                yield done
         finally:
             self.staging[ctx.pe].release(slot)
         self._notify(pe)
-
-    def _chunk_failover(self, ctx, proxy, slot, mr, offset, csize, pe, posted) -> Generator:
-        """Re-deliver one staged pipeline chunk whose GDR write died:
-        host staging -> proxy staging (a pure host RDMA, no GDR legs)
-        -> proxy cudaMemcpy into the final buffer.  Idempotent — the
-        chunk stays in its source slot, which the caller hands back,
-        until re-delivered."""
-        self.sim.stats.failovers += 1
-        if not posted.triggered:
-            posted.succeed()
-        dst = mr.ptr(offset)
-        landing = proxy.landing
-        pslot = yield from landing.pool.acquire()
-        done = self.sim.event("pgw-failover:done")
-        yield from self._land(ctx.endpoint, slot.ptr, None, landing, pslot, dst, csize, done, pe)
-        yield done
 
     def _fast_pipeline_put(self, ctx, src, dst, mr, nbytes, pe) -> Optional[Event]:
         """Closed-form replay of the Pipeline-GDR-write chunk machinery.
@@ -1013,14 +1009,8 @@ class Runtime:
         else:
             target_node, _ = self.hw.pe_location(pe)
             landing = self.proxies[target_node].landing
-        staged = src.kind is MemKind.DEVICE
-        offset = 0
-        for csize in chunked(nbytes, p.pipeline_chunk):
-            src_slot, wire_src = None, src + offset
-            if staged:
-                src_slot = yield from self.staging[ctx.pe].acquire()
-                yield from ctx.cuda.memcpy(src_slot.ptr, wire_src, csize)
-                wire_src = src_slot.ptr
+
+        def land(wire_src, src_slot, offset, csize) -> Generator:
             lslot = yield from landing.pool.acquire()
             done = self.sim.event("land:done")
             proc = self.sim.process(
@@ -1032,7 +1022,9 @@ class Runtime:
             )
             ctx.track(proc)
             ctx.track(done)
-            offset += csize
+
+        stage = (self.staging[ctx.pe], ctx.cuda.memcpy) if src.kind is MemKind.DEVICE else None
+        yield from chunk_stream(nbytes, p.pipeline_chunk, src, land, stage)
 
     def _land(
         self, endpoint, src, src_slot, landing, lslot, dst, nbytes, done, notify_pe=None
@@ -1160,29 +1152,25 @@ class Runtime:
         data back through the host pipeline (two-sided in disguise)."""
         p = self.params
         yield self.sim.timeout(p.pipeline_handshake_overhead, name="hp-get:handshake")
-        remote_ctx = self.job.contexts[pe]
-        my_pool = self.rx_staging[ctx.pe]
-        my_mr = my_pool.mr
+        remote_cuda = self.job.contexts[pe].cuda
+        remote_pool, my_pool = self.staging[pe], self.rx_staging[ctx.pe]
+
+        def push(wire_src, _slot, offset, csize) -> Generator:
+            # Both slots are held before the remote stage copy starts.
+            rslot = yield from remote_pool.acquire()
+            mslot = yield from my_pool.acquire()
+            try:
+                yield from remote_cuda.memcpy(rslot.ptr, wire_src, csize)
+                yield from self.verbs.rdma_write(
+                    self.endpoints[pe], rslot.ptr, my_pool.mr, mslot.offset, csize
+                )
+                yield from ctx.cuda.memcpy(dst + offset, mslot.ptr, csize)
+            finally:
+                remote_pool.release(rslot)
+                my_pool.release(mslot)
+
         done = self.sim.event("hp-get:done")
-        runtime = self
-        requester = ctx
-
-        def respond() -> Generator:
-            offset = 0
-            for csize in chunked(nbytes, p.pipeline_chunk):
-                rslot = yield from runtime.staging[pe].acquire()
-                mslot = yield from my_pool.acquire()
-                try:
-                    yield from remote_ctx.cuda.memcpy(rslot.ptr, src_ptr + offset, csize)
-                    yield from runtime.verbs.rdma_write(
-                        runtime.endpoints[pe], rslot.ptr, my_mr, mslot.offset, csize
-                    )
-                    yield from requester.cuda.memcpy(dst + offset, mslot.ptr, csize)
-                finally:
-                    runtime.staging[pe].release(rslot)
-                    my_pool.release(mslot)
-                offset += csize
-
+        respond = partial(chunk_stream, nbytes, p.pipeline_chunk, src_ptr, push)
         self.service[pe].submit(ServiceItem(run=respond, done=done, label="hp:get"))
         yield done
 
@@ -1198,20 +1186,14 @@ class Runtime:
             name="proxy:signal",
         )
         local_ss, _ = self._socket_flags(ctx, pe)
-        stage_at_requester = dst.kind is MemKind.DEVICE and not local_ss
-        dst_mr = None
-        if not stage_at_requester:
+        landing = dst_mr = None
+        if dst.kind is MemKind.DEVICE and not local_ss:
+            landing = self.landings[ctx.pe]  # the inter-socket workaround
+        else:
             dst_mr = yield from self.ensure_mr(dst.alloc)
         done = self.sim.event("proxy-get:done")
-        proxy.engine.submit(
-            ServiceItem(
-                run=partial(
-                    proxy.get_pipeline, src_ptr, dst, dst_mr, nbytes, ctx.pe, stage_at_requester
-                ),
-                done=done,
-                label="proxy-get",
-            )
-        )
+        run = partial(proxy.get_pipeline, src_ptr, dst, dst_mr, landing, nbytes)
+        proxy.engine.submit(ServiceItem(run=run, done=done, label="proxy-get"))
         yield done
 
     _GET_HANDLERS = {

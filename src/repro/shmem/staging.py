@@ -1,4 +1,4 @@
-"""Pre-registered host staging pools for pipelined protocols.
+"""Pre-registered host staging pools and the one staged chunk stream.
 
 Both the baseline's host pipeline and the proposed Pipeline-GDR-write
 protocol stream large messages through fixed-size, pre-registered host
@@ -6,14 +6,24 @@ chunks (§III-C).  :class:`StagingPool` owns those chunks: a slot is a
 ``pipeline_chunk``-sized window of one big registered host allocation,
 recycled through a FIFO free list.  Pipeline depth is therefore bounded
 by the slot count, exactly as in the real runtime.
+
+Every staged protocol is one loop, :func:`chunk_stream`: per chunk,
+optionally *stage* it (acquire a slot, copy the chunk in), then hand it
+to a *sink* that crosses the wire and lands it.  Only the agent doing
+each step differs between the designs, so the sinks carry the
+differences and the stream carries one slot-ownership rule: the stream
+holds a stage slot until its stage copy succeeds, and releases it and
+re-raises if the copy fails; after that the sink owns the slot.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from types import GeneratorType
+from typing import Callable, Generator, Optional, Tuple
 
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import ShmemError
+from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.simulator import Simulator, Store
 
@@ -69,8 +79,7 @@ class StagingPool:
 
     def acquire(self) -> Generator:
         """Blocking: ``slot = yield from pool.acquire()``."""
-        slot = yield self._free.get()
-        return slot
+        return (yield self._free.get())
 
     def release(self, slot: StagingSlot) -> None:
         if slot.pool is not self:
@@ -90,3 +99,37 @@ class StagingPool:
         """Non-blocking acquire for the batched fast paths (the caller
         has already verified :attr:`idle`)."""
         return self._free.get_nowait()
+
+
+def chunk_stream(
+    nbytes: int, chunk: int, src: Ptr, sink: Callable, stage: Optional[Tuple] = None
+) -> Generator:
+    """Stream the ``nbytes`` at ``src`` in ``chunk``-sized pieces;
+    returns the chunk events.  The chunk at ``offset`` leaves from
+    ``src + offset`` or, with ``stage=(pool, copy)``, from a ``pool``
+    slot that ``copy(slot.ptr, src + offset, csize)`` filled (the slot
+    goes back and the failure propagates if that copy fails).  Then
+    ``sink(wire_src, slot, offset, csize)`` owns the slot (``None``
+    unstaged) and returns the chunk's event or ``None``, directly or,
+    when it waits first, as a generator's value."""
+    events = []
+    offset = 0
+    for csize in chunked(nbytes, chunk):
+        wire_src = src + offset
+        slot = None
+        if stage is not None:
+            pool, copy = stage
+            slot = yield from pool.acquire()
+            try:
+                yield from copy(slot.ptr, wire_src, csize)
+            except BaseException:
+                pool.release(slot)
+                raise
+            wire_src = slot.ptr
+        ev = sink(wire_src, slot, offset, csize)
+        if type(ev) is GeneratorType:
+            ev = yield from ev
+        if ev is not None:
+            events.append(ev)
+        offset += csize
+    return events

@@ -77,3 +77,8 @@ def run_get(design, nbytes, local_domain, remote_domain, nodes=2, target="far", 
     res = job.run(get_latency_program(nbytes, local_domain, remote_domain, target))
     latency, ok = res.results[0]
     return latency, ok, job
+
+
+def short_pools(pools):
+    """``(name, available, depth)`` of every staging pool missing a slot."""
+    return [(p.name, p.available, p.depth) for p in pools if p.available != p.depth]

@@ -20,6 +20,8 @@ from repro.shmem import Domain, ShmemJob
 from repro.simulator import Simulator
 from repro.units import KiB, MiB, usec
 
+from .helpers import short_pools
+
 SIZES = [8 * KiB, 64 * KiB, 1 * MiB]  # Direct-GDR + two pipeline puts
 
 #: Tight retry budget so a 150 us flap exhausts RC retries and forces
@@ -705,3 +707,122 @@ def test_failed_landing_write_recycles_its_slot(design):
     pools = [*rt.staging.values(), *rt.rx_staging.values(),
              *(proxy.staging for proxy in rt.proxies.values())]
     assert [pool.available for pool in pools] == [pool.depth for pool in pools]
+
+
+# ---------------------------------------------------- stage-slot recycling
+#: ``case -> (design, op, transport, flapped node)``: every staged op
+#: whose stage copy crosses the flapped GPU's PCIe link.
+_STAGE_LEAK_CASES = {
+    "pipeline-gdr-write-put": ("enhanced-gdr", "put", None, 0),
+    "host-pipeline-put": ("host-pipeline", "put", None, 0),
+    "proxy-get": ("enhanced-gdr", "get", None, 1),
+    "msg-ud-staged": ("enhanced-gdr", "send", "ud", 0),
+    "msg-rc-staged": ("enhanced-gdr", "send", "rc", 0),
+}
+
+
+def _stage_leak_job(design, plan=None):
+    return ShmemJob(
+        nodes=2, pes_per_node=1, design=design, fault_plan=plan,
+        params=wilkes_params(rc_timeout=usec(5), rc_retry_cnt=2),
+    )
+
+
+def _gpu_pcie_flap(at, node):
+    """Node ``node``'s GPU PCIe link down in both directions for 3 ms."""
+    return FaultPlan(seed=7).flap(
+        at=at, down_for=usec(3000), node=node, kind="gpu-pcie", direction="both"
+    )
+
+
+def _stage_leak_program(op, transport, starts):
+    """Two 1 MiB device-to-device transfers from PE 0 to PE 1 (a get
+    pulls from PE 1 into PE 0), each followed by a 6 ms pause: the
+    first meets the flap, the second runs over the repaired link.
+    Every PE returns the exception name (or ``None``) of each of its
+    transfers, and the receiving side whether the second one landed."""
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(MiB, domain=Domain.GPU)
+        buf = ctx.cuda.malloc(MiB)
+        src, dst = (sym, buf) if op == "get" else (buf, sym)
+        outcomes = []
+        for fill in (0x21, 0x42):
+            src.fill(fill, MiB)
+            dst.fill(0, MiB)
+            yield from ctx.barrier_all()
+            if ctx.pe == 0:
+                starts.append(ctx.sim.now)
+            caught = None
+            try:
+                if op == "put" and ctx.pe == 0:
+                    yield from ctx.putmem(sym, buf, MiB, pe=1)
+                    yield from ctx.quiet()
+                elif op == "get" and ctx.pe == 0:
+                    yield from ctx.getmem(buf, sym, MiB, pe=1)
+                elif op == "send" and ctx.pe == 0:
+                    yield from ctx.send(buf, MiB, 1, tag=9, transport=transport)
+                elif op == "send":
+                    yield from ctx.recv(sym, MiB, 0, tag=9)
+            except LinkDown as exc:
+                caught = type(exc).__name__
+            outcomes.append(caught)
+            yield from ctx.compute(usec(6000))
+            yield from ctx.barrier_all()
+        receiver = 0 if op == "get" else 1
+        landed = dst.read(MiB) == bytes([0x42]) * MiB if ctx.pe == receiver else None
+        return outcomes, landed
+
+    return main
+
+
+@pytest.mark.parametrize("delay_us", [5, 80])
+@pytest.mark.parametrize("case", sorted(_STAGE_LEAK_CASES))
+def test_failed_stage_copy_recycles_its_slot(case, delay_us, staging_pools):
+    """A stage copy that dies (the source GPU's PCIe link flaps, both
+    directions, 3 ms from ``delay_us`` into the op) must hand its
+    staging slot back: the op fails with ``LinkDown``, every staging
+    pool is full again, and a second op over the repaired link lands
+    instead of finding one slot fewer (four such failures would leave a
+    pool empty and the next staged op blocked forever)."""
+    design, op, transport, node = _STAGE_LEAK_CASES[case]
+    starts = []
+    _stage_leak_job(design).run(_stage_leak_program(op, transport, starts))
+    plan = _gpu_pcie_flap(starts[0] + usec(delay_us), node)
+    del staging_pools[:]
+    res = _stage_leak_job(design, plan).run(_stage_leak_program(op, transport, []))
+    (out0, landed0), (out1, landed1) = res.results
+    assert out0 == ["LinkDown", None]
+    assert out1 == (["LinkDown", None] if op == "send" else [None, None])
+    assert (landed1 if op != "get" else landed0) is True
+    assert staging_pools
+    assert short_pools(staging_pools) == []
+
+
+def test_failed_mpi_stage_copy_recycles_its_slot(staging_pools):
+    """The MPI baseline's pipelined send routes no failure: a stage copy
+    that dies aborts the run, so no second op can follow.  The first
+    chunk's D2H stage copy meets the flap with nothing else in flight,
+    so after the abort every MPI staging pool must be full again."""
+    starts = []
+
+    def main(ctx):
+        buf = ctx.cuda.malloc(MiB)
+        buf.fill(0x21, MiB)
+        comm = ctx.job.mpi.comm(ctx)
+        yield from ctx.barrier_all()
+        if ctx.pe == 0:
+            starts.append(ctx.sim.now)
+            yield from comm.send(buf, MiB, 1)
+        else:
+            yield from comm.recv(buf, MiB, 0)
+        yield from ctx.barrier_all()
+
+    _stage_leak_job("enhanced-gdr").run(main)
+    faulted = _stage_leak_job("enhanced-gdr", _gpu_pcie_flap(starts[0] + usec(5), 0))
+    del staging_pools[:]
+    with pytest.raises(LinkDown):
+        faulted.run(main)
+    mpi_pools = [pool for pool in staging_pools if pool.name.startswith("mpi.")]
+    assert len(mpi_pools) == 2
+    assert short_pools(mpi_pools) == []

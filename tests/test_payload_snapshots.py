@@ -13,7 +13,8 @@ snapshot site's destination after a lazy delivery, drive each trigger
 that applies an inbound range, and count the bytes the memory model
 copies (:attr:`MemorySpace.bytes_copied`).  The leak tests demand that
 every transfer releases its snapshot when it delivers or dies, after
-every registered experiment and under faults.
+every registered experiment and under faults, and that every staging
+slot is back in its pool by then.
 """
 
 import numpy as np
@@ -27,6 +28,8 @@ from repro.reporting.experiments import EXPERIMENTS, run_experiment
 from repro.shmem import Domain, ShmemJob
 from repro.shmem.protocols import Protocol
 from repro.units import KiB
+
+from .helpers import short_pools
 
 G, H = Domain.GPU, Domain.HOST
 OLD, NEW = 0x3C, 0xE1
@@ -422,11 +425,9 @@ def test_mpi_pipelined_delivery_is_copied_only_when_read(send_dom):
     assert_copied_on_read(probe, n)
 
 
-@pytest.mark.parametrize("nodes", [1, 2], ids=["intra-node", "inter-node"])
-def test_msg_rendezvous_delivery_is_copied_only_when_read(nodes):
-    """(An eager send's payload is ``bytes`` read at post time, so it
-    has no snapshot to defer.)"""
-    nbytes = 32 * KiB
+def _msg_delivery(nodes, nbytes):
+    """PE 0 sends ``nbytes`` to PE 1 over the msg engine; PE 1 reads them
+    back through :func:`read_delivered`.  Returns the job and the probe."""
     probe = {}
 
     def main(ctx):
@@ -441,7 +442,49 @@ def test_msg_rendezvous_delivery_is_copied_only_when_read(nodes):
     job = ShmemJob(nodes=nodes, pes_per_node=2 // nodes, design="enhanced-gdr")
     assert job.run(main).results[1] == bytes([OLD]) * nbytes
     assert_copied_on_read(probe, nbytes)
+    return job
+
+
+@pytest.mark.parametrize("nodes", [1, 2], ids=["intra-node", "inter-node"])
+def test_msg_rendezvous_delivery_is_copied_only_when_read(nodes):
+    job = _msg_delivery(nodes, 32 * KiB)
     assert [row[4] for row in job.msg.match_log] == ["rendezvous"]
+
+
+@pytest.mark.parametrize("nodes", [1, 2], ids=["intra-node", "inter-node"])
+def test_msg_eager_delivery_is_copied_only_when_read(nodes):
+    """The eager payload is a snapshot taken at post, passed through the
+    receiver's bounce slot without a copy."""
+    job = _msg_delivery(nodes, 2 * KiB)
+    assert [row[4] for row in job.msg.match_log] == ["eager"]
+
+
+@pytest.mark.parametrize("api", ["msg", "mpi"])
+def test_eager_send_overwritten_after_post_delivers_post_time_bytes(api):
+    """An eager send completes at post, so the sender may overwrite its
+    buffer at once; the receiver still gets the bytes as they were at
+    post, copied out of the sender's buffer only then."""
+    nbytes = 2 * KiB
+
+    def main(ctx):
+        buf = ctx.cuda.malloc_host(nbytes)
+        comm = ctx.job.mpi.comm(ctx) if api == "mpi" else None
+        if ctx.pe == 0:
+            buf.fill(OLD, nbytes)
+            yield from ctx.barrier_all()
+            done = comm.isend(buf, nbytes, 1) if comm else ctx.isend(buf, nbytes, 1)
+            assert done.triggered
+            buf.fill(NEW, nbytes)
+            return None
+        yield from ctx.barrier_all()
+        if comm:
+            yield from comm.recv(buf, nbytes, 0)
+        else:
+            yield from ctx.recv(buf, nbytes, 0)
+        return buf.read(nbytes)
+
+    job = ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr")
+    assert job.run(main).results[1] == bytes([OLD]) * nbytes
 
 
 # ------------------------------------------------------ memory-model cases
@@ -799,18 +842,21 @@ def unregistered_ranges(spaces):
 
 
 @pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
-def test_no_pending_snapshot_after_quick_experiment(exp_id, spaces):
+def test_no_pending_snapshot_after_quick_experiment(exp_id, spaces, staging_pools):
     """Every transfer-held snapshot is released; every registration
-    left belongs to a live inbound range."""
+    left belongs to a live inbound range; every staging slot is back in
+    its pool."""
     run_experiment(exp_id, quick=True)
     assert leaked_snapshots(spaces) == []
     assert unregistered_ranges(spaces) == []
+    assert short_pools(staging_pools) == []
 
 
-def test_no_pending_snapshot_after_faulted_msg_check_seed(spaces, monkeypatch):
+def test_no_pending_snapshot_after_faulted_msg_check_seed(spaces, staging_pools, monkeypatch):
     """Seed 10021 (device-initiated, 2x4 PEs) kills RDMA writes through
     RC retry exhaustion and replays them, so snapshots are released on
-    the failure path as well as on delivery."""
+    the failure path as well as on delivery, and staging slots are
+    handed back on it."""
     written = {}
     died = []
     write, release = Ptr.write, Snapshot.release
@@ -834,3 +880,4 @@ def test_no_pending_snapshot_after_faulted_msg_check_seed(spaces, monkeypatch):
     assert died  # undelivered transfers released their payloads
     assert leaked_snapshots(spaces) == []
     assert unregistered_ranges(spaces) == []
+    assert short_pools(staging_pools) == []

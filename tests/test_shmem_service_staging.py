@@ -4,10 +4,14 @@ import pytest
 
 from repro.cuda.memory import MemKind, MemorySpace
 from repro.errors import ShmemError
+from repro.faults import FaultPlan
+from repro.hardware.node import NodeConfig
+from repro.hardware.params import wilkes_params
+from repro.shmem import Domain, ShmemJob
 from repro.shmem.service import ServiceEngine, ServiceItem
 from repro.shmem.staging import StagingPool
 from repro.simulator import Simulator
-from repro.units import usec
+from repro.units import KiB, MiB, usec
 
 
 # ------------------------------------------------------------------ service
@@ -197,3 +201,102 @@ def test_staging_validation():
         StagingPool(sim, alloc, None, chunk=0, name="bad")
     with pytest.raises(ShmemError):
         StagingPool(sim, alloc, None, chunk=1024, name="too-small")
+
+
+# ------------------------------------- staged bodies no pinned target reaches
+# Nothing else in the suite reaches these two staged bodies, so each test
+# pins its run whole: completion and end times, every SimStats field,
+# every staging pool's free count and the delivered bytes.  1 MiB + 96 KiB
+# gives four full chunks and a short one.
+PIN_BYTES = MiB + 96 * KiB
+
+
+def _pools(job):
+    rt = job.runtime
+    pools = [*rt.staging.values(), *rt.rx_staging.values(),
+             *(proxy.staging for proxy in rt.proxies.values())]
+    if job._msg is not None:
+        pools += list(job.msg._bounce.values())
+    return {pool.name: pool.available for pool in pools}
+
+
+def _zero_stats(**nonzero):
+    names = ("scheduled", "processed", "resumed_fast", "fastpath_batches", "analytic_flows",
+             "contended_windows", "collective_closed_forms", "vectorised_events", "retries",
+             "failovers", "flap_windows", "hca_stalls", "cq_errors", "rc_retx_holds",
+             "rc_aborted_wrs", "msg_eager", "msg_rendezvous", "ud_packets", "ud_drops",
+             "ud_resends")
+    return {**{n: 0 for n in names}, "degraded_time": 0.0, **nonzero}
+
+
+def test_inter_socket_proxy_get_pin():
+    """A proxy get into a GPU on the far socket from its HCA lands in the
+    requester's host staging, one chunk at a time, and the requester's
+    engine finishes each chunk with an H2D copy."""
+    cfg = NodeConfig(gpus=1, hcas=1, gpu_sockets=[1], hca_sockets=[0])
+    job = ShmemJob(nodes=2, node_config=cfg, design="enhanced-gdr")
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(PIN_BYTES, domain=Domain.GPU)
+        if ctx.pe == 1:
+            sym.fill(0x5A, PIN_BYTES)
+        yield from ctx.barrier_all()
+        got = None
+        if ctx.pe == 0:
+            dst = ctx.cuda.malloc(PIN_BYTES)
+            yield from ctx.getmem(dst, sym, PIN_BYTES, pe=1)
+            got = (dst.read(PIN_BYTES) == bytes([0x5A]) * PIN_BYTES, ctx.sim.now)
+        yield from ctx.barrier_all()
+        return got
+
+    res = job.run(main)
+    assert job.runtime.landings[0].engine.items_served == 5
+    assert res.results == [(True, 0.0005135121683383173), None]
+    assert job.sim.now == 0.0005158134189245293
+    assert job.sim.stats.as_dict() == _zero_stats(
+        scheduled=245, processed=245, resumed_fast=11, analytic_flows=10, contended_windows=1
+    )
+    assert _pools(job) == {
+        "pe0.staging": 4, "pe1.staging": 4, "pe0.rx-staging": 4, "pe1.rx-staging": 4,
+        "proxy0.staging": 4, "proxy1.staging": 4,
+    }
+
+
+def test_rc_rendezvous_staged_failover_pin():
+    """An RC rendezvous between device buffers whose sender's GDR path
+    is flapped fails over to staging (the one failover, and the only
+    user of a sender bounce pool): each chunk goes D2H into a sender
+    bounce slot, crosses as a plain RC send into a receiver bounce slot,
+    and is copied H2D into the posted buffer."""
+    plan = FaultPlan(seed=3).flap_gdr(at=0.0, down_for=usec(2000), node=0)
+    job = ShmemJob(
+        nodes=2, pes_per_node=1, design="enhanced-gdr", fault_plan=plan,
+        params=wilkes_params(rc_timeout=usec(5), rc_retry_cnt=2),
+    )
+
+    def main(ctx):
+        yield from ctx.barrier_all()
+        if ctx.pe == 0:
+            src = ctx.cuda.malloc(PIN_BYTES)
+            src.fill(0x3C, PIN_BYTES)
+            yield from ctx.send(src, PIN_BYTES, 1, tag=5, transport="rc")
+            got = ctx.sim.now
+        else:
+            dst = ctx.cuda.malloc(PIN_BYTES)
+            yield from ctx.recv(dst, PIN_BYTES, 0, tag=5)
+            got = (dst.read(PIN_BYTES) == bytes([0x3C]) * PIN_BYTES, ctx.sim.now)
+        yield from ctx.barrier_all()
+        return got
+
+    res = job.run(main)
+    assert res.results == [0.000813413852393847, (True, 0.000813413852393847)]
+    assert job.sim.now == 0.002
+    assert job.sim.stats.as_dict() == _zero_stats(
+        scheduled=194, processed=194, resumed_fast=14, failovers=1, flap_windows=1,
+        msg_rendezvous=1,
+    )
+    assert _pools(job) == {
+        "pe0.staging": 4, "pe1.staging": 4, "pe0.rx-staging": 4, "pe1.rx-staging": 4,
+        "proxy0.staging": 4, "proxy1.staging": 4, "msg.pe0.tx-bounce": 4,
+        "msg.pe1.rx-bounce": 4,
+    }
