@@ -118,39 +118,47 @@ class MpiWorld:
 
     # ------------------------------------------------------------ transfer
     def _transfer(self, send: _Posted, recv: _Posted) -> Generator:
+        """Move one matched message; a failure fails the posted events,
+        not the process (which would abort the whole run)."""
         p = self.params
         sim = self.sim
         job = self.job
         src_ep = self.verbs_endpoint(send.pe)
         same_node = job.hw.same_node(send.pe, recv.pe)
         gpu_involved = MemKind.DEVICE in (send.buf.kind, recv.buf.kind)
-        if send.payload is not None:
-            # Eager path: the payload was snapshotted at post; deliver it.
-            try:
-                if same_node:
-                    yield from job.hw.node_of(send.pe).pcie.host_copy(send.nbytes).execute(sim)
-                else:
-                    yield from self.verbs.post_send(src_ep, self.verbs_endpoint(recv.pe), send.payload)
-                    # drain the matched message from the endpoint queue
-                    self.verbs_endpoint(recv.pe).recv_nowait()
-                recv.buf.write(send.payload)
-            finally:
-                send.payload.release()
-        else:
-            # Rendezvous round-trip for anything past the eager limit or
-            # touching GPU memory (MVAPICH2-GPU behaviour for device buffers).
-            if send.nbytes > EAGER_LIMIT or gpu_involved:
-                rtt_wire = 0.0 if same_node else p.ib_wire_latency
-                yield sim.timeout(2 * (p.rdma_post_overhead + rtt_wire), name="mpi:rendezvous")
-            if same_node:
-                # Intra-node: one staged/IPC copy issued on the sender's side.
-                yield from job.contexts[send.pe].cuda.memcpy(recv.buf, send.buf, send.nbytes)
-            elif not gpu_involved:
-                # Host-host: single RDMA write into the recv buffer.
-                mr = self.mr_of(recv.buf.alloc)
-                yield from self.verbs.rdma_write(src_ep, send.buf, mr, recv.buf.offset, send.nbytes)
+        try:
+            if send.payload is not None:
+                # Eager path: the payload was snapshotted at post; deliver it.
+                try:
+                    if same_node:
+                        yield from job.hw.node_of(send.pe).pcie.host_copy(send.nbytes).execute(sim)
+                    else:
+                        yield from self.verbs.post_send(src_ep, self.verbs_endpoint(recv.pe), send.payload)
+                        # drain the matched message from the endpoint queue
+                        self.verbs_endpoint(recv.pe).recv_nowait()
+                    recv.buf.write(send.payload)
+                finally:
+                    send.payload.release()
             else:
-                yield from self._pipeline(send, recv, src_ep)
+                # Rendezvous round-trip for anything past the eager limit or
+                # touching GPU memory (MVAPICH2-GPU behaviour for device buffers).
+                if send.nbytes > EAGER_LIMIT or gpu_involved:
+                    rtt_wire = 0.0 if same_node else p.ib_wire_latency
+                    yield sim.timeout(2 * (p.rdma_post_overhead + rtt_wire), name="mpi:rendezvous")
+                if same_node:
+                    # Intra-node: one staged/IPC copy issued on the sender's side.
+                    yield from job.contexts[send.pe].cuda.memcpy(recv.buf, send.buf, send.nbytes)
+                elif not gpu_involved:
+                    # Host-host: single RDMA write into the recv buffer.
+                    mr = self.mr_of(recv.buf.alloc)
+                    yield from self.verbs.rdma_write(src_ep, send.buf, mr, recv.buf.offset, send.nbytes)
+                else:
+                    yield from self._pipeline(send, recv, src_ep)
+        except Exception as exc:  # noqa: BLE001 — any failure fails the message
+            for done in (send.done, recv.done):
+                if not done.triggered:
+                    done.fail(exc)
+            return
         if not send.done.triggered:
             send.done.succeed(sim.now)
         recv.done.succeed(sim.now)
@@ -167,18 +175,22 @@ class MpiWorld:
 
         def land(sslot, dslot, offset, csize, ev) -> Generator:
             try:
-                yield from self.verbs.rdma_write(src_ep, sslot.ptr, dst_pool.mr, dslot.offset, csize)
-            finally:
-                src_pool.release(sslot)
-            try:
-                yield from unstage(recv.buf + offset, dslot.ptr, csize)
-            finally:
-                dst_pool.release(dslot)
-            ev.succeed()
+                try:
+                    yield from self.verbs.rdma_write(src_ep, sslot.ptr, dst_pool.mr, dslot.offset, csize)
+                finally:
+                    src_pool.release(sslot)
+                try:
+                    yield from unstage(recv.buf + offset, dslot.ptr, csize)
+                finally:
+                    dst_pool.release(dslot)
+                ev.succeed()
+            except Exception as exc:  # noqa: BLE001 — the chunk's event carries it
+                ev.fail(exc)
 
         def tail(_src, sslot, offset, csize) -> Generator:
             dslot = yield from dst_pool.acquire()
             ev = sim.event("mpi:chunk")
+            ev.defuse()  # observed via the all_of below, never raw
             sim.process(land(sslot, dslot, offset, csize, ev), name="mpi:chunk")
             return ev
 

@@ -32,6 +32,7 @@ from repro.cuda.memory import MemKind, Ptr
 from repro.errors import CompletionError, LinkDown, ShmemError
 from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
+from repro.ib.rc import retry
 from repro.ib.verbs import Endpoint, Verbs
 from repro.shmem.address import SymAddr
 from repro.shmem.capabilities import Capabilities
@@ -65,6 +66,9 @@ SYNC_RESERVED = 4096
 _ANALYTIC_PUT_PROTOCOLS = frozenset(
     {Protocol.DIRECT_GDR, Protocol.RDMA_HOST, Protocol.GDR_LOOPBACK, Protocol.DEVICE_GDR}
 )
+
+#: What :meth:`Runtime._recover` answers: a link loss or a failed WR.
+_LINK_FAILURES = (LinkDown, CompletionError)
 
 
 @dataclass
@@ -428,28 +432,45 @@ class Runtime:
         return route
 
     def reliable_memcpy(self, cuda, dst, src, nbytes) -> Generator:
-        """cudaMemcpy with retry-on-failure when faults are active.
+        """cudaMemcpy with RC backoff on a ``LinkDown`` when faults are
+        active (a plain dispatcher: it adds no generator frame).
 
         Staged chunks are replayed idempotently — each attempt re-reads
         the source and rewrites the destination whole, so a transfer
         that observed a link failure cannot leave a torn chunk."""
         if self.health is None:
-            yield from cuda.memcpy(dst, src, nbytes)
-            return
-        p = self.params
-        attempt = 0
-        while True:
-            try:
-                yield from cuda.memcpy(dst, src, nbytes)
-                return
-            except LinkDown:
-                attempt += 1
-                self.sim.stats.retries += 1
-                if attempt > p.rc_retry_cnt:
-                    raise
-                yield self.sim.timeout(
-                    p.rc_timeout * p.rc_backoff ** (attempt - 1), name="rc:backoff"
-                )
+            return cuda.memcpy(dst, src, nbytes)
+        return self.verbs.rc.backoff(partial(cuda.memcpy, dst, src, nbytes))
+
+    def _recover(self, ctx, route, attempt, handlers, args, pe, before=None) -> Generator:
+        """Run ``attempt()``, a put's or get's transfer on ``route``, and
+        answer a failure that outlived RC retransmission the way the
+        design does.  Returns the route the op completed on.
+
+        The device-initiated design has no host-staged ladder (the
+        kernel reaches neither staging pools nor a proxy): it replays
+        ``attempt`` in place after ``health_cooldown``, up to
+        ``rc_retry_cnt`` times, each attempt after ``before()``.  Host
+        designs run the whole op one rung down (:meth:`_fallback`),
+        through ``handlers``.  Either replay re-reads the source and
+        rewrites the full destination, so no torn data is left."""
+        if self.spec.device_initiated:
+            p = self.params
+            yield from retry(
+                self.sim, attempt, p.rc_retry_cnt, lambda _k: p.health_cooldown,
+                "device:replay-cooldown", errors=_LINK_FAILURES, count_last=False,
+                before=before,
+            )
+            return route
+        try:
+            yield from attempt()
+            return route
+        except _LINK_FAILURES:
+            rung = self._fallback(route, ctx, pe)
+            if rung is None:
+                raise
+        yield from handlers[rung.protocol](self, ctx, rung, *args, pe)
+        return rung
 
     # ================================================ op issue (per design)
     def _issue_dispatch(self, ctx, name: Optional[str] = "shmem:dispatch") -> Generator:
@@ -721,82 +742,29 @@ class Runtime:
         """Single-RDMA put: Direct GDR, host RDMA, GDR loopback (the
         local HCA writes back into its own node) and the device-initiated
         design's put.  In the last, a GPU thread rings the HCA doorbell
-        itself: on the wire it is the same single RDMA as Direct GDR, and
-        under faults it replays in place (no host-staged ladder — see
-        :meth:`_device_rdma_replay`)."""
+        itself: on the wire it is the same single RDMA as Direct GDR.
+        Under faults the write runs under :meth:`_recover`; a write that
+        fails has posted and not delivered, so replays reuse both events."""
         mr = self._remote_mr(dst, pe)
         posted = self.sim.event("put:posted")
         delivered = self.sim.event("put:delivered")
         delivered.callbacks.append(lambda _ev: self._notify(pe))
         remote_hca = ctx.endpoint.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
-        gen = self.verbs.rdma_write(
-            ctx.endpoint, src, mr, dst.offset, nbytes,
+        write = partial(
+            self.verbs.rdma_write, ctx.endpoint, src, mr, dst.offset, nbytes,
             remote_hca=remote_hca, delivered=delivered, posted=posted,
         )
-        if self.health is not None:
-            if self.spec.device_initiated:
-                gen = self._device_rdma_replay(gen, ctx, src, dst, nbytes, pe, posted)
-            else:
-                gen = self._rdma_put_failover(
-                    gen, ctx, route, src, dst, dst_ptr, nbytes, pe, posted
-                )
+        if self.health is None:
+            gen = write()
+        else:
+            gen = self._recover(
+                ctx, route, write, self._PUT_HANDLERS, (src, dst, dst_ptr, nbytes), pe,
+                before=partial(self._wait_device_path_clear, ctx, src, dst, nbytes, pe),
+            )
         proc = self.sim.process(gen, name=f"pe{ctx.pe}:rdma-put")
         ctx.track(proc)
         self._bridge_failure(proc, posted)
         yield posted
-
-    def _rdma_put_failover(
-        self, gen, ctx, route, src, dst, dst_ptr, nbytes, pe, posted
-    ) -> Generator:
-        """Reactive failover: an RDMA put that dies even after RC
-        retries is replayed whole over the next-best protocol.  The
-        replay is idempotent — it re-reads the source and rewrites the
-        full destination range, so a partially-delivered first attempt
-        cannot leave torn data."""
-        try:
-            result = yield from gen
-            return result
-        except (LinkDown, CompletionError):
-            fallback = self._fallback(route, ctx, pe)
-            if fallback is None:
-                raise
-            if not posted.triggered:
-                posted.succeed()
-            handler = self._PUT_HANDLERS[fallback.protocol]
-            yield from handler(self, ctx, fallback, src, dst, dst_ptr, nbytes, pe)
-        return None
-
-    def _device_rdma_replay(self, gen, ctx, src, dst, nbytes, pe, posted) -> Generator:
-        """Reactive fault handling for device-initiated RDMA puts.
-
-        There is no host-staged ladder to descend — the issuing kernel
-        cannot reach the staging pools or a proxy — so a write that
-        dies even after RC retransmission is replayed *whole* from the
-        device once the health cooldown has passed.  The replay is
-        idempotent: each attempt re-reads the source and rewrites the
-        full destination range, so a partially-delivered first attempt
-        cannot leave torn data."""
-        p = self.params
-        attempt = 0
-        while True:
-            yield from self._wait_device_path_clear(ctx, src, dst, nbytes, pe)
-            try:
-                result = yield from gen
-                return result
-            except (LinkDown, CompletionError):
-                attempt += 1
-                if attempt > p.rc_retry_cnt:
-                    raise
-                self.sim.stats.retries += 1
-                if not posted.triggered:
-                    posted.succeed()
-                yield self.sim.timeout(p.health_cooldown, name="device:replay-cooldown")
-                mr = self._remote_mr(dst, pe)
-                delivered = self.sim.event("put:delivered")
-                delivered.callbacks.append(lambda _ev: self._notify(pe))
-                gen = self.verbs.rdma_write(
-                    ctx.endpoint, src, mr, dst.offset, nbytes, delivered=delivered
-                )
 
     def _wait_device_path_clear(self, ctx, src, dst, nbytes, pe) -> Generator:
         """Deferred WQE start for device-initiated writes under faults.
@@ -854,14 +822,12 @@ class Runtime:
                 yield from self.verbs.rdma_write(
                     ctx.endpoint, slot.ptr, mr, offset, csize, posted=posted
                 )
-            except (LinkDown, CompletionError):
+            except _LINK_FAILURES:
                 target_node, _ = self.hw.pe_location(pe)
                 proxy = self.proxies.get(target_node) if self.health is not None else None
                 if proxy is None:
                     raise
                 self.sim.stats.failovers += 1
-                if not posted.triggered:
-                    posted.succeed()
                 landing = proxy.landing
                 pslot = yield from landing.pool.acquire()
                 done = self.sim.event("pgw-failover:done")
@@ -1093,20 +1059,12 @@ class Runtime:
             t0 = self.sim.now
             if self.health is None:
                 yield from handler(self, ctx, route, dst, src, src_ptr, nbytes, pe)
-            elif self.spec.device_initiated:
-                yield from self._device_get_replay(ctx, route, dst, src, src_ptr, nbytes, pe)
             else:
-                try:
-                    yield from handler(self, ctx, route, dst, src, src_ptr, nbytes, pe)
-                except (LinkDown, CompletionError):
-                    # Reactive failover: gets block, so the caller is still
-                    # here — replay the whole range on the fallback path.
-                    fallback = self._fallback(route, ctx, pe)
-                    if fallback is None:
-                        raise
-                    route = fallback
-                    fb = self._GET_HANDLERS[fallback.protocol]
-                    yield from fb(self, ctx, fallback, dst, src, src_ptr, nbytes, pe)
+                # Gets block, so recovery runs inline in the caller.
+                route = yield from self._recover(
+                    ctx, route, partial(handler, self, ctx, route, dst, src, src_ptr, nbytes, pe),
+                    self._GET_HANDLERS, (dst, src, src_ptr, nbytes), pe,
+                )
         finally:
             self._end_span(span)
         self._sample(ctx, "get", route, t0)
@@ -1127,25 +1085,6 @@ class Runtime:
         yield from self.verbs.rdma_read(
             ctx.endpoint, dst, mr, src.offset, nbytes, remote_hca=remote_hca
         )
-
-    def _device_get_replay(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
-        """Faulted device-initiated get: no host-staged ladder exists,
-        so a get that dies even after RC retransmission is replayed
-        whole from the device after the health cooldown (bounded by the
-        RC retry budget).  Gets block, so the replay runs inline."""
-        p = self.params
-        handler = self._GET_HANDLERS[route.protocol]
-        attempt = 0
-        while True:
-            try:
-                yield from handler(self, ctx, route, dst, src, src_ptr, nbytes, pe)
-                return
-            except (LinkDown, CompletionError):
-                attempt += 1
-                if attempt > p.rc_retry_cnt:
-                    raise
-                self.sim.stats.retries += 1
-                yield self.sim.timeout(p.health_cooldown, name="device:replay-cooldown")
 
     def _get_host_pipeline(self, ctx, route, dst, src, src_ptr, nbytes, pe) -> Generator:
         """Baseline inter-node get: ask the *remote process* to push the

@@ -15,7 +15,7 @@ from repro.faults import DEGRADED, FaultPlan, HealthTracker, HEALTHY, PROBING
 from repro.hardware.links import Link, TransferSpec
 from repro.hardware.params import wilkes_params
 from repro.ib import CompletionQueue, post_signaled
-from repro.ib.rc import RCTransport
+from repro.ib.rc import RCTransport, retry
 from repro.shmem import Domain, ShmemJob
 from repro.simulator import Simulator
 from repro.units import KiB, MiB, usec
@@ -225,6 +225,63 @@ def test_rc_exhaustion_raises_typed_retry_exc_err():
     assert sim.stats.retries == 4
     # Exponential backoff: failures at 0+, then delays 0.1, 0.2, 0.4.
     assert sim.now == pytest.approx(0.1 + 0.2 + 0.4)
+
+
+#: ``style -> (delay, name, count_last)``: RC-style exponential backoff,
+#: counting every failure, and the device replay's constant cooldown,
+#: counting only the failures that are re-run.
+_RETRY_STYLES = {
+    "backoff": (lambda k: 0.1 * 2.0 ** (k - 1), "rc:backoff", True),
+    "cooldown": (lambda k: 0.5, "device:replay-cooldown", False),
+}
+
+
+@pytest.mark.parametrize("failures", [2, 3])
+@pytest.mark.parametrize("style", sorted(_RETRY_STYLES))
+def test_retry_is_bounded(style, failures):
+    """``retry`` with a budget of two: two failures are re-run and the
+    third attempt returns; a third failure is re-raised as it is.  Each
+    re-run waits ``delay(k)`` under the style's Timeout name."""
+    delay, name, count_last = _RETRY_STYLES[style]
+    sim = Simulator()
+    waits, runs, seen = [], [], []
+    timeout = sim.timeout
+
+    def recording_timeout(d, value=None, name=""):
+        waits.append((sim.now, d, name))
+        return timeout(d, value, name)
+
+    sim.timeout = recording_timeout
+
+    def attempt():
+        runs.append(sim.now)
+        yield timeout(1.0)
+        if len(runs) <= failures:
+            raise LinkDown(f"attempt {len(runs)}")
+        return "ok"
+
+    def body(sim):
+        try:
+            return (yield from retry(
+                sim, attempt, 2, delay, name, count_last=count_last,
+                failed=lambda exc, k: seen.append((k, str(exc))),
+            ))
+        except LinkDown as exc:
+            return str(exc)
+
+    proc = sim.process(body(sim))
+    sim.run()
+    d1, d2 = delay(1), delay(2)
+    assert waits == [(1.0, d1, name), (2.0 + d1, d2, name)]
+    assert runs == [0.0, 1.0 + d1, 2.0 + d1 + d2]
+    assert seen == [(k, f"attempt {k}") for k in range(1, failures + 1)]
+    assert sim.now == 3.0 + d1 + d2
+    if failures == 2:
+        assert proc.value == "ok"
+        assert sim.stats.retries == 2
+    else:
+        assert proc.value == "attempt 3"  # the exhausting failure itself
+        assert sim.stats.retries == (3 if count_last else 2)
 
 
 def test_retry_exceeded_surfaces_at_quiet():
@@ -648,6 +705,105 @@ def test_hold_failure_pins(case, monkeypatch):
     assert _run_hold_case(case, monkeypatch) == _HOLD_PINS[case]
 
 
+# ------------------------------------------------------ recovery pins
+#: ``case -> (design, op, nbytes, flap)``.  PE 0 puts to or gets from
+#: PE 1, device to device; ``flap`` is ``(kind, at, down_for, every)``
+#: in microseconds from the op's start, on node 1.  ``gdr`` flaps only
+#: the GPU's GDR P2P path; ``hca`` takes the HCA port down, both
+#: directions, ``every`` repeating it twelve times.
+_RECOVERY_CASES = {
+    # The device get dies after RC retries and replays in place, after
+    # the cooldown, until it lands.
+    "device-get-replay": ("device-initiated", "get", MiB, ("hca", 3, 400, None)),
+    # The port stays down past every replay: the replay budget is spent.
+    "device-get-exhaust": ("device-initiated", "get", MiB, ("hca", 3, 800, None)),
+    # The Direct GDR get dies and falls one rung, to the proxy.
+    "host-get-failover": ("enhanced-gdr", "get", 4 * KiB, ("gdr", 1.5, 1000, None)),
+    # Each replay starts on a clear path and meets the next window.
+    "device-put-exhaust": ("device-initiated", "put", MiB, ("hca", 5, 40, 300)),
+}
+
+#: Per case: PE 0's outcome (whether the data landed, or the exception
+#: name), the exact end time, and every nonzero ``SimStats`` field.
+_RECOVERY_PINS = {
+    "device-get-replay": dict(
+        results=[True, None], end=0.0009707780950078132,
+        stats=dict(scheduled=181, processed=181, resumed_fast=13, retries=4,
+                   flap_windows=1, degraded_time=0.0005205115463314818),
+    ),
+    "device-get-exhaust": dict(
+        results=["RetryExceeded", None], end=0.0009378050023448492,
+        stats=dict(scheduled=183, processed=183, resumed_fast=13, retries=11,
+                   flap_windows=1, degraded_time=0.0007592769073370359),
+    ),
+    "host-get-failover": dict(
+        results=[True, None], end=0.0011921050023448493,
+        stats=dict(scheduled=175, processed=175, resumed_fast=16, retries=3,
+                   failovers=1, flap_windows=1, degraded_time=0.00099395),
+    ),
+    "device-put-exhaust": dict(
+        results=["RetryExceeded", None], end=0.003479805002344849,
+        stats=dict(scheduled=258, processed=258, resumed_fast=25, retries=11,
+                   flap_windows=12, rc_retx_holds=4, degraded_time=0.0030304884536685177),
+    ),
+}
+
+
+def _recovery_program(op, nbytes, starts):
+    """PE 0 moves one pattern device to device (a get pulls it from
+    PE 1) and returns whether it landed or the exception it caught."""
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(nbytes, domain=Domain.GPU)
+        buf = ctx.cuda.malloc(nbytes)
+        src = sym if op == "get" else buf
+        if ctx.pe == (1 if op == "get" else 0):
+            src.fill(0x5A, nbytes)
+        yield from ctx.barrier_all()
+        if ctx.pe != 0:
+            return None
+        starts.append(ctx.sim.now)
+        try:
+            if op == "get":
+                yield from ctx.getmem(buf, sym, nbytes, pe=1)
+                return buf.read(nbytes) == bytes([0x5A]) * nbytes
+            yield from ctx.putmem(sym, buf, nbytes, pe=1)
+            yield from ctx.quiet()
+        except (LinkDown, CompletionError) as exc:
+            return type(exc).__name__
+        return True
+
+    return main
+
+
+@pytest.mark.parametrize("case", sorted(_RECOVERY_CASES))
+def test_recovery_pins(case):
+    """Reactive recovery, replay in place and one rung down, keeps its
+    outcome, end time and every counter."""
+    design, op, nbytes, (kind, at, down, every) = _RECOVERY_CASES[case]
+
+    def job(plan=None):
+        return ShmemJob(
+            nodes=2, pes_per_node=1, design=design, fault_plan=plan,
+            params=wilkes_params(**FAULT_PARAMS),
+        )
+
+    starts = []
+    job().run(_recovery_program(op, nbytes, starts))
+    at = starts[0] + usec(at)
+    if kind == "gdr":
+        plan = FaultPlan(seed=1).flap_gdr(at=at, down_for=usec(down), node=1)
+    else:
+        plan = FaultPlan(seed=1).flap(
+            at=at, down_for=usec(down), node=1, kind="hca-port", direction="both",
+            every=None if every is None else usec(every), count=1 if every is None else 12,
+        )
+    faulted = job(plan)
+    res = faulted.run(_recovery_program(op, nbytes, []))
+    stats = {k: v for k, v in _stats_dict(faulted.sim).items() if v}
+    assert dict(results=res.results, end=faulted.sim.now, stats=stats) == _RECOVERY_PINS[case]
+
+
 # ------------------------------------------------- landing-slot recycling
 def _landing_leak_program(wait):
     """PE 0 puts 1 MiB D-D to PE 1 while node 1's HCA port is down (the
@@ -764,6 +920,10 @@ def _stage_leak_program(op, transport, starts):
                     yield from ctx.send(buf, MiB, 1, tag=9, transport=transport)
                 elif op == "send":
                     yield from ctx.recv(sym, MiB, 0, tag=9)
+                elif op == "mpi" and ctx.pe == 0:
+                    yield from ctx.job.mpi.comm(ctx).send(buf, MiB, 1)
+                elif op == "mpi":
+                    yield from ctx.job.mpi.comm(ctx).recv(sym.local, MiB, 0)
             except LinkDown as exc:
                 caught = type(exc).__name__
             outcomes.append(caught)
@@ -799,30 +959,33 @@ def test_failed_stage_copy_recycles_its_slot(case, delay_us, staging_pools):
     assert short_pools(staging_pools) == []
 
 
-def test_failed_mpi_stage_copy_recycles_its_slot(staging_pools):
-    """The MPI baseline's pipelined send routes no failure: a stage copy
-    that dies aborts the run, so no second op can follow.  The first
-    chunk's D2H stage copy meets the flap with nothing else in flight,
-    so after the abort every MPI staging pool must be full again."""
+def _run_mpi_flap(node, staging_pools):
+    """The stage-leak program over the MPI baseline's GPU pipeline
+    (``comm.send``/``comm.recv``), its first send meeting a flap on
+    ``node``: the second send must land and both MPI pools must be full
+    again.  Returns each PE's outcomes."""
     starts = []
-
-    def main(ctx):
-        buf = ctx.cuda.malloc(MiB)
-        buf.fill(0x21, MiB)
-        comm = ctx.job.mpi.comm(ctx)
-        yield from ctx.barrier_all()
-        if ctx.pe == 0:
-            starts.append(ctx.sim.now)
-            yield from comm.send(buf, MiB, 1)
-        else:
-            yield from comm.recv(buf, MiB, 0)
-        yield from ctx.barrier_all()
-
-    _stage_leak_job("enhanced-gdr").run(main)
-    faulted = _stage_leak_job("enhanced-gdr", _gpu_pcie_flap(starts[0] + usec(5), 0))
+    _stage_leak_job("enhanced-gdr").run(_stage_leak_program("mpi", None, starts))
+    plan = _gpu_pcie_flap(starts[0] + usec(5), node)
     del staging_pools[:]
-    with pytest.raises(LinkDown):
-        faulted.run(main)
+    res = _stage_leak_job("enhanced-gdr", plan).run(_stage_leak_program("mpi", None, []))
+    (out0, _), (out1, landed1) = res.results
+    assert landed1 is True
     mpi_pools = [pool for pool in staging_pools if pool.name.startswith("mpi.")]
     assert len(mpi_pools) == 2
     assert short_pools(mpi_pools) == []
+    return out0, out1
+
+
+def test_failed_mpi_stage_copy_recycles_its_slot(staging_pools):
+    """A D2H stage copy of the MPI GPU pipeline that dies (the sender's
+    GPU link flaps) fails the send and the recv with ``LinkDown``
+    instead of aborting the run, and hands its stage slot back."""
+    assert _run_mpi_flap(0, staging_pools) == (["LinkDown", None], ["LinkDown", None])
+
+
+def test_failed_mpi_landing_copy_recycles_its_slot(staging_pools):
+    """A landing H2D copy that dies (the receiver's GPU link flaps)
+    fails only the recv: the sender's buffer was drained by then.  Each
+    chunk hands its landing slot back."""
+    assert _run_mpi_flap(1, staging_pools) == ([None, None], ["LinkDown", None])
