@@ -24,10 +24,10 @@ class RegistrationError(IBError):
 
 
 class CompletionError(IBError):
-    """A work request completed in error (typed CQE status).
+    """A work request completed in error (typed completion status).
 
-    ``status`` carries the IB completion status string so CQ consumers
-    can switch on it exactly like ``ibv_wc.status``.
+    ``status`` carries the IB completion status string, so callers can
+    switch on it exactly like ``ibv_wc.status``.
     """
 
     status = "ERROR"
@@ -42,8 +42,8 @@ class RetryExceeded(CompletionError):
     """IB RC retransmission gave up: ``retry_cnt`` attempts exhausted.
 
     The reliable transport (:mod:`repro.ib.rc`) raises this instead of
-    leaking the underlying :class:`LinkDown` mid-generator; a signaled
-    CQ surfaces it as a ``RETRY_EXC_ERR`` CQE.
+    leaking the underlying :class:`LinkDown` mid-generator, with the
+    ``RETRY_EXC_ERR`` status a verbs completion would carry.
     """
 
     status = "RETRY_EXC_ERR"

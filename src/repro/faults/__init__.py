@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`FaultPlan` — seedable schedule of link flaps, HCA stalls,
-  and CQ completion-error bursts; attach to any ``ShmemJob``.
+* :class:`FaultPlan` — seedable schedule of link flaps and HCA
+  stalls; attach to any ``ShmemJob``.
 * :class:`FaultInjector` — the live executor a plan attaches.
 * :class:`HealthTracker` / :class:`PathHealth` — per-path health state
   machine consulted by protocol selection for failover.
@@ -11,10 +11,9 @@ Public surface:
 
 from repro.faults.health import DEGRADED, HEALTHY, PROBING, HealthTracker, PathHealth
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import CqErrorBurst, FaultPlan, HcaStall, LinkFlap
+from repro.faults.plan import FaultPlan, HcaStall, LinkFlap
 
 __all__ = [
-    "CqErrorBurst",
     "DEGRADED",
     "FaultInjector",
     "FaultPlan",

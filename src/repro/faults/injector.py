@@ -3,8 +3,8 @@
 Attaching the injector (``FaultPlan.attach(job)`` /
 ``ShmemJob(fault_plan=...)``) does two things:
 
-* spawns one simulator process per scheduled fault event (flap, HCA
-  stall, CQ-error burst), all driven by simulated time;
+* spawns one simulator process per scheduled fault event (flap or
+  HCA stall), all driven by simulated time;
 * arms the reliable transport — ``job.verbs.rc`` becomes an
   :class:`~repro.ib.rc.RCTransport` so every wire crossing gains RC
   retry semantics — and a :class:`~repro.faults.health.HealthTracker`
@@ -25,7 +25,7 @@ from typing import Generator, List
 
 from repro.errors import ConfigurationError
 from repro.faults.health import HealthTracker
-from repro.faults.plan import CqErrorBurst, FaultPlan, HcaStall, LinkFlap
+from repro.faults.plan import FaultPlan, HcaStall, LinkFlap
 from repro.hardware.links import LinkDirection
 from repro.ib.rc import RCTransport
 
@@ -44,21 +44,14 @@ class FaultInjector:
         )
         # Arm the stack.
         job.verbs.rc = RCTransport(self.sim, params, health=self.health)
-        job.verbs.faults = self
         job.runtime.health = self.health
-        job.runtime.faults = self
         job.faults = self
-        # CQ-error burst state (consumed by repro.ib.cq.post_signaled).
-        self._burst_until = 0.0
-        self._burst_budget = 0
         #: Chronological log of (time, description) fault activations.
         self.log: List[tuple] = []
         for flap in plan.flaps:
             self.sim.process(self._flap_proc(flap), name="flap:driver")
         for stall in plan.stalls:
             self.sim.process(self._stall_proc(stall), name="flap:hca-stall")
-        for burst in plan.bursts:
-            self.sim.process(self._burst_proc(burst), name="flap:cq-burst")
 
     # ------------------------------------------------------------- resolution
     def _directions(self, flap: LinkFlap) -> List[LinkDirection]:
@@ -104,19 +97,3 @@ class FaultInjector:
         hca = self.hw.nodes[stall.node].hcas[stall.hca]
         hca.stall(sim.now, stall.duration)
         self.log.append((sim.now, f"stall {hca.name} {stall.duration:g}s"))
-
-    def _burst_proc(self, burst: CqErrorBurst) -> Generator:
-        sim = self.sim
-        yield sim.timeout(burst.at, name="flap:arm")
-        self._burst_until = max(self._burst_until, sim.now + burst.duration)
-        self._burst_budget += burst.max_errors
-        self.log.append((sim.now, f"cq-burst {burst.max_errors} for {burst.duration:g}s"))
-
-    # ------------------------------------------------------------------ hooks
-    def take_cq_error(self, now: float) -> bool:
-        """CQ hook: should this signaled completion come back flushed?"""
-        if now < self._burst_until and self._burst_budget > 0:
-            self._burst_budget -= 1
-            self.sim.stats.cq_errors += 1
-            return True
-        return False

@@ -1,9 +1,9 @@
 """Deterministic fault plans.
 
 A :class:`FaultPlan` is a declarative, seedable schedule of fault
-events — link flaps, HCA stalls, CQ completion-error bursts — built
-before the job runs and attached to any :class:`repro.shmem.ShmemJob`
-without touching workload code:
+events — link flaps and HCA stalls — built before the job runs and
+attached to any :class:`repro.shmem.ShmemJob` without touching workload
+code:
 
     plan = FaultPlan(seed=7).flap_gdr(at=ms(1), down_for=us(200), node=1)
     job = ShmemJob(npes=2, fault_plan=plan)
@@ -54,15 +54,6 @@ class HcaStall:
     hca: int = 0
 
 
-@dataclass(frozen=True)
-class CqErrorBurst:
-    """Window during which signaled completions come back flushed."""
-
-    at: float
-    duration: float
-    max_errors: int = 1
-
-
 class FaultPlan:
     """Seedable schedule of injectable faults. All methods chain."""
 
@@ -71,7 +62,6 @@ class FaultPlan:
         self._rng = random.Random(seed)
         self.flaps: List[LinkFlap] = []
         self.stalls: List[HcaStall] = []
-        self.bursts: List[CqErrorBurst] = []
 
     # ------------------------------------------------------------- building
     def flap(
@@ -135,25 +125,6 @@ class FaultPlan:
         self.stalls.append(HcaStall(at, duration, node, hca))
         return self
 
-    def stall_device_doorbell(
-        self, *, at: float, duration: float, node: int = 0, hca: int = 0
-    ) -> "FaultPlan":
-        """Stall servicing of device-rung doorbells (device-initiated
-        design): the GPU thread's MMIO write lands, but the HCA does
-        not start the WQE until the stall lifts.  On this simulated
-        hardware that is indistinguishable from the HCA itself
-        stalling, so it maps onto the same injector as
-        :meth:`stall_hca` — delay only, nothing is lost."""
-        return self.stall_hca(at=at, duration=duration, node=node, hca=hca)
-
-    def cq_error_burst(
-        self, *, at: float, duration: float, max_errors: int = 1
-    ) -> "FaultPlan":
-        if max_errors < 1:
-            raise ConfigurationError("max_errors must be >= 1")
-        self.bursts.append(CqErrorBurst(at, duration, max_errors))
-        return self
-
     def random_gdr_flaps(
         self,
         n: int,
@@ -187,5 +158,5 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<FaultPlan seed={self.seed} flaps={len(self.flaps)} "
-            f"stalls={len(self.stalls)} bursts={len(self.bursts)}>"
+            f"stalls={len(self.stalls)}>"
         )

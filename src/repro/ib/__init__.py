@@ -10,23 +10,23 @@ timed PCIe + fabric hops, honouring the GPUDirect-RDMA rules:
 * host buffers use the HCA's ordinary DMA path at full FDR rate;
 * the target *process* is never involved — RDMA is one-sided by
   construction, which is what the paper's designs exploit.
+
+There are no completion queues: a posted operation is a simulator
+generator, and every layer above learns of its completion (or its
+failure) through simulator events.  Memory registration is cached by
+``Runtime.ensure_mr``; this package only mints the regions and keys.
 """
 
-from repro.ib.cq import CompletionQueue, WorkCompletion, post_signaled
-from repro.ib.mr import MemoryRegion, RegistrationCache
+from repro.ib.mr import MemoryRegion
 from repro.ib.rc import RCTransport
 from repro.ib.ud import UDReassembly, UDTransport
 from repro.ib.verbs import Endpoint, Verbs
 
 __all__ = [
-    "CompletionQueue",
     "Endpoint",
     "MemoryRegion",
     "RCTransport",
-    "RegistrationCache",
     "UDReassembly",
     "UDTransport",
     "Verbs",
-    "WorkCompletion",
-    "post_signaled",
 ]

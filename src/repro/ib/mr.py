@@ -1,22 +1,19 @@
-"""Memory registration: regions, keys, and the registration cache.
+"""Memory registration: regions and their keys.
 
 Registering memory with the HCA is expensive (page pinning, key
 programming — modeled at ~60 µs), so MVAPICH2-X keeps a registration
 cache; §III-A of the paper leans on it when registering both symmetric
-heaps.  :class:`RegistrationCache` reproduces that: the first
-registration of an allocation pays full price, subsequent lookups are
-nearly free.
+heaps.  The runtime's cache is :meth:`repro.shmem.runtime.Runtime.ensure_mr`:
+the first registration of a user buffer pays full price, later lookups
+are nearly free.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, Optional, Tuple
 
 from repro.cuda.memory import Allocation, MemKind, Ptr
 from repro.errors import RegistrationError
-from repro.hardware.params import HardwareParams
-from repro.simulator import Simulator
 
 _key_counter = itertools.count(0x1000)
 
@@ -68,47 +65,3 @@ class MemoryRegion:
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MemoryRegion rkey=0x{self.rkey:x} {self.kind.value} size={self.size}>"
 
-
-class RegistrationCache:
-    """Per-process registration cache (one per PE, shared across HCAs).
-
-    ``register`` is a timed generator: a cache miss charges the full
-    pinning cost, a hit charges a table lookup.  The cache also serves
-    rkey -> region resolution for incoming RDMA (in reality the HCA
-    does this in hardware).
-    """
-
-    def __init__(self, sim: Simulator, params: HardwareParams, owner: int):
-        self.sim = sim
-        self.params = params
-        self.owner = owner
-        self._by_alloc: Dict[int, MemoryRegion] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def register(self, alloc: Allocation) -> Generator:
-        """Timed registration; returns the :class:`MemoryRegion`."""
-        if alloc.freed:
-            raise RegistrationError("cannot register freed memory")
-        cached = self._by_alloc.get(id(alloc))
-        if cached is not None and not cached.invalidated:
-            self.hits += 1
-            yield self.sim.timeout(self.params.mr_cache_hit_overhead)
-            return cached
-        self.misses += 1
-        yield self.sim.timeout(self.params.mr_register_overhead)
-        mr = MemoryRegion(alloc)
-        self._by_alloc[id(alloc)] = mr
-        return mr
-
-    def lookup(self, alloc: Allocation) -> Optional[MemoryRegion]:
-        """Untimed cache peek (None when not registered)."""
-        mr = self._by_alloc.get(id(alloc))
-        return mr if mr is not None and not mr.invalidated else None
-
-    def deregister(self, mr: MemoryRegion) -> None:
-        mr.invalidate()
-        self._by_alloc.pop(id(mr.alloc), None)
-
-    def stats(self) -> Tuple[int, int]:
-        return self.hits, self.misses

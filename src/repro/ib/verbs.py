@@ -78,9 +78,6 @@ class Verbs:
         #: the fault injector.  ``None`` means the plain single-attempt
         #: path: ``_execute`` hands back the raw transfer generator.
         self.rc = None
-        #: The attached :class:`repro.faults.FaultInjector`, if any
-        #: (consulted by the CQ layer for completion-error bursts).
-        self.faults = None
         #: :meth:`write_path` memo, keyed by the remote region's rkey
         #: (unique per registration), so a re-registration can never
         #: alias a stale path.

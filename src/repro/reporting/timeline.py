@@ -143,7 +143,6 @@ def reliability_report(job) -> str:
             ["rc retries", str(stats.retries)],
             ["failovers", str(stats.failovers)],
             ["hca stalls", str(stats.hca_stalls)],
-            ["cq errors", str(stats.cq_errors)],
             ["degraded time (s)", f"{stats.degraded_time:.6g}"],
         ],
         title="Reliability counters",

@@ -127,7 +127,6 @@ class Runtime:
         #: Armed by :class:`repro.faults.FaultInjector`; ``None`` in a
         #: fault-free job (and every fault code path below is skipped).
         self.health = None
-        self.faults = None
 
         self._build_heaps()
         self._build_endpoints_and_staging()

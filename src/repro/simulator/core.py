@@ -70,19 +70,20 @@ class SimStats:
     callback-driven flows (no Process, no per-op generator),
     ``contended_windows`` counts link holds — of any transfer, in every
     mode — whose grant was queued behind other traffic.
-    ``collective_closed_forms`` and ``vectorised_events`` are always 0:
-    they counted analytic commits inside collective rounds and the
-    numpy wake lane, both gone, and stay only because the benchmark's
-    traced run maps every counter by name (``perfbench/tracing.py``)
-    and reports incorrect on a missing one.
+    ``collective_closed_forms``, ``vectorised_events`` and
+    ``cq_errors`` are always 0: they counted analytic commits inside
+    collective rounds, the numpy wake lane and flushed completion-queue
+    entries, all gone, and stay only because the benchmark's traced run
+    maps every counter by name (``perfbench/tracing.py``) and reports
+    incorrect on a missing one.
 
     The reliability counters (``retries`` .. ``degraded_time``) are only
     ever non-zero when a :class:`repro.faults.FaultPlan` is attached:
     ``retries`` counts RC retransmissions (plus staged-chunk replays),
     ``failovers`` counts protocol re-routes away from an unhealthy path,
-    ``flap_windows``/``hca_stalls``/``cq_errors`` count injected faults
-    as they bite, and ``degraded_time`` accumulates virtual seconds
-    paths spent in the health tracker's DEGRADED state.
+    ``flap_windows``/``hca_stalls`` count injected faults as they bite,
+    and ``degraded_time`` accumulates virtual seconds paths spent in the
+    health tracker's DEGRADED state.
 
     ``rc_retx_holds``/``rc_aborted_wrs`` are the RC span ledger for
     ``rdma_write`` work requests: extra wire holds re-priced by

@@ -14,7 +14,6 @@ from repro.errors import CompletionError, IBError, LinkDown, RetryExceeded
 from repro.faults import DEGRADED, FaultPlan, HealthTracker, HEALTHY, PROBING
 from repro.hardware.links import Link, TransferSpec
 from repro.hardware.params import wilkes_params
-from repro.ib import CompletionQueue, post_signaled
 from repro.ib.rc import RCTransport, retry
 from repro.shmem import Domain, ShmemJob
 from repro.simulator import Simulator
@@ -311,46 +310,40 @@ def test_hca_stall_delays_but_completes():
     assert res.elapsed > baseline.elapsed  # the queue-drain delay shows
 
 
-# --------------------------------------------------------- CQ error bursts
-def test_cq_error_burst_flushes_signaled_completion():
-    plan = FaultPlan(seed=6).cq_error_burst(at=0.0, duration=1.0, max_errors=1)
+# ------------------------------------------------ every fault kind bites
+#: One plan per public FaultPlan builder, each timed to land on the
+#: D-D sweep, and the SimStats counter that shows it landed.
+_BUILDER_RUNS = {
+    "flap": (lambda plan, start: plan.flap(
+        at=start + usec(20), down_for=usec(30), node=0), "flap_windows"),
+    "flap_gdr": (lambda plan, start: plan.flap_gdr(
+        at=start + usec(60), down_for=usec(150), node=1), "flap_windows"),
+    "random_gdr_flaps": (lambda plan, start: plan.random_gdr_flaps(
+        2, window=usec(200), down_for=usec(100), node=1, start=start + usec(20)),
+        "flap_windows"),
+    "stall_hca": (lambda plan, start: plan.stall_hca(
+        at=start, duration=usec(300), node=0), "hca_stalls"),
+}
 
-    def main(ctx):
-        sym = yield from ctx.shmalloc(256, domain=Domain.HOST)
-        yield from ctx.barrier_all()
-        out = None
-        if ctx.pe == 0:
-            verbs = ctx.runtime.verbs
-            cq = CompletionQueue(ctx.sim, name="prog-cq")
-            mr = ctx.runtime.heap_of(1, Domain.HOST).mr
-            src = ctx.cuda.malloc_host(64)
-            src.fill(0x77, 64)
-            post_signaled(
-                verbs, cq, "RDMA_WRITE",
-                verbs.rdma_write(ctx.endpoint, src, mr, sym.offset, 64), 64,
-            )
-            first = yield from cq.wait()
-            post_signaled(
-                verbs, cq, "RDMA_WRITE",
-                verbs.rdma_write(ctx.endpoint, src, mr, sym.offset + 64, 64), 64,
-            )
-            second = yield from cq.wait()
-            out = (first, second)
-        yield from ctx.barrier_all()
-        delivered = None
-        if ctx.pe == 1:
-            delivered = sym.read(64) == bytes([0x77]) * 64
-        return (out, delivered)
 
+def test_every_fault_builder_is_exercised():
+    """A fault kind lands only together with a run that feels it."""
+    builders = {
+        name for name, attr in vars(FaultPlan).items()
+        if callable(attr) and not name.startswith("_") and name != "attach"
+    }
+    assert builders == set(_BUILDER_RUNS)
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDER_RUNS))
+def test_every_fault_kind_bites(builder):
+    build, counter = _BUILDER_RUNS[builder]
+    plan = build(FaultPlan(seed=9), _workload_start())
     job = _job(plan)
-    res = job.run(main)
-    (first, second), _ = res.results[0]
-    assert not first.ok and first.status == "WR_FLUSH_ERR"
-    assert isinstance(first.error, CompletionError)
-    assert first.error.status == "WR_FLUSH_ERR"
-    assert second.ok  # budget of 1: the burst only eats one CQE
-    assert res.results[1][1] is True  # the data itself DID land
-    assert job.sim.stats.cq_errors == 1
+    res = job.run(_dd_sweep(SIZES))
+    assert res.results[1] == [True, True, True]
+    assert getattr(job.sim.stats, counter) > 0
+    assert res.elapsed > _job().run(_dd_sweep(SIZES)).elapsed  # and was felt
 
 
 # ----------------------------------------------------------- plan/health
@@ -371,8 +364,6 @@ def test_plan_validation():
         FaultPlan().flap(at=0.0, down_for=1.0, every=0.5, count=2)
     with pytest.raises(ConfigurationError):
         FaultPlan().stall_hca(at=0.0, duration=0.0)
-    with pytest.raises(ConfigurationError):
-        FaultPlan().cq_error_burst(at=0.0, duration=1.0, max_errors=0)
 
 
 def test_health_state_machine():
@@ -438,17 +429,15 @@ def _atomic_job(plan=None):
 
 
 def _atomic_fault_plan(seed, start):
-    """HCA-port flaps short enough for the RC retry budget to absorb,
-    plus a CQ error burst — the retry gauntlet for the atomic legs."""
-    return (
-        FaultPlan(seed=seed)
-        .flap(at=start + usec(3), down_for=usec(8), node=0, kind="hca-port",
-              every=usec(25), count=10)
-        .cq_error_burst(at=start + usec(1), duration=usec(300), max_errors=3)
+    """HCA-port flaps short enough for the RC retry budget to absorb —
+    the retry gauntlet for the atomic legs."""
+    return FaultPlan(seed=seed).flap(
+        at=start + usec(3), down_for=usec(8), node=0, kind="hca-port",
+        every=usec(25), count=10,
     )
 
 
-def test_atomics_apply_exactly_once_under_cq_error_bursts():
+def test_atomics_apply_exactly_once_under_port_flaps():
     """Retries must never double-apply an atomic: each RC leg (request
     and response) retransmits independently, but the RMW executes once.
     The final counter is therefore *exact*, not approximate."""
@@ -462,8 +451,8 @@ def test_atomics_apply_exactly_once_under_cq_error_bursts():
     assert res.results[0] == expected
     # The gauntlet must actually bite: retransmissions happened, yet
     # nothing was lost or applied twice.
+    assert job.sim.stats.flap_windows > 0
     assert job.sim.stats.retries > 0
-    assert job.sim.stats.cq_errors >= 0
 
 
 def test_atomics_under_faults_are_seed_deterministic():

@@ -1,89 +1,25 @@
-"""Tests for memory registration and the registration cache."""
+"""Tests for memory regions and their keys."""
 
 import pytest
 
 from repro.cuda.memory import MemKind, MemorySpace
 from repro.errors import RegistrationError
-from repro.hardware import wilkes_params
-from repro.ib.mr import MemoryRegion, RegistrationCache
-from repro.simulator import Simulator
+from repro.ib.mr import MemoryRegion
 
 
 @pytest.fixture
-def env():
-    sim = Simulator()
-    params = wilkes_params()
-    space = MemorySpace()
-    cache = RegistrationCache(sim, params, owner=0)
-    return sim, params, space, cache
+def space():
+    return MemorySpace()
 
 
-def run(sim, gen):
-    p = sim.process(gen)
-    sim.run()
-    return p.value
-
-
-def test_keys_are_unique(env):
-    sim, params, space, cache = env
+def test_keys_are_unique(space):
     a = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
     b = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
     mr_a, mr_b = MemoryRegion(a), MemoryRegion(b)
     assert len({mr_a.lkey, mr_a.rkey, mr_b.lkey, mr_b.rkey}) == 4
 
 
-def test_register_cold_charges_full_cost(env):
-    sim, params, space, cache = env
-    a = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
-    mr = run(sim, cache.register(a))
-    assert isinstance(mr, MemoryRegion)
-    assert sim.now == pytest.approx(params.mr_register_overhead)
-    assert cache.stats() == (0, 1)
-
-
-def test_register_hit_is_cheap(env):
-    sim, params, space, cache = env
-    a = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
-    mr1 = run(sim, cache.register(a))
-    t_cold = sim.now
-    mr2 = run(sim, cache.register(a))
-    assert mr2 is mr1
-    assert sim.now - t_cold == pytest.approx(params.mr_cache_hit_overhead)
-    assert cache.stats() == (1, 1)
-
-
-def test_register_freed_memory_rejected(env):
-    sim, params, space, cache = env
-    a = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
-    space.free(a)
-    with pytest.raises(RegistrationError):
-        # register() validates eagerly, before any yield
-        next(cache.register(a))
-
-
-def test_lookup_untimed(env):
-    sim, params, space, cache = env
-    a = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
-    assert cache.lookup(a) is None
-    mr = run(sim, cache.register(a))
-    assert cache.lookup(a) is mr
-
-
-def test_deregister_invalidates(env):
-    sim, params, space, cache = env
-    a = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
-    mr = run(sim, cache.register(a))
-    cache.deregister(mr)
-    assert cache.lookup(a) is None
-    with pytest.raises(RegistrationError):
-        mr.ptr(0)
-    # re-registration is a miss again
-    run(sim, cache.register(a))
-    assert cache.stats() == (0, 2)
-
-
-def test_region_range_checks(env):
-    sim, params, space, cache = env
+def test_region_range_checks(space):
     a = space.allocate(MemKind.HOST, 64, node_id=0, owner=0)
     mr = MemoryRegion(a)
     mr.check_range(0, 64)
@@ -96,10 +32,9 @@ def test_region_range_checks(env):
         mr.ptr(65)
 
 
-def test_region_over_device_memory(env):
-    sim, params, space, cache = env
+def test_region_over_device_memory(space):
     d = space.allocate(MemKind.DEVICE, 128, node_id=0, owner=0, device_id=1)
-    mr = run(sim, cache.register(d))
+    mr = MemoryRegion(d)
     assert mr.kind is MemKind.DEVICE
     assert mr.alloc.device_id == 1
     assert mr.node_id == 0
