@@ -51,8 +51,9 @@ def coll_fill_int64(seed: int, uid: int, pe: int, count: int) -> np.ndarray:
 class ReferenceResult:
     """Expected end state of one workload."""
 
-    #: ``(pe, buffer name) -> final bytes`` of every symmetric buffer.
-    heaps: Dict[Tuple[int, str], bytes] = field(default_factory=dict)
+    #: ``(pe, buffer name) -> final bytes`` of every symmetric buffer,
+    #: as a read-only uint8 array.
+    heaps: Dict[Tuple[int, str], np.ndarray] = field(default_factory=dict)
     #: ``op uid -> bytes`` a blocking get must fetch.
     gets: Dict[int, bytes] = field(default_factory=dict)
     #: ``op uid -> int`` return of order-deterministic atomics.
@@ -185,6 +186,7 @@ def execute_reference(w: Workload) -> ReferenceResult:
             _apply_msg_round(st, w, rnd, out)
         else:
             _apply_p2p_round(st, w, rnd, out)
-    for (pe, name), arr in st.mem.items():
-        out.heaps[(pe, name)] = arr.tobytes()
+    for arr in st.mem.values():
+        arr.flags.writeable = False
+    out.heaps = st.mem
     return out

@@ -3,7 +3,8 @@
 ``run_workload`` turns a declarative :class:`~repro.check.workload.
 Workload` into an SPMD generator program, runs it on a fresh
 :class:`~repro.shmem.job.ShmemJob`, and reads the final symmetric-heap
-bytes back through the runtime's untimed read-back hooks.  The
+bytes back through the runtime's untimed read-back hook, as read-only
+views of the finished heaps (no copy).  The
 resulting :class:`RunObservation` carries everything the oracles
 compare: heap bytes, fetched get/atomic values, exact virtual end
 times, protocol counts, probe series, per-link byte counters, and the
@@ -26,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.check.reference import coll_fill, coll_fill_int64, payload
 from repro.check.workload import Workload
 from repro.hardware.params import wilkes_params
@@ -47,7 +50,9 @@ class RunObservation:
 
     workload: Workload
     mode: str
-    heaps: Dict[Tuple[int, str], bytes] = field(default_factory=dict)
+    #: ``(pe, buffer name) -> final bytes`` of every symmetric buffer:
+    #: a read-only uint8 view of the finished job's heap (no copy).
+    heaps: Dict[Tuple[int, str], np.ndarray] = field(default_factory=dict)
     gets: Dict[int, bytes] = field(default_factory=dict)
     atomics: Dict[int, int] = field(default_factory=dict)
     #: ``op uid -> (source, tag)`` envelope of every two-sided receive.
@@ -88,7 +93,7 @@ def _job_for(w: Workload, fault_plan=None) -> ShmemJob:
     )
 
 
-def _measure_start(w: Workload) -> float:
+def measure_start(w: Workload) -> float:
     """Virtual time at which programs leave init (probe-job idiom), so
     fault windows can be scheduled inside the program phase."""
 
@@ -293,12 +298,19 @@ def run_workload(
     fastpath: bool = True,
     trace: bool = False,
     corrupt_uid: Optional[int] = None,
+    start: Optional[float] = None,
 ) -> RunObservation:
-    """Run ``w`` once and observe everything the oracles compare."""
+    """Run ``w`` once and observe everything the oracles compare.
+
+    ``start`` is the program-phase start the fault plan is scheduled
+    from; a faulted run without one measures it with a probe job."""
     from repro.obs.metrics import snapshot_job
     from repro.obs.spans import SpanTracer
 
-    plan = _fault_plan(w, _measure_start(w)) if w.faults else None
+    if w.faults:
+        plan = _fault_plan(w, measure_start(w) if start is None else start)
+    else:
+        plan = None
     job = _job_for(w, fault_plan=plan)
     job.sim.fastpath = fastpath
     tracer = None

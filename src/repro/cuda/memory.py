@@ -346,9 +346,11 @@ class Ptr:
 
         Unlike :meth:`read` this does NOT snapshot: the view aliases the
         allocation and sees every later write to it, so it escapes the
-        allocation.  No data path uses it; timed transfers take a
-        :meth:`snapshot`, which costs no copy unless the source is
-        overwritten in flight.
+        allocation.  Its one caller is the post-run heap read-back of
+        the differential harness (:meth:`SymmetricHeap.read_back`),
+        which reads memory no one writes again.  No data path uses it;
+        timed transfers take a :meth:`snapshot`, which costs no copy
+        unless the source is overwritten in flight.
         """
         self._check(nbytes)
         alloc = self.alloc

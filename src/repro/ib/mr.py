@@ -21,13 +21,12 @@ _key_counter = itertools.count(0x1000)
 class MemoryRegion:
     """A registered memory region with local and remote keys."""
 
-    __slots__ = ("alloc", "lkey", "rkey", "invalidated")
+    __slots__ = ("alloc", "lkey", "rkey")
 
     def __init__(self, alloc: Allocation):
         self.alloc = alloc
         self.lkey = next(_key_counter)
         self.rkey = next(_key_counter)
-        self.invalidated = False
 
     @property
     def size(self) -> int:
@@ -42,8 +41,6 @@ class MemoryRegion:
         return self.alloc.node_id
 
     def ptr(self, offset: int = 0) -> Ptr:
-        if self.invalidated:
-            raise RegistrationError(f"access through invalidated rkey 0x{self.rkey:x}")
         if self.alloc.freed:
             raise RegistrationError("memory region refers to freed memory")
         if not 0 <= offset <= self.alloc.size:
@@ -58,9 +55,6 @@ class MemoryRegion:
                 f"RDMA range [{offset}, {offset + nbytes}) exceeds region "
                 f"of {self.alloc.size} bytes (remote key 0x{self.rkey:x})"
             )
-
-    def invalidate(self) -> None:
-        self.invalidated = True
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MemoryRegion rkey=0x{self.rkey:x} {self.kind.value} size={self.size}>"

@@ -72,7 +72,7 @@ class MpiWorld:
 
     def mr_of(self, alloc) -> MemoryRegion:
         mr = self._mrs.get(id(alloc))
-        if mr is None or mr.invalidated:
+        if mr is None:
             mr = MemoryRegion(alloc)
             self._mrs[id(alloc)] = mr
         return mr

@@ -129,7 +129,7 @@ class MsgEngine:
 
     def _mr_of(self, alloc) -> MemoryRegion:
         mr = self._mrs.get(id(alloc))
-        if mr is None or mr.invalidated:
+        if mr is None:
             mr = MemoryRegion(alloc)
             self._mrs[id(alloc)] = mr
         return mr

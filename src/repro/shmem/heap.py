@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import HeapExhausted, ShmemError
 
 #: All symmetric allocations are aligned like ``shmemalign`` defaults.
@@ -161,10 +163,12 @@ class SymmetricHeap:
         """Sorted ``(offset, size)`` of the live allocations."""
         return self.allocator.live_blocks()
 
-    def read_back(self, offset: int, nbytes: int) -> bytes:
-        """The current bytes of ``[offset, offset+nbytes)`` — untimed,
-        for post-run differential checks only."""
-        return self.ptr(offset).read(nbytes)
+    def read_back(self, offset: int, nbytes: int) -> np.ndarray:
+        """A read-only uint8 view of ``[offset, offset+nbytes)`` with
+        every delivered payload applied — untimed, for post-run
+        differential checks only.  No bytes are copied: the view
+        aliases the heap, which is final once the job has finished."""
+        return self.ptr(offset).read_view(nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

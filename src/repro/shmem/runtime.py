@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Generator, Optional, Tuple
 
+import numpy as np
+
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import CompletionError, LinkDown, ShmemError
 from repro.hardware.links import chunked
@@ -247,12 +249,13 @@ class Runtime:
                 f"{self.design!r} design"
             ) from None
 
-    def heap_read_back(self, pe: int, domain: Domain, offset: int, nbytes: int) -> bytes:
-        """Untimed read of ``nbytes`` at a symmetric ``offset`` on PE
-        ``pe`` — the post-run hook the differential harness
-        (:mod:`repro.check`) uses to compare final heap bytes against
-        its reference executor.  Never use this from inside a program:
-        it bypasses the simulated transfer paths entirely."""
+    def heap_read_back(self, pe: int, domain: Domain, offset: int, nbytes: int) -> np.ndarray:
+        """Untimed read-only view of ``nbytes`` at a symmetric ``offset``
+        on PE ``pe`` (:meth:`SymmetricHeap.read_back`) — the post-run
+        hook the differential harness (:mod:`repro.check`) uses to
+        compare final heap bytes against its reference executor.  Never
+        use this from inside a program: it bypasses the simulated
+        transfer paths entirely, and the view sees later writes."""
         return self.heap_of(pe, domain).heap.read_back(offset, nbytes)
 
     def ensure_mr(self, alloc) -> Generator:
@@ -261,7 +264,7 @@ class Runtime:
         Mirrors MVAPICH2-X's registration cache: the first touch of an
         allocation pays the pinning cost, later ops a table lookup."""
         mr = self._mr_cache.get(id(alloc))
-        if mr is not None and not mr.invalidated and not alloc.freed:
+        if mr is not None and not alloc.freed:
             yield self.sim.timeout(self.params.mr_cache_hit_overhead)
             return mr
         yield self.sim.timeout(self.params.mr_register_overhead, name="reg:miss")

@@ -11,6 +11,7 @@ modes (or in the harness itself) — shrink it with::
 import pytest
 
 from repro.check import check_workload, execute_reference, generate_workload
+from repro.check.oracles import heaps_equal
 
 #: (seed, pinned design or None for the seeded draw, fault plan armed)
 CORPUS = [
@@ -109,7 +110,7 @@ def test_corpus_seed_passes_every_oracle(seed, design, faults):
     # reference executor exactly, in every execution mode.
     ref = execute_reference(w)
     for mode, obs in report.runs.items():
-        assert obs.heaps == ref.heaps, f"{mode} heap mismatch on seed {seed}"
+        assert heaps_equal(obs.heaps, ref.heaps), f"{mode} heap mismatch on seed {seed}"
 
 
 @pytest.mark.parametrize("seed,design,faults", MSG_CORPUS, ids=_msg_ids())
@@ -125,7 +126,7 @@ def test_msg_corpus_seed_passes_every_oracle(seed, design, faults):
     assert ref.msgs
     for mode, obs in report.runs.items():
         assert obs.msgs == ref.msgs, f"{mode} envelope mismatch on seed {seed}"
-        assert obs.heaps == ref.heaps, f"{mode} heap mismatch on seed {seed}"
+        assert heaps_equal(obs.heaps, ref.heaps), f"{mode} heap mismatch on seed {seed}"
 
 
 def test_msg_corpus_covers_protocol_transport_fault_matrix():

@@ -12,6 +12,7 @@ from repro.check import (
     shrink_workload,
     to_pytest_repro,
 )
+from repro.check.oracles import heaps_equal
 from repro.check.shrink import to_cli_command
 from repro.errors import ShmemError
 from repro.shmem import Domain, ShmemJob
@@ -77,7 +78,7 @@ def test_host_pipeline_internode_configs_are_symmetric():
 def test_reference_is_deterministic_and_complete():
     w = generate_workload(11, ops=16)
     a, b = execute_reference(w), execute_reference(w)
-    assert a.heaps == b.heaps and a.gets == b.gets and a.atomics == b.atomics
+    assert heaps_equal(a.heaps, b.heaps) and a.gets == b.gets and a.atomics == b.atomics
     assert set(a.heaps) == {
         (pe, s.name) for pe in range(w.npes) for s in w.buffers
     }
