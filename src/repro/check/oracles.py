@@ -90,17 +90,7 @@ def heaps_equal(
     """True when ``a`` and ``b`` hold the same buffers with the same
     bytes: the same key set, then every byte of every buffer.  The one
     heap comparison every oracle (and test) uses."""
-    return a.keys() == b.keys() and all(_same_bytes(a[k], b[k]) for k in a)
-
-
-def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
-    """Every byte of two uint8 buffers, compared eight at a time."""
-    if x.shape != y.shape:
-        return False
-    n = x.size - x.size % 8
-    return np.array_equal(x[:n].view(np.uint64), y[:n].view(np.uint64)) and np.array_equal(
-        x[n:], y[n:]
-    )
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
 # ------------------------------------------------------------- oracle 1/6
@@ -217,7 +207,7 @@ def oracle_bit_identity(
     if not both_match_reference and not heaps_equal(a.heaps, b.heaps):
         cells = [
             f"pe{pe}/{name}" for (pe, name), data in a.heaps.items()
-            if (pe, name) not in b.heaps or not _same_bytes(data, b.heaps[pe, name])
+            if (pe, name) not in b.heaps or not np.array_equal(data, b.heaps[pe, name])
         ]
         _fail(report, oracle, f"final heap bytes diverge between modes: {cells[:6]}")
 

@@ -303,14 +303,11 @@ def run_workload(
     """Run ``w`` once and observe everything the oracles compare.
 
     ``start`` is the program-phase start the fault plan is scheduled
-    from; a faulted run without one measures it with a probe job."""
+    from; a faulted ``w`` needs it (see :func:`measure_start`)."""
     from repro.obs.metrics import snapshot_job
     from repro.obs.spans import SpanTracer
 
-    if w.faults:
-        plan = _fault_plan(w, measure_start(w) if start is None else start)
-    else:
-        plan = None
+    plan = _fault_plan(w, start) if w.faults else None
     job = _job_for(w, fault_plan=plan)
     job.sim.fastpath = fastpath
     tracer = None

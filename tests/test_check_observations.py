@@ -55,7 +55,7 @@ def test_heap_read_back_is_a_read_only_view_with_inbound_applied():
     assert not alloc.inbound
 
 
-@pytest.mark.parametrize("at", [0, 2048, 4095, 4098])  # 4096.. is the odd tail
+@pytest.mark.parametrize("at", [0, 2048, 4095, 4098])  # first byte to last
 def test_heaps_equal_compares_keys_and_every_byte(at):
     a = {(0, "x"): np.zeros(8, np.uint8), (1, "x"): (np.arange(4099) % 256).astype(np.uint8)}
     b = {k: v.copy() for k, v in a.items()}
