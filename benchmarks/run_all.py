@@ -18,8 +18,8 @@ The sweep runs each experiment in :mod:`repro.reporting.experiments`
 (in parallel across a process pool, memoized under
 ``benchmarks/.bench_cache/`` keyed by a source-tree fingerprint) and
 writes a JSON report with per-target wall-times and engine event
-counters — ``fastpath_batches > 0`` is the proof that the batched
-transfer fast paths carried the sweep.  Unless ``--no-tier1`` is given
+counters — ``fastpath_batches > 0`` is the proof that the tier-0
+staged-host batch carried the sweep's staged-host curves.  Unless ``--no-tier1`` is given
 (or ``--smoke``, which implies it), it also records the measured wall
 time of the tier-1 pytest suite.
 """
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         f"{len(report.targets)} targets in {sweep_wall:.1f}s wall "
         f"({report.cache_hits} cached, {report.cache_misses} run, "
         f"pool={report.jobs}); engine: {totals.get('processed', 0)} events, "
-        f"{totals.get('fastpath_batches', 0)} batched pipelines"
+        f"{totals.get('fastpath_batches', 0)} tier-0 batches"
     )
     if "crossover" in doc:
         xo = doc["crossover"]

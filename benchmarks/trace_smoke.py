@@ -8,9 +8,10 @@ Four checks, any failure exits non-zero:
 
 1. **Bit-identical timestamps** — the traced run's virtual end time
    equals the untraced run's exactly (spans only read ``sim.now``).
-2. **Fast-path gating** — the untraced run batches pipelines
-   (``fastpath_batches > 0``); the traced run takes the per-op path
-   (``fastpath_batches == 0``), so every op emits its spans.
+2. **Fast-path gating** — the untraced run commits its single-RDMA
+   puts as tier-2 flows (``analytic_flows > 0``); the traced run takes
+   the per-op path (``analytic_flows == 0``), so every op emits its
+   spans.
 3. **Span/hold agreement** — the tracer's ``ib`` ``rdma_write`` span
    count equals its ``rdma_write`` link-hold count (``link`` spans
    with ``hop == 0``): one span per work request, one timed hold per
@@ -60,9 +61,9 @@ def main(argv=None) -> int:
     ref = _job()
     ref.run(_program())
     ref_end = ref.sim.now
-    ref_batches = ref.sim.stats.fastpath_batches
-    if ref_batches <= 0:
-        failures.append(f"untraced run took no batched pipelines ({ref_batches})")
+    ref_flows = ref.sim.stats.analytic_flows
+    if ref_flows <= 0:
+        failures.append(f"untraced run committed no analytic flows ({ref_flows})")
 
     # Span-traced run.
     job = _job()
@@ -72,9 +73,9 @@ def main(argv=None) -> int:
         failures.append(
             f"span-traced end time diverged: {job.sim.now!r} != {ref_end!r}"
         )
-    if job.sim.stats.fastpath_batches != 0:
+    if job.sim.stats.analytic_flows != 0:
         failures.append(
-            f"span-traced run still batched {job.sim.stats.fastpath_batches} pipelines"
+            f"span-traced run still committed {job.sim.stats.analytic_flows} analytic flows"
         )
     # The verbs layer opens one "ib" span per work request; the link
     # layer reuses the spec label for its crossings, one span per hop
@@ -97,8 +98,8 @@ def main(argv=None) -> int:
 
     snap = snapshot_job(job)
     print(
-        f"untraced: end={ref_end:.9f}s batches={ref_batches}\n"
-        f"traced:   end={job.sim.now:.9f}s batches=0 "
+        f"untraced: end={ref_end:.9f}s flows={ref_flows}\n"
+        f"traced:   end={job.sim.now:.9f}s flows=0 "
         f"spans={len(tracer.spans)} instants={len(tracer.instants)}\n"
         f"rdma_write spans={span_writes} holds={holds}\n"
         f"metrics keys={len(snap)} "

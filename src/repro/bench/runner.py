@@ -12,7 +12,7 @@ output:
 
 Each record carries the target's wall-time and the engine's event
 counters (:class:`repro.simulator.core.SimStats`), so a sweep doubles
-as evidence that the batched fast paths fired (``fastpath_batches``)
+as evidence that the tier-0 batch fired (``fastpath_batches``)
 and as a coarse regression guard on scheduler workload.
 """
 

@@ -28,9 +28,7 @@ from typing import Generator, Optional
 from repro.cuda.api import CudaContext
 from repro.cuda.memory import Ptr
 from repro.errors import ShmemError
-from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
-from repro.shmem.fastpath import claim, claimable, plan_pipeline, release
 from repro.shmem.service import Landing, ServiceEngine
 from repro.shmem.staging import StagingPool, chunk_stream
 from repro.simulator import Event
@@ -90,11 +88,6 @@ class ProxyDaemon:
         engine do the final H2D copy — the inter-socket workaround."""
         if self.cuda is None:
             raise ShmemError(f"proxy on GPU-less node {self.node_id} asked to read a GPU")
-        if landing is None:
-            fast = self._fast_get_pipeline(src_ptr, dst, dst_mr, nbytes)
-            if fast is not None:
-                yield fast
-                return
 
         def send(_src, slot, offset, csize) -> Event:
             ev = self.sim.event("proxy-get:chunk")
@@ -110,87 +103,6 @@ class ProxyDaemon:
         stage = (self.staging, partial(self.runtime.reliable_memcpy, self.cuda))
         pending = yield from chunk_stream(nbytes, self.params.pipeline_chunk, src_ptr, send, stage)
         yield self.sim.all_of(pending)
-
-    def _fast_get_pipeline(
-        self, src_ptr: Ptr, dst: Ptr, dst_mr: MemoryRegion, nbytes: int
-    ) -> Optional[Event]:
-        """Closed-form replay of the direct (reverse Pipeline-GDR-write)
-        get: identical chunk machinery to the put fast path in
-        :mod:`repro.shmem.runtime`, minus watcher notifies (the blocked
-        requester is the only observer and wakes at the final ack).
-        Returns the event the proxy engine resumes on, or ``None``."""
-        sim = self.sim
-        if not (
-            sim.fastpath
-            and self.runtime.health is None
-            and sim.tracer is None
-            and sim.quiescent()
-        ):
-            return None
-        pool = self.staging
-        if not pool.idle:
-            return None
-        p = self.params
-        chunks = chunked(nbytes, p.pipeline_chunk)
-        if not chunks:
-            return None
-        slot_ptr = pool.alloc.ptr(0)
-        verbs = self.runtime.verbs
-        try:
-            dst_mr.check_range(dst.offset, nbytes)
-            sizes = sorted(set(chunks))
-            copy_specs = {c: self.cuda._spec_for(slot_ptr, src_ptr, c) for c in sizes}
-            write_specs = {}
-            dst_hca = None
-            for c in sizes:
-                write_specs[c], dst_hca = verbs.write_path(
-                    self.endpoint, slot_ptr, dst_mr, c
-                )
-            src_ptr._check(nbytes)
-        except Exception:
-            return None  # let the event path raise at the accurate instant
-        cdirs = copy_specs[chunks[0]].directions()
-        wdirs = write_specs[chunks[0]].directions()
-        if not claimable(cdirs, wdirs):
-            return None
-        payload = src_ptr.snapshot(nbytes)
-
-        plan = plan_pipeline(
-            sim.now, chunks, pool.depth, copy_specs, write_specs,
-            p.rdma_post_overhead, p.rdma_ack_latency,
-        )
-
-        holds = claim(cdirs) + claim(wdirs)
-        n = len(chunks)
-        nslots = min(n, pool.depth)
-        slots = [pool.take_nowait() for _ in range(nslots)]
-        ep_hca = self.endpoint.hca
-
-        wrel = sim.wake_at(plan.wire_release, name="proxy-get:fast:wire")
-
-        def at_wire(_ev) -> None:
-            release(holds)
-            for c in chunks:
-                copy_specs[c].count_transfer()
-                write_specs[c].count_transfer()
-            for _ in range(n):
-                ep_hca.count_tx()
-                dst_hca.count_rx()
-            dst.write(payload)
-            payload.release()
-
-        wrel.callbacks.append(at_wire)
-
-        # Only the last min(N, depth) slot recycles outlive the pipeline;
-        # earlier acks have no externally visible effect here (no
-        # watchers to notify), so they need no wake-ups at all.
-        last = wrel
-        for i in range(n - nslots, n):
-            ack = sim.wake_at(plan.acks[i], name="proxy-get:fast:ack")
-            ack.callbacks.append(lambda _ev: pool.release(slots.pop()))
-            last = ack
-        sim.stats.fastpath_batches += 1
-        return last
 
     def _get_chunk(self, slot, dst, dst_mr, landing, csize, ev) -> Generator:
         """One staged get chunk to ``dst``: a reverse Pipeline-GDR-write

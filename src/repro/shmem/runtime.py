@@ -45,7 +45,6 @@ from repro.shmem.fastpath import (
     claim,
     claimable,
     merged_directions,
-    plan_pipeline,
     plan_staged,
     release,
 )
@@ -63,8 +62,7 @@ SYNC_RESERVED = 4096
 #: Put protocols the contended-window analytic tier can replay: the
 #: single-RDMA paths whose event schedule is one ``rdma_write`` (post,
 #: setup, FIFO hop acquisition, pipelined hold, ack).  Chunked/staged
-#: protocols stay on their own handlers (the quiescent tier-1 planners
-#: cover their uncontended case).
+#: protocols stay on their own handlers.
 _ANALYTIC_PUT_PROTOCOLS = frozenset(
     {Protocol.DIRECT_GDR, Protocol.RDMA_HOST, Protocol.GDR_LOOPBACK, Protocol.DEVICE_GDR}
 )
@@ -673,7 +671,7 @@ class Runtime:
         its dispatch/lookup overheads — through an
         :class:`~repro.shmem.fastpath.AnalyticFlow`.
 
-        Unlike the quiescent tier-1 planners this works under link
+        Unlike the quiescent tier-0 batch this works under link
         contention: the flow requests the same FIFO resources at the
         same instants as the event path, so contended windows price
         themselves bit-identically (see the AnalyticFlow docstring).
@@ -795,10 +793,6 @@ class Runtime:
         copy is done and its write posted — the paper's stated put-return
         point (§III-C)."""
         mr = self._remote_mr(dst, pe)
-        fast = self._fast_pipeline_put(ctx, src, dst, mr, nbytes, pe)
-        if fast is not None:
-            yield fast
-            return
 
         def write(_src, slot, offset, csize) -> Event:
             posted = self.sim.event("pgw:posted")
@@ -840,127 +834,6 @@ class Runtime:
         finally:
             self.staging[ctx.pe].release(slot)
         self._notify(pe)
-
-    def _fast_pipeline_put(self, ctx, src, dst, mr, nbytes, pe) -> Optional[Event]:
-        """Closed-form replay of the Pipeline-GDR-write chunk machinery.
-
-        Commits only when the simulation is quiescent (every other
-        process is blocked on events that only this op's completions can
-        trigger — see :mod:`repro.shmem.fastpath`), so the pipeline's
-        FIFO interleavings are fully determined and a handful of
-        absolute wake-ups replace ~18 scheduler events per chunk:
-
-        * ``plan.posted``   — parent resumes (put-return); staging-copy
-          directions released; copy + tx counters applied (all N posts
-          have happened by now in the event path too);
-        * ``plan.wire_release`` — write directions released (a follower
-          op queued meanwhile is granted here, exactly when the event
-          path would grant it behind chunk N's request); write + rx
-          counters applied;
-        * ``plan.acks[c]``  — chunk ``c``'s bytes land, target watchers
-          are notified (the event path notifies per chunk at the same
-          ack instants), and the last ``min(N, depth)`` slots return to
-          the pool (earlier acks are recycled *within* the pipeline and
-          never externally visible).
-
-        Returns the put-return event, or ``None`` to fall back.
-        """
-        sim = self.sim
-        if not (
-            sim.fastpath
-            and self.health is None
-            and sim.tracer is None
-            and sim.quiescent()
-        ):
-            return None
-        pool = self.staging[ctx.pe]
-        if not pool.idle:
-            return None
-        p = self.params
-        chunks = chunked(nbytes, p.pipeline_chunk)
-        slot_ptr = pool.alloc.ptr(0)
-        try:
-            mr.check_range(dst.offset, nbytes)
-            sizes = sorted(set(chunks))
-            copy_specs = {c: ctx.cuda._spec_for(slot_ptr, src, c) for c in sizes}
-            write_specs = {}
-            dst_hca = None
-            for c in sizes:
-                write_specs[c], dst_hca = self.verbs.write_path(
-                    ctx.endpoint, slot_ptr, mr, c
-                )
-            src._check(nbytes)
-        except Exception:
-            return None  # let the event path raise at the accurate instant
-        cdirs = copy_specs[chunks[0]].directions()
-        wdirs = write_specs[chunks[0]].directions()
-        if not claimable(cdirs, wdirs):
-            return None
-        payload = src.snapshot(nbytes)
-
-        plan = plan_pipeline(
-            sim.now, chunks, pool.depth, copy_specs, write_specs,
-            p.rdma_post_overhead, p.rdma_ack_latency,
-        )
-
-        # ---- commit: hold the resources, schedule absolute wake-ups ----
-        copy_holds = claim(cdirs)
-        write_holds = claim(wdirs)
-        n = len(chunks)
-        nslots = min(n, pool.depth)
-        slots = [pool.take_nowait() for _ in range(nslots)]
-        ep_hca = ctx.endpoint.hca
-
-        ret = sim.wake_at(plan.posted, sim.now, name="pgw:fast:return")
-
-        def at_return(_ev) -> None:
-            release(copy_holds)
-            for c in chunks:
-                copy_specs[c].count_transfer()
-            for _ in range(n):
-                ep_hca.count_tx()
-
-        ret.callbacks.append(at_return)
-
-        wrel = sim.wake_at(plan.wire_release, name="pgw:fast:wire")
-
-        def at_wire(_ev) -> None:
-            release(write_holds)
-            for c in chunks:
-                write_specs[c].count_transfer()
-            for _ in range(n):
-                dst_hca.count_rx()
-
-        wrel.callbacks.append(at_wire)
-
-        base = mr.ptr(dst.offset)
-        first_recycled = n - nslots
-        offset = 0
-        last_ack = None
-        for i, c in enumerate(chunks):
-            ack = sim.wake_at(plan.acks[i], name="pgw:fast:ack")
-
-            def at_ack(
-                _ev,
-                tgt=base + offset,
-                lo=offset,
-                hi=offset + c,
-                recycle=(i >= first_recycled),
-                last=(i == n - 1),
-            ) -> None:
-                tgt.write(payload[lo:hi])
-                if last:  # acks land in chunk order (FIFO wire)
-                    payload.release()
-                if recycle:
-                    pool.release(slots.pop())
-                self._notify(pe)
-
-            ack.callbacks.append(at_ack)
-            last_ack = ack
-            offset += c
-        ctx.track(last_ack)
-        sim.stats.fastpath_batches += 1
-        return ret
 
     def _put_landed(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
         """Far-side staged put: the baseline host pipeline (Fig 1) and

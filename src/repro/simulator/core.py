@@ -63,7 +63,8 @@ class SimStats:
     so a drop between two equivalent runs is direct evidence that a
     fast path elided events (compare ``processed`` with
     :attr:`Simulator.fastpath` on and off).  ``fastpath_batches`` counts
-    batched pipeline transfers that took the closed-form path.
+    the tier-0 batches (``Runtime._fast_staged``): quiescent staged-host
+    copies that took the closed-form path.
 
     The tiered analytic engine adds its own population counters:
     ``analytic_flows`` counts tier-2 RDMA writes committed as
@@ -404,12 +405,13 @@ class Simulator:
         """True when nothing besides the currently-running process is
         runnable or scheduled.
 
-        This is the safety gate for the batched transfer fast paths:
-        when it holds, every other process is blocked on events that
-        only *this* operation's completion callbacks can trigger, so
-        collapsing the operation's per-chunk events into a handful of
-        absolutely-timed wake-ups cannot reorder any grant or wake-up
-        another party would have observed.
+        This is the safety gate for the tier-0 staged-host batch
+        (``Runtime._fast_staged``), its only caller: when it holds,
+        every other process is blocked on events that only *this*
+        operation's completion callbacks can trigger, so collapsing the
+        operation's per-chunk events into one absolutely-timed wake-up
+        cannot reorder any grant or wake-up another party would have
+        observed.
         """
         return not self._ready and not self._queue
 

@@ -163,7 +163,7 @@ def run_put(design, nodes, ppn, src_dom, dst_dom, nbytes, *, fast, clobber=None,
     """PE 0 puts ``nbytes`` of OLD to the last PE, then overwrites its
     source with NEW right after the put returns (or, with ``clobber``,
     mid-flight).  A warm-up put and a quiet go first, so the measured
-    put is issued quiescent and the tier-1 batches can fire.  With
+    put is issued quiescent and the tier-0 batch can fire.  With
     ``probe`` the target reads through :func:`read_delivered`."""
     job = _job(design, nodes, ppn, fast)
     landing = {}
@@ -293,14 +293,10 @@ def test_tier_coverage_of_the_put_sites():
     """The parametrised sites above really exercise each execution tier."""
     _, job = run_put("enhanced-gdr", 2, 1, H, H, 4 * KiB, fast=True)
     assert job.sim.stats.analytic_flows > 0  # tier-2 AnalyticFlow
-    for design, nodes, ppn, sd, dd in (
-        ("host-pipeline", 1, 2, G, H),  # _fast_staged
-        ("enhanced-gdr", 2, 1, G, G),  # _fast_pipeline_put
-    ):
-        _, job = run_put(design, nodes, ppn, sd, dd, 600 * KiB, fast=True)
-        assert job.sim.stats.fastpath_batches > 0
-        _, job = run_put(design, nodes, ppn, sd, dd, 600 * KiB, fast=False)
-        assert job.sim.stats.fastpath_batches == 0
+    _, job = run_put("host-pipeline", 1, 2, G, H, 600 * KiB, fast=True)
+    assert job.sim.stats.fastpath_batches > 0  # tier-0 _fast_staged
+    _, job = run_put("host-pipeline", 1, 2, G, H, 600 * KiB, fast=False)
+    assert job.sim.stats.fastpath_batches == 0
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["tiered", "event"])
@@ -337,11 +333,6 @@ def test_get_delivery_is_copied_only_when_read(site, fast):
     assert got == bytes([OLD]) * nbytes
     assert_copied_on_read(probe, nbytes)
     assert proto in _protocols(job)
-
-
-def test_proxy_get_takes_the_tier1_batch(clobber):
-    _, job = run_get("enhanced-gdr", 2, 1, H, G, 600 * KiB, fast=True, clobber=clobber)
-    assert job.sim.stats.fastpath_batches > 0
 
 
 # ------------------------------------------------------- memcpy and MPI

@@ -58,9 +58,12 @@ def test_serialized_flows_sum_exactly(nbytes, nflows):
 def test_chunked_partitions_exactly(nbytes, chunk):
     parts = list(chunked(nbytes, chunk))
     assert sum(parts) == nbytes
-    assert all(0 < p <= chunk for p in parts)
-    if nbytes:
-        assert all(p == chunk for p in parts[:-1])  # only the tail is short
+    if not nbytes:
+        assert parts == []
+        return
+    # C-level checks: a chunk of 1 makes up to 16 M parts.
+    assert parts[:-1].count(chunk) == len(parts) - 1  # only the tail is short
+    assert 0 < parts[-1] <= chunk
 
 
 @given(
