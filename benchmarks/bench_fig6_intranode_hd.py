@@ -5,10 +5,7 @@ large puts on par (both IPC), large gets ~40% better (shm design).
 """
 
 from conftest import run_and_archive
-from repro.bench.latency import latency_sweep
 from repro.reporting import run_experiment
-from repro.shmem import Domain
-from repro.units import MiB
 
 
 def test_fig6a_put_small(benchmark):
@@ -25,13 +22,3 @@ def test_fig6c_get_small(benchmark):
 
 def test_fig6d_get_large(benchmark):
     run_and_archive(benchmark, "fig6d", lambda: run_experiment("fig6d"))
-
-
-def test_fig6_shape_claims():
-    kw = dict(nodes=1, target="near")
-    hp = latency_sweep("host-pipeline", "put", Domain.HOST, Domain.GPU, [4], **kw)[0]
-    gd = latency_sweep("enhanced-gdr", "put", Domain.HOST, Domain.GPU, [4], **kw)[0]
-    assert hp.usec / gd.usec > 2.0  # Fig 6(a): >2x for small
-    hp_l = latency_sweep("host-pipeline", "get", Domain.HOST, Domain.GPU, [4 * MiB], **kw)[0]
-    gd_l = latency_sweep("enhanced-gdr", "get", Domain.HOST, Domain.GPU, [4 * MiB], **kw)[0]
-    assert 1 - gd_l.usec / hp_l.usec > 0.25  # Fig 6(d): large gets ~40% better

@@ -5,10 +5,7 @@ design (Fig 3); large gets on par (both are an H2D from shm).
 """
 
 from conftest import run_and_archive
-from repro.bench.latency import latency_sweep
 from repro.reporting import run_experiment
-from repro.shmem import Domain
-from repro.units import MiB
 
 
 def test_fig7a_put_small(benchmark):
@@ -25,16 +22,3 @@ def test_fig7c_get_small(benchmark):
 
 def test_fig7d_get_large(benchmark):
     run_and_archive(benchmark, "fig7d", lambda: run_experiment("fig7d"))
-
-
-def test_fig7_shape_claims():
-    kw = dict(nodes=1, target="near")
-    hp = latency_sweep("host-pipeline", "put", Domain.GPU, Domain.HOST, [4], **kw)[0]
-    gd = latency_sweep("enhanced-gdr", "put", Domain.GPU, Domain.HOST, [4], **kw)[0]
-    assert hp.usec / gd.usec > 2.0
-    hp_l = latency_sweep("host-pipeline", "put", Domain.GPU, Domain.HOST, [4 * MiB], **kw)[0]
-    gd_l = latency_sweep("enhanced-gdr", "put", Domain.GPU, Domain.HOST, [4 * MiB], **kw)[0]
-    assert 1 - gd_l.usec / hp_l.usec > 0.25  # Fig 7(b)
-    hp_g = latency_sweep("host-pipeline", "get", Domain.GPU, Domain.HOST, [4 * MiB], **kw)[0]
-    gd_g = latency_sweep("enhanced-gdr", "get", Domain.GPU, Domain.HOST, [4 * MiB], **kw)[0]
-    assert abs(1 - gd_g.usec / hp_g.usec) < 0.15  # Fig 7(d): on par

@@ -6,10 +6,7 @@ H-D put and 3.7 usec at 4 KB.
 """
 
 from conftest import run_and_archive
-from repro.bench.latency import latency_sweep
 from repro.reporting import run_experiment
-from repro.shmem import Domain
-from repro.units import KiB
 
 
 def test_fig9a_put_dh(benchmark):
@@ -26,13 +23,3 @@ def test_fig9c_get_hd(benchmark):
 
 def test_fig9d_get_dh(benchmark):
     run_and_archive(benchmark, "fig9d", lambda: run_experiment("fig9d"))
-
-
-def test_fig9_shape_claims():
-    # Baseline genuinely unsupported: latency_sweep reports None.
-    assert latency_sweep("host-pipeline", "put", Domain.HOST, Domain.GPU, [8]) is None
-    assert latency_sweep("host-pipeline", "get", Domain.GPU, Domain.HOST, [8]) is None
-    hd8 = latency_sweep("enhanced-gdr", "put", Domain.HOST, Domain.GPU, [8])[0]
-    hd4k = latency_sweep("enhanced-gdr", "put", Domain.HOST, Domain.GPU, [4 * KiB])[0]
-    assert 1.5 < hd8.usec < 4.5  # paper: 2.81
-    assert hd4k.usec < 6.0  # paper: 3.7

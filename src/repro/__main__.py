@@ -4,7 +4,7 @@ the job service.
 Usage::
 
     python -m repro list                 # every registered experiment
-    python -m repro run fig8a            # one artifact, full sweep
+    python -m repro run fig8a            # one artifact + its claim verdict
     python -m repro run table3 --quick   # trimmed sweep
     python -m repro run all --quick      # everything (CI smoke)
     python -m repro trace fig8a          # traced run -> Chrome JSON
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     if args.command == "list":
         width = max(len(k) for k in EXPERIMENTS)
         for exp_id, exp in EXPERIMENTS.items():
-            print(f"{exp_id:<{width}}  {exp.title:<32}  paper: {exp.paper_claim}")
+            print(f"{exp_id:<{width}}  {exp.title:<32}  paper: {exp.paper_claim.text}")
         return 0
 
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -264,10 +264,20 @@ def main(argv=None) -> int:
     if args.serve_url:
         return _run_via_service(args, targets)
 
+    # One run per target renders the artifact and, at full size, checks
+    # the paper's claim on the same rows.
+    failed = 0
     for target in targets:
-        print(run_experiment(target, quick=args.quick))
+        exp = EXPERIMENTS[target]
+        rows = exp.measure(args.quick)
+        print(exp.render(rows))
+        if not args.quick:
+            misses = exp.paper_claim.failures(rows)
+            failed += bool(misses)
+            verdict = f"FAILS: {'; '.join(misses)}" if misses else "holds"
+            print(f"\n{target} claim {verdict} (paper: {exp.paper_claim.text})")
         print()
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -22,9 +22,6 @@ class OverlapPoint:
     compute_usec: float
     comm_usec: float
 
-    def row(self) -> List[str]:
-        return [f"{self.compute_usec:.0f}", f"{self.comm_usec:.2f}"]
-
 
 def _overlap_program(nbytes: int, compute_s: float):
     def main(ctx):

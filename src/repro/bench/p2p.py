@@ -28,10 +28,6 @@ class P2PResult:
     mbps: float
     pct_of_fdr: float
 
-    def row(self) -> List[str]:
-        where = "intra-socket" if self.same_socket else "inter-socket"
-        return [f"P2P {self.direction}", where, f"{self.mbps:,.0f} MB/s", f"{self.pct_of_fdr:.0f}%"]
-
 
 def _measure(read: bool, same_socket: bool, nbytes: int, params) -> float:
     """Stream ``nbytes`` between an HCA and a GPU; return MB/s."""

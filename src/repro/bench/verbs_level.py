@@ -31,9 +31,6 @@ class Table2Row:
     host_host_usec: float
     gpu_gpu_usec: float
 
-    def row(self) -> List[str]:
-        return [self.level, f"{self.host_host_usec:.2f}", f"{self.gpu_gpu_usec:.2f}"]
-
 
 def _verbs_latency(gpu: bool, nbytes: int = 4, params=None) -> float:
     """Raw inter-node verbs write latency (GDR when ``gpu``)."""

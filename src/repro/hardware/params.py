@@ -3,28 +3,12 @@
 Every latency is in **seconds**, every bandwidth in **bytes/second**.
 
 The defaults model a Wilkes-like node (dual-socket Intel IvyBridge,
-NVIDIA Tesla K20, Mellanox FDR ConnectX-3) and are calibrated so the
-micro-benchmarks land near the paper's anchor numbers:
-
-========================================  ==========  =================
-anchor                                    paper       source
-========================================  ==========  =================
-FDR IB peak bandwidth                     6397 MB/s   Table III caption
-P2P read,  intra-socket                   3421 MB/s   Table III
-P2P write, intra-socket                   6396 MB/s   Table III
-P2P read,  inter-socket                    247 MB/s   Table III
-P2P write, inter-socket                   1179 MB/s   Table III
-intra-node H-D put, 4 B (GDR loopback)    2.4 µs      §V-B / Fig 6
-intra-node H-D get, 4 B (GDR loopback)    2.02 µs     §V-B / Fig 6
-intra-node H-D, 4 B (IPC baseline)        6.2 µs      §V-B / Fig 6
-inter-node D-D put, 8 B (Direct GDR)      3.13 µs     §V-B / Fig 8
-inter-node D-D put, 8 B (Host-Pipeline)   20.9 µs     §V-B / Fig 8
-inter-node H-D put, 8 B                   2.81 µs     §V-B / Fig 9
-========================================  ==========  =================
-
-Only *relative* behaviour (who wins, crossover points, scaling shapes)
-is asserted by the test-suite; absolute values are recorded in
-EXPERIMENTS.md next to the paper's.
+NVIDIA Tesla K20, Mellanox FDR ConnectX-3).  The bandwidths are the
+paper's own figures: FDR 6397 MB/s (Table III caption) and the four
+Table III P2P rates.  The software overheads are fitted so the
+micro-benchmarks land near the paper's anchor latencies; those anchors
+are conditions of the experiments' claims
+(:mod:`repro.reporting.experiments`), checked on the pinned runs.
 """
 
 from __future__ import annotations

@@ -73,12 +73,12 @@ def retry(
 class RCTransport:
     """Reliable-connection retry engine shared by all QPs of a job."""
 
-    def __init__(self, sim: Simulator, params: HardwareParams, health=None):
+    def __init__(self, sim: Simulator, params: HardwareParams, health):
         self.sim = sim
         self.retry_cnt = params.rc_retry_cnt
         self.timeout = params.rc_timeout
         self.backoff_factor = params.rc_backoff
-        #: Optional :class:`repro.faults.health.HealthTracker` fed with
+        #: The job's :class:`repro.faults.health.HealthTracker`, fed with
         #: per-path retry/failure/success observations.
         self.health = health
         #: Per-direction retransmission tally (diagnostics/reporting).
@@ -128,11 +128,10 @@ class RCTransport:
             if direction is not None:
                 name = direction.name
                 self.retries_by_path[name] = self.retries_by_path.get(name, 0) + 1
-                if health is not None:
-                    health.record_retry(name, sim.now)
+                health.record_retry(name, sim.now)
             if attempts <= self.retry_cnt:
                 return
-            if health is not None and direction is not None:
+            if direction is not None:
                 health.record_failure(direction.name, sim.now)
             if is_write:
                 if lost == 0:
@@ -147,9 +146,8 @@ class RCTransport:
         def succeeded() -> None:
             if is_write and lost:
                 sim.stats.rc_retx_holds += lost
-            if health is not None:
-                for d in spec.directions():
-                    health.record_success(d.name, sim.now)
+            for d in spec.directions():
+                health.record_success(d.name, sim.now)
 
         return self.backoff(
             partial(spec.execute, sim), before=None if hca is None else partial(self._stall, hca),

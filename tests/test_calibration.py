@@ -1,117 +1,14 @@
-"""Calibration tests: the paper's anchor numbers and headline ratios.
-
-Absolute latencies must land within a tolerance band of the quoted
-values; improvement *ratios* (the claims the paper leads with) must
-hold directionally with margin.  See EXPERIMENTS.md for the full
-paper-vs-measured record.
+"""Calibration checks that no pinned run computes: a cold, lone 4 MB
+proxy get (the Fig 8(d) sweep's point is warm) and a put under tuned
+always-GDR thresholds.  The paper's anchors and ratios are experiment
+claims (``repro.reporting.experiments``), checked on the pinned runs.
 """
 
-import pytest
-
 from tests.helpers import run_get, run_put
-from repro.shmem import Domain, ShmemJob
-from repro.units import KiB, MiB
+from repro.shmem import Domain
+from repro.units import MiB
 
-H, G = Domain.HOST, Domain.GPU
-TOL = 0.45  # +/-45% band on absolute microseconds (simulator, not testbed)
-
-
-def within(measured, paper, tol=TOL):
-    return paper * (1 - tol) <= measured <= paper * (1 + tol)
-
-
-# --------------------------------------------------------------- absolutes
-def test_internode_dd_8b_put_enhanced_is_3us():
-    lat, ok, _ = run_put("enhanced-gdr", 8, G, G, nodes=2)
-    assert ok and within(lat, 3.13)
-
-
-def test_internode_dd_8b_put_baseline_is_21us():
-    lat, ok, _ = run_put("host-pipeline", 8, G, G, nodes=2)
-    assert ok and within(lat, 20.9)
-
-
-def test_internode_dd_2kb_put_under_4us():
-    """§V-B: 'a 2KB message size transfer is achieved in under 4us'."""
-    lat, ok, _ = run_put("enhanced-gdr", 2 * KiB, G, G, nodes=2)
-    assert ok and lat < 4.0
-
-
-def test_internode_hd_8b_put_is_2_8us():
-    """Fig 9: 2.81us for an inter-node H-D put of 8 bytes."""
-    lat, ok, _ = run_put("enhanced-gdr", 8, H, G, nodes=2)
-    assert ok and within(lat, 2.81)
-
-
-def test_internode_hd_4kb_put_is_3_7us():
-    lat, ok, _ = run_put("enhanced-gdr", 4 * KiB, H, G, nodes=2)
-    assert ok and within(lat, 3.7)
-
-
-def test_intranode_hd_4b_put_baseline_is_6us():
-    lat, ok, _ = run_put("host-pipeline", 4, H, G, nodes=1, target="near")
-    assert ok and within(lat, 6.2, tol=0.25)
-
-
-def test_intranode_hd_4b_put_enhanced_is_2_4us():
-    lat, ok, _ = run_put("enhanced-gdr", 4, H, G, nodes=1, target="near")
-    assert ok and within(lat, 2.4)
-
-
-def test_intranode_hd_4b_get_enhanced_is_2us():
-    lat, ok, _ = run_get("enhanced-gdr", 4, H, G, nodes=1, target="near")
-    assert ok and within(lat, 2.02)
-
-
-def test_intranode_8b_hd_put_abstract_anchor():
-    """Abstract: '2.2us for an intra-node 8 byte put from Host-to-Device'."""
-    lat, ok, _ = run_put("enhanced-gdr", 8, H, G, nodes=1, target="near")
-    assert ok and within(lat, 2.2)
-
-
-# ------------------------------------------------------------------ ratios
-def test_internode_small_put_improvement_about_7x():
-    """Headline: 7X latency improvement for inter-node small messages."""
-    base, _, _ = run_put("host-pipeline", 8, G, G, nodes=2)
-    enh, _, _ = run_put("enhanced-gdr", 8, G, G, nodes=2)
-    assert base / enh >= 4.5
-
-
-def test_intranode_small_put_improvement_over_2x():
-    """Headline: 2.5X for intra-node small/medium messages."""
-    base, _, _ = run_put("host-pipeline", 4, H, G, nodes=1, target="near")
-    enh, _, _ = run_put("enhanced-gdr", 4, H, G, nodes=1, target="near")
-    assert base / enh >= 2.0
-
-
-def test_intranode_large_dh_put_improvement_about_40pct():
-    """Fig 7(b): shared-memory design cuts large D-H puts by ~40%."""
-    base, _, _ = run_put("host-pipeline", 1 * MiB, G, H, nodes=1, target="near")
-    enh, _, _ = run_put("enhanced-gdr", 1 * MiB, G, H, nodes=1, target="near")
-    reduction = 1.0 - enh / base
-    assert reduction >= 0.25
-
-
-def test_intranode_large_hd_get_improvement_about_40pct():
-    """Fig 6(d): same effect for large H-D gets."""
-    base, _, _ = run_get("host-pipeline", 1 * MiB, H, G, nodes=1, target="near")
-    enh, _, _ = run_get("enhanced-gdr", 1 * MiB, H, G, nodes=1, target="near")
-    reduction = 1.0 - enh / base
-    assert reduction >= 0.25
-
-
-def test_intranode_large_hd_put_on_par():
-    """Fig 6(b): both designs use the IPC copy for large H-D puts."""
-    base, _, _ = run_put("host-pipeline", 4 * MiB, H, G, nodes=1, target="near")
-    enh, _, _ = run_put("enhanced-gdr", 4 * MiB, H, G, nodes=1, target="near")
-    assert enh == pytest.approx(base, rel=0.10)
-
-
-def test_internode_large_dd_put_on_par():
-    """Fig 8(b): large put bounded by the cudaMemcpy in both designs."""
-    base, _, _ = run_put("host-pipeline", 4 * MiB, G, G, nodes=2)
-    enh, _, _ = run_put("enhanced-gdr", 4 * MiB, G, G, nodes=2)
-    assert enh <= base * 1.05  # proposed never loses
+G = Domain.GPU
 
 
 def test_internode_large_dd_get_proxy_no_overhead():

@@ -57,6 +57,17 @@ def test_cli_run_quick():
     assert "enhanced-gdr" in proc.stdout
 
 
+def test_cli_run_checks_the_claim(capsys, monkeypatch):
+    from repro.__main__ import main
+    from repro.reporting.experiments import EXPERIMENTS, Claim
+
+    assert main(["run", "table1"]) == 0
+    assert "table1 claim holds" in capsys.readouterr().out
+    monkeypatch.setattr(EXPERIMENTS["table1"], "paper_claim", Claim("no", (("never", lambda r: False),)))
+    assert main(["run", "table1"]) == 1
+    assert "table1 claim FAILS: never" in capsys.readouterr().out
+
+
 def test_cli_unknown_experiment():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "run", "fig99"],

@@ -174,7 +174,7 @@ def _rc_env(**overrides):
         "rc_timeout": 0.1, "rc_backoff": 2.0, "rc_retry_cnt": 3, **overrides
     })
     link = Link(sim, "l")
-    rc = RCTransport(sim, params)
+    rc = RCTransport(sim, params, HealthTracker(sim, params.health_fail_threshold, params.health_cooldown))
     return sim, link, rc
 
 

@@ -1,4 +1,5 @@
-"""Every target's rendered output matches its pin.
+"""Every target's rendered output matches its pin, and its rows hold
+the paper's claim.
 
 The expected ``output_sha256`` values of the microbenchmark targets
 come from ``BENCH_PR1.json`` (the paper targets) and
@@ -7,6 +8,9 @@ application targets (fig11, fig12) take seconds each at full size, so
 tier-1 pins them at quick size (``run_experiment(..., quick=True)``,
 about 0.1 s each) with the hashes in ``QUICK_APP_PINS``; their
 full-size pins stay in ``BENCH_PR1.json`` for the benchmark.
+
+One run per target feeds both checks, so a re-pin cannot pass while
+the target's claim fails.
 """
 
 import hashlib
@@ -15,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.reporting import run_experiment
+from repro.reporting import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,5 +48,7 @@ def test_pin_set_complete():
 @pytest.mark.parametrize("target", sorted(PINS))
 def test_output_matches_pin(target):
     sha, quick = PINS[target]
-    digest = hashlib.sha256(run_experiment(target, quick=quick).encode()).hexdigest()
-    assert digest == sha
+    exp = EXPERIMENTS[target]
+    rows = exp.measure(quick)
+    assert hashlib.sha256(exp.render(rows).encode()).hexdigest() == sha
+    assert exp.paper_claim.failures(rows, quick=quick) == []

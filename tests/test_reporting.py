@@ -3,6 +3,9 @@
 import pytest
 
 from repro.reporting import EXPERIMENTS, format_series, format_table, run_experiment
+from repro.reporting.experiments import (
+    FIG11_BANDS, FIG11_QUICK_BANDS, FIG12_BANDS, FIG12_QUICK_BANDS,
+)
 from repro.shmem.capabilities import capability_rows
 from repro.shmem.constants import Config
 from repro.shmem.designs import design_spec
@@ -65,9 +68,39 @@ def test_registry_covers_every_paper_artifact():
 
 
 def test_registry_entries_have_claims():
+    assert len(EXPERIMENTS) == 27
     for exp in EXPERIMENTS.values():
-        assert exp.title and exp.paper_claim
-        assert callable(exp.run)
+        assert exp.title and exp.paper_claim.text and exp.paper_claim.conditions
+        assert callable(exp.measure) and callable(exp.render)
+
+
+# ------------------------------------------------------------ claims ledger
+def test_fig8a_claim_fails_on_a_10x_slower_enhanced_row():
+    exp = EXPERIMENTS["fig8a"]
+    rows = exp.measure(False)
+    assert exp.paper_claim.failures(rows) == []
+    rows["enhanced-gdr"] = {s: 10 * usec for s, usec in rows["enhanced-gdr"].items()}
+    assert len(exp.paper_claim.failures(rows)) == 3  # all but the host-pipeline anchor
+
+
+def test_claim_on_an_absent_point_fails():
+    claim = EXPERIMENTS["fig8a"].paper_claim
+    failed = claim.failures(EXPERIMENTS["fig8a"].measure(True))  # no 8 B or 2 KB point
+    assert len(failed) == 4 and all(f.endswith("(point missing)") for f in failed)
+
+
+@pytest.mark.parametrize("exp_id, bands, quick", [
+    ("fig11", FIG11_BANDS, False), ("fig11", FIG11_QUICK_BANDS, True),
+    ("fig12", FIG12_BANDS, False), ("fig12", FIG12_QUICK_BANDS, True),
+])
+@pytest.mark.parametrize("shift", [-10, 10])
+def test_improvement_band_fails_on_a_ten_point_shift(exp_id, bands, quick, shift):
+    claim = EXPERIMENTS[exp_id].paper_claim
+    today = {npes: pct for npes, (pct, _) in bands.items()}
+    assert claim.failures({"improvement": today}, quick=quick) == []
+    for npes in bands:
+        failed = claim.failures({"improvement": {**today, npes: today[npes] + shift}}, quick=quick)
+        assert len(failed) == 1 and f"at {npes} PEs" in failed[0]
 
 
 @pytest.mark.parametrize("exp_id", ["fig6a", "fig7b", "fig8c", "fig9b"])
@@ -85,16 +118,6 @@ def test_quick_fig9_shows_baseline_unsupported():
 def test_quick_fig10_renders_overlap():
     out = run_experiment("fig10", quick=True)
     assert "overlap" in out and "enhanced-gdr" in out
-
-
-def test_quick_fig11_renders_improvement():
-    out = run_experiment("fig11", quick=True)
-    assert "Stencil2D" in out and "%" in out
-
-
-def test_quick_fig12_renders_improvement():
-    out = run_experiment("fig12", quick=True)
-    assert "LBM" in out and "MPI two-sided" in out
 
 
 def test_quick_table2_and_table3():
