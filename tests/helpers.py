@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.reporting import EXPERIMENTS
 from repro.shmem import Domain, ShmemJob
 from repro.units import to_usec
 
@@ -82,3 +85,20 @@ def run_get(design, nbytes, local_domain, remote_domain, nodes=2, target="far", 
 def short_pools(pools):
     """``(name, available, depth)`` of every staging pool missing a slot."""
     return [(p.name, p.available, p.depth) for p in pools if p.available != p.depth]
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_rows(exp_id, quick=False):
+    """The rows of a registered target's run, measured once per session.
+
+    The pin test hashes these rows' render and the calibration tests read
+    single ledger conditions off them, so no sweep runs twice.  Callers
+    must not mutate the result."""
+    return EXPERIMENTS[exp_id].measure(quick)
+
+
+def ledger_condition(exp_id, label):
+    """The predicate of ``exp_id``'s full-size claim condition named ``label``."""
+    conditions = dict(EXPERIMENTS[exp_id].paper_claim.conditions)
+    assert label in conditions, f"{exp_id} has no condition {label!r}: {sorted(conditions)}"
+    return conditions[label]

