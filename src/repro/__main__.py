@@ -169,8 +169,18 @@ def _trace_via_service(args) -> int:
     return 0
 
 
+def _claim_verdict(target: str, misses) -> str:
+    """The claim line ``repro run`` prints after a full-size target."""
+    from repro.reporting import EXPERIMENTS
+
+    verdict = f"FAILS: {'; '.join(misses)}" if misses else "holds"
+    return f"\n{target} claim {verdict} (paper: {EXPERIMENTS[target].paper_claim.text})"
+
+
 def _run_via_service(args, targets) -> int:
-    """``repro run --serve-url``: targets as sweep jobs."""
+    """``repro run --serve-url``: targets as sweep jobs.  At full size
+    each job's record carries its claim failures, checked on the rows
+    it rendered, and the verdict is printed as in-process."""
     from repro.serve.client import JobFailed, ServeClient
 
     specs = [
@@ -188,9 +198,17 @@ def _run_via_service(args, targets) -> int:
                 continue
             result = detail["result"]
             hit = ack.get("dedup") == "cached" or detail.get("cached")
+            if result["error"]:
+                print(f"{target}: {result['error']}", file=sys.stderr)
+                failed += 1
+                continue
             print(f"{target}: done ({'cache' if hit else 'ran'}, "
                   f"{result['wall_seconds']:.2f}s recorded, "
                   f"sha256 {result['output_sha256'][:16]})")
+            if not args.quick:
+                misses = result["claim_failures"]
+                failed += bool(misses)
+                print(_claim_verdict(target, misses))
     return 1 if failed else 0
 
 
@@ -274,8 +292,7 @@ def main(argv=None) -> int:
         if not args.quick:
             misses = exp.paper_claim.failures(rows)
             failed += bool(misses)
-            verdict = f"FAILS: {'; '.join(misses)}" if misses else "holds"
-            print(f"\n{target} claim {verdict} (paper: {exp.paper_claim.text})")
+            print(_claim_verdict(target, misses))
         print()
     return 1 if failed else 0
 

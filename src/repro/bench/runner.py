@@ -80,6 +80,8 @@ class TargetResult:
     #: Bytes the memory model physically copied
     #: (``repro.cuda.memory.MemorySpace.bytes_copied``).
     bytes_copied: int = 0
+    #: Paper-claim conditions the full-size rows fail (see ``_run_one``).
+    claim_failures: Optional[List[str]] = None
 
     def as_dict(self) -> dict:
         return {
@@ -91,6 +93,7 @@ class TargetResult:
             "error": self.error,
             "metrics": self.metrics,
             "bytes_copied": self.bytes_copied,
+            "claim_failures": self.claim_failures,
         }
 
 
@@ -136,19 +139,28 @@ class SweepReport:
 
 
 def _run_one(exp_id: str, quick: bool) -> dict:
-    """Worker: run one experiment, return a plain dict (picklable)."""
+    """Worker: run one experiment, return a plain dict (picklable).
+
+    ``claim_failures`` lists the paper-claim conditions the rendered
+    rows fail (empty when the claim holds); it is ``None`` for a quick
+    run, whose claim is not checked, and for a run that raised."""
     from repro.cuda.memory import MemorySpace
     from repro.obs import snapshot_stats
-    from repro.reporting.experiments import run_experiment
+    from repro.reporting.experiments import EXPERIMENTS
     from repro.simulator.core import GLOBAL_STATS, reset_global_stats
 
     reset_global_stats()
     copied = MemorySpace.bytes_copied
     t0 = time.perf_counter()
+    claim_failures = None
     try:
-        output = run_experiment(exp_id, quick=quick)
+        exp = EXPERIMENTS[exp_id]
+        rows = exp.measure(quick)
+        output = exp.render(rows)
         err = None
         digest = hashlib.sha256(output.encode()).hexdigest()
+        if not quick:
+            claim_failures = exp.paper_claim.failures(rows)
     except Exception as exc:  # surface, don't kill the pool
         err = f"{type(exc).__name__}: {exc}"
         digest = ""
@@ -159,6 +171,7 @@ def _run_one(exp_id: str, quick: bool) -> dict:
         "output_sha256": digest,
         "sim_stats": GLOBAL_STATS.as_dict(),
         "error": err,
+        "claim_failures": claim_failures,
         "metrics": snapshot_stats(GLOBAL_STATS),
         "bytes_copied": MemorySpace.bytes_copied - copied,
     }
@@ -197,6 +210,7 @@ class SweepRunner:
             error=rec.get("error"),
             metrics=rec.get("metrics", {}),
             bytes_copied=rec.get("bytes_copied", 0),
+            claim_failures=rec.get("claim_failures"),
         )
 
     def _store(self, rec: dict) -> None:
@@ -256,6 +270,7 @@ class SweepRunner:
                     error=rec["error"],
                     metrics=rec.get("metrics", {}),
                     bytes_copied=rec["bytes_copied"],
+                    claim_failures=rec["claim_failures"],
                 )
                 if verbose:
                     r = by_id[rec["exp_id"]]

@@ -12,6 +12,8 @@ ROADMAP:
   simulated executions: heap-matches-reference, event-path vs
   fast-path bit-identity, traced vs untraced bit-identity, span/event
   parity, link byte conservation, atomic conservation under faults.
+  A run whose fast tiers are disarmed is its own event run, so a
+  faulted check makes two runs (fast and traced) plus the probe job.
 
 :mod:`repro.check.shrink` minimises a failing workload to a
 pytest-pasteable repro; ``python -m repro check`` drives the lot.

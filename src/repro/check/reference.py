@@ -17,7 +17,7 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +28,23 @@ from repro.check.workload import Workload, WOp
 _ATOMIC_KINDS = ("fadd", "swap", "cswap", "aset", "afetch")
 
 
-def payload(seed: int, uid: int, nbytes: int) -> bytes:
-    """The deterministic byte pattern op ``uid`` writes."""
-    rng = np.random.default_rng((seed, uid))
-    return rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+#: Op kinds that write a generated payload (one-sided puts and sends).
+_PAYLOAD_KINDS = ("put", "put_nbi", "msg")
+
+
+def draw_payloads(w: Workload) -> Dict[int, np.ndarray]:
+    """``op uid -> the deterministic bytes op uid writes`` for every
+    put and send of ``w``, as read-only uint8 arrays.  One check draws
+    the table once; its runs and the reference all read it."""
+    table = {}
+    for rnd in w.rounds:
+        for op in rnd:
+            if op.kind in _PAYLOAD_KINDS:
+                rng = np.random.default_rng((w.seed, op.uid))
+                data = rng.integers(0, 256, op.nbytes, dtype=np.uint8)
+                data.flags.writeable = False
+                table[op.uid] = data
+    return table
 
 
 def coll_fill(seed: int, uid: int, pe: int, nbytes: int) -> bytes:
@@ -78,7 +91,7 @@ class _State:
     def region(self, pe: int, buf: str, offset: int, nbytes: int) -> np.ndarray:
         return self.mem[(pe, buf)][offset : offset + nbytes]
 
-    def write(self, pe: int, buf: str, offset: int, data: bytes) -> None:
+    def write(self, pe: int, buf: str, offset: int, data) -> None:
         self.mem[(pe, buf)][offset : offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
     def word(self, pe: int, idx: int) -> int:
@@ -90,7 +103,7 @@ class _State:
         )
 
 
-def _apply_p2p_round(st: _State, w: Workload, rnd, out: ReferenceResult) -> None:
+def _apply_p2p_round(st: _State, payloads, rnd, out: ReferenceResult) -> None:
     # Reads observe pre-round state (cells are single-use per round, so
     # read-before-write ordering is the only consistent serialisation).
     for op in rnd:
@@ -119,7 +132,7 @@ def _apply_p2p_round(st: _State, w: Workload, rnd, out: ReferenceResult) -> None
     # Plain writes land last (their cells were not read this round).
     for op in rnd:
         if op.kind in ("put", "put_nbi"):
-            st.write(op.target, op.buf, op.offset, payload(w.seed, op.uid, op.nbytes))
+            st.write(op.target, op.buf, op.offset, payloads[op.uid])
         elif op.kind == "put_u64":
             st.write(op.target, op.buf, op.offset, np.uint64(op.value).tobytes())
 
@@ -155,11 +168,11 @@ def _apply_collective(st: _State, w: Workload, op: WOp, out: ReferenceResult) ->
         raise ValueError(f"unknown collective {op.kind!r}")
 
 
-def _apply_msg_round(st: _State, w: Workload, rnd, out: ReferenceResult) -> None:
+def _apply_msg_round(st: _State, payloads, rnd, out: ReferenceResult) -> None:
     # Matched send/recv pairs; the payload lands in the receiver's cell
     # regardless of protocol (eager/rendezvous) or transport (RC/UD).
     for op in rnd:
-        st.write(op.target, op.buf, op.offset, payload(w.seed, op.uid, op.nbytes))
+        st.write(op.target, op.buf, op.offset, payloads[op.uid])
         out.msgs[op.uid] = (op.pe, op.tag)
 
 
@@ -172,8 +185,14 @@ def _apply_lock_round(st: _State, w: Workload, op: WOp, out: ReferenceResult) ->
     out.atom_words[(home, word)] = cur
 
 
-def execute_reference(w: Workload) -> ReferenceResult:
-    """The expected final state of ``w`` (pure numpy, no simulator)."""
+def execute_reference(
+    w: Workload, payloads: Optional[Dict[int, np.ndarray]] = None
+) -> ReferenceResult:
+    """The expected final state of ``w`` (pure numpy, no simulator).
+    ``payloads`` is the check's :func:`draw_payloads` table (drawn here
+    when not given)."""
+    if payloads is None:
+        payloads = draw_payloads(w)
     out = ReferenceResult()
     st = _State(w)
     for rnd in w.rounds:
@@ -183,9 +202,9 @@ def execute_reference(w: Workload) -> ReferenceResult:
         elif kind == "lock_inc":
             _apply_lock_round(st, w, rnd[0], out)
         elif kind == "msg":
-            _apply_msg_round(st, w, rnd, out)
+            _apply_msg_round(st, payloads, rnd, out)
         else:
-            _apply_p2p_round(st, w, rnd, out)
+            _apply_p2p_round(st, payloads, rnd, out)
     for arr in st.mem.values():
         arr.flags.writeable = False
     out.heaps = st.mem

@@ -14,7 +14,15 @@ A run can be steered into any of the three execution modes under test:
 ``fastpath=False`` disarms the tier-0 staged-host batch and the tier-2
 RDMA-write flows, ``trace=True`` attaches a :class:`~repro.obs.spans.SpanTracer`
 (which disarms them too), and ``Workload.faults`` arms a survivable
-seeded fault plan.  Link holds run the same machine in every mode.
+seeded fault plan (whose health tracker disarms them as well).  Link
+holds run the same machine in every mode.  ``RunObservation.tiers_armed``
+records whether the tiers could commit: a run where they could not is
+its own event run, which is why a faulted check makes no separate
+``fastpath=False`` run.
+
+Every put and send payload comes from one read-only table per check
+(:func:`~repro.check.reference.draw_payloads`), shared by the runs and
+the reference.
 
 ``corrupt_uid`` is the harness' self-test hook: after the program
 body finishes, the PE that executed that op flips one byte of the
@@ -29,7 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.check.reference import coll_fill, coll_fill_int64, payload
+from repro.check.reference import coll_fill, coll_fill_int64, draw_payloads
 from repro.check.workload import Workload
 from repro.hardware.params import wilkes_params
 from repro.shmem.constants import Domain
@@ -59,6 +67,10 @@ class RunObservation:
     msgs: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     elapsed: float = 0.0
     start_time: float = 0.0
+    #: :attr:`Runtime.tiers_armed <repro.shmem.runtime.Runtime.tiers_armed>`
+    #: of the run.  When false, no fast tier could commit, so the run
+    #: took the event path for every op.
+    tiers_armed: bool = True
     protocol_counts: Dict[str, int] = field(default_factory=dict)
     probe_series: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
     stats: Dict[str, Any] = field(default_factory=dict)
@@ -138,14 +150,14 @@ def _fault_plan(w: Workload, start: float):
 
 
 # --------------------------------------------------------------- program
-def _run_p2p(w: Workload, ctx, bufs, op, out):
+def _run_p2p(payloads, ctx, bufs, op, out):
     sym = bufs.get(op.buf)
     if op.kind == "fence":
         yield from ctx.fence()
     elif op.kind in ("put", "put_nbi"):
         alloc = ctx.cuda.malloc if op.local_device else ctx.cuda.malloc_host
         src = alloc(op.nbytes, tag=f"op{op.uid}.src")
-        src.write(payload(w.seed, op.uid, op.nbytes))
+        src.write(payloads[op.uid])
         if op.kind == "put_nbi":
             # Non-blocking: returns immediately, completed by the
             # round-closing quiet (the source is never reused).
@@ -202,7 +214,7 @@ def _run_collective(w: Workload, ctx, bufs, op):
         raise ValueError(f"unknown collective {op.kind!r}")
 
 
-def _run_msg_round(w: Workload, ctx, bufs, rnd, out):
+def _run_msg_round(payloads, ctx, bufs, rnd, out):
     """Post this PE's sends and receives for a msg round, then wait for
     all of them — both sides of every pair complete inside the round."""
     waits = []
@@ -225,7 +237,7 @@ def _run_msg_round(w: Workload, ctx, bufs, rnd, out):
         if op.pe == ctx.pe:
             alloc = ctx.cuda.malloc if op.local_device else ctx.cuda.malloc_host
             src = alloc(op.nbytes, tag=f"op{op.uid}.msg-src")
-            src.write(payload(w.seed, op.uid, op.nbytes))
+            src.write(payloads[op.uid])
             waits.append(
                 ctx.isend(src, op.nbytes, op.target, tag=op.tag,
                           transport=op.transport or None)
@@ -252,7 +264,7 @@ def _run_lock_round(w: Workload, ctx, bufs, op):
     yield from ctx.clear_lock(lock, home=home)
 
 
-def _make_program(w: Workload, corrupt_uid: Optional[int]):
+def _make_program(w: Workload, corrupt_uid: Optional[int], payloads):
     def program(ctx):
         out = {"gets": {}, "atomics": {}, "msgs": {}, "offsets": {}}
         bufs = {}
@@ -269,13 +281,13 @@ def _make_program(w: Workload, corrupt_uid: Optional[int]):
             elif head == "lock_inc":
                 yield from _run_lock_round(w, ctx, bufs, rnd[0])
             elif head == "msg":
-                yield from _run_msg_round(w, ctx, bufs, rnd, out)
+                yield from _run_msg_round(payloads, ctx, bufs, rnd, out)
                 yield from ctx.quiet()
             else:
                 for op in rnd:
                     if op.pe != ctx.pe:
                         continue
-                    yield from _run_p2p(w, ctx, bufs, op, out)
+                    yield from _run_p2p(payloads, ctx, bufs, op, out)
                     if op.uid == corrupt_uid:
                         corrupt = op
                 yield from ctx.quiet()
@@ -299,26 +311,33 @@ def run_workload(
     trace: bool = False,
     corrupt_uid: Optional[int] = None,
     start: Optional[float] = None,
+    payloads: Optional[Dict[int, np.ndarray]] = None,
 ) -> RunObservation:
     """Run ``w`` once and observe everything the oracles compare.
 
     ``start`` is the program-phase start the fault plan is scheduled
-    from; a faulted ``w`` needs it (see :func:`measure_start`)."""
+    from; a faulted ``w`` needs it (see :func:`measure_start`).
+    ``payloads`` is the check's
+    :func:`~repro.check.reference.draw_payloads` table (drawn here when
+    not given)."""
     from repro.obs.metrics import snapshot_job
     from repro.obs.spans import SpanTracer
 
+    if payloads is None:
+        payloads = draw_payloads(w)
     plan = _fault_plan(w, start) if w.faults else None
     job = _job_for(w, fault_plan=plan)
     job.sim.fastpath = fastpath
     tracer = None
     if trace:
         tracer = SpanTracer().attach(job.sim, label=f"check seed {w.seed}")
-    res = job.run(_make_program(w, corrupt_uid))
+    res = job.run(_make_program(w, corrupt_uid, payloads))
 
     mode = "traced" if trace else ("fast" if fastpath else "event")
     obs = RunObservation(workload=w, mode=mode)
     obs.elapsed = res.elapsed
     obs.start_time = res.start_time
+    obs.tiers_armed = job.runtime.tiers_armed
     offsets = res.results[0]["offsets"]
     for pe in range(w.npes):
         for spec in w.buffers:

@@ -610,6 +610,14 @@ class Runtime:
         stage = (pool, ctx.cuda.memcpy)
         yield from chunk_stream(nbytes, self.params.pipeline_chunk, orig_src, unstage, stage)
 
+    @property
+    def tiers_armed(self) -> bool:
+        """Whether the fast tiers (:meth:`_fast_staged`,
+        :meth:`_fast_rdma_put`) may commit at all: the kill switch is on
+        and no span tracer or health tracker hooks the event path.  When
+        this is false a run takes the event path for every op."""
+        return self.sim.fastpath and self.sim.tracer is None and self.health is None
+
     def _fast_staged(self, ctx, final_dst, orig_src, nbytes) -> Optional[Event]:
         """Closed-form replay of the serial two-copy staging loop.
 
@@ -620,12 +628,7 @@ class Runtime:
         the event to yield on, or ``None`` to take the event path.
         """
         sim = self.sim
-        if not (
-            sim.fastpath
-            and self.health is None
-            and sim.tracer is None
-            and sim.quiescent()
-        ):
+        if not (self.tiers_armed and sim.quiescent()):
             return None
         pool = self.staging[ctx.pe]
         if not pool.idle:
@@ -684,9 +687,9 @@ class Runtime:
         injector attaches the health tracker and RC retransmission) is
         attached — those layers hook the event path.
         """
-        sim = self.sim
-        if not (sim.fastpath and sim.tracer is None and self.health is None):
+        if not self.tiers_armed:
             return None
+        sim = self.sim
         device = self.spec.device_initiated
         if device and ctx.pe not in self._warmed_pes:
             # First device op of this PE: the event path must charge

@@ -1,11 +1,14 @@
 """Heap observations of the differential harness: zero-copy views,
-one heap comparison, and one fault-plan probe per check.
+one heap comparison, one fault-plan probe per check, and one run that
+is both the fast and the event run of a faulted check.
 
 A finished job's heaps are read back as read-only views of the heap
 allocations (no copy), the reference keeps its arrays, and every oracle
 compares heaps through :func:`repro.check.oracles.heaps_equal`.  The
 cross-mode heap comparison is skipped only when both runs already
-matched the reference byte for byte.
+matched the reference byte for byte.  A fault plan's health tracker
+disarms the fast tiers, so a faulted check's fast run takes the event
+path for every op and no separate event run is made.
 """
 
 import dataclasses
@@ -14,13 +17,14 @@ import numpy as np
 import pytest
 
 import repro.check.oracles as oracles
-from repro.check import check_workload, execute_reference, generate_workload
+from repro.check import check_workload, execute_reference, generate_workload, run_workload
 from repro.check.oracles import (
     CheckReport,
     heaps_equal,
     oracle_bit_identity,
     oracle_heap_matches_reference,
 )
+from repro.check.runner import measure_start
 from repro.shmem import Domain, ShmemJob
 
 H = Domain.HOST
@@ -64,6 +68,9 @@ def test_heaps_equal_compares_keys_and_every_byte(at):
     assert not heaps_equal(a, b)
     assert not heaps_equal(a, {(0, "x"): a[0, "x"]})
     assert not heaps_equal({(0, "x"): a[0, "x"]}, a)
+    assert not heaps_equal(a, {**a, (1, "x"): a[1, "x"][:-1]})
+    # An unaligned view compares the same bytes.
+    assert heaps_equal({(0, "x"): a[1, "x"][1:]}, {(0, "x"): a[1, "x"][1:].copy()})
 
 
 def test_reference_heaps_are_read_only_arrays():
@@ -111,7 +118,7 @@ def test_one_probe_job_per_faulted_check(monkeypatch):
     monkeypatch.setattr(ShmemJob, "run", counted)
     faulted = generate_workload(5, ops=8, faults=True)
     assert check_workload(faulted).passed
-    assert len(runs) == 4  # one probe + fast, event, traced
+    assert len(runs) == 3  # one probe + fast (its own event run) + traced
     runs.clear()
     assert check_workload(generate_workload(5, ops=8)).passed
     assert len(runs) == 3
@@ -130,4 +137,49 @@ def test_check_compares_modes_in_full_when_one_run_missed_the_reference(monkeypa
     monkeypatch.setattr(oracles, "run_workload", event_flipped)
     report = check_workload(generate_workload(3, ops=10, design="naive"))
     assert sorted({v.oracle for v in report.violations}) == ["fast-vs-event", "heap"]
+    assert any("final heap bytes diverge" in str(v) for v in report.violations)
+
+
+#: One faulted seed of each faulted CI sweep shape (``--ops 12``):
+#: plain, device-initiated, ``--msg`` and device-initiated ``--msg``.
+#: A tier armed under the health tracker diverges or raises on each.
+FAULTED_SHAPES = [
+    (10004, None, False),
+    (10004, "device-initiated", False),
+    (10004, None, True),
+    (10004, "device-initiated", True),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,design,msg", FAULTED_SHAPES,
+    ids=[f"{d or 'default'}-{'msg' if m else 'p2p'}" for _, d, m in FAULTED_SHAPES],
+)
+def test_faulted_fast_run_is_its_own_event_run(seed, design, msg):
+    """The proof behind skipping a faulted check's event run: with the
+    tiers disarmed, the default run equals a ``fastpath=False`` run."""
+    w = generate_workload(seed, ops=12, design=design, faults=True, msg=msg)
+    start = measure_start(w)
+    fast = run_workload(w, start=start)
+    event = run_workload(w, fastpath=False, start=start)
+    assert not fast.tiers_armed
+    assert fast.elapsed == event.elapsed
+    assert fast.stats == event.stats
+    assert fast.protocol_counts == event.protocol_counts
+    assert heaps_equal(fast.heaps, event.heaps)
+
+
+def test_faulted_check_catches_one_flipped_traced_byte(monkeypatch):
+    """With the fast run standing in for the event run, the traced run
+    is still an independent execution compared byte for byte."""
+    run = oracles.run_workload
+
+    def traced_flipped(w, **kw):
+        obs = run(w, **kw)
+        return _flipped(obs, sorted(obs.heaps)[0]) if kw.get("trace") else obs
+
+    monkeypatch.setattr(oracles, "run_workload", traced_flipped)
+    report = check_workload(generate_workload(5, ops=8, faults=True))
+    assert sorted(report.runs) == ["fast", "traced"]
+    assert sorted({v.oracle for v in report.violations}) == ["heap", "traced-vs-untraced"]
     assert any("final heap bytes diverge" in str(v) for v in report.violations)

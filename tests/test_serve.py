@@ -392,6 +392,29 @@ def test_http_submit_wait_and_stream(service):
     assert metrics and metrics[-1] == detail["result"]["metrics"]
 
 
+def test_run_via_service_prints_the_claim_verdict(tmp_path, monkeypatch, capsys):
+    """``repro run --serve-url`` checks each full-size target's claim on
+    the rows the job rendered, prints the in-process verdict line, and
+    exits 1 when a claim fails."""
+    from repro.__main__ import main
+    from repro.reporting import EXPERIMENTS
+    from repro.reporting.experiments import Claim
+
+    failing = Claim("never holds", (("condition that fails", lambda rows: False),))
+    monkeypatch.setattr(EXPERIMENTS["table1"], "paper_claim", failing)
+    thread = ServiceThread(SchedulerConfig(workers=1, cache_dir=tmp_path))
+    url = thread.start()
+    try:
+        # The process pool forks at its first job, after the patch.
+        assert main(["run", "table1", "--serve-url", url]) == 1
+        out = capsys.readouterr().out
+        assert "\ntable1 claim FAILS: condition that fails (paper: never holds)\n" in out
+        assert main(["run", "table3", "--serve-url", url]) == 0
+        assert "\ntable3 claim holds (paper: " in capsys.readouterr().out
+    finally:
+        thread.stop()
+
+
 def test_http_batch_dedup_modes(service):
     specs = [{"kind": "synthetic", "key": f"k{i % 2}"} for i in range(6)]
     acks = service.submit_batch(specs)
