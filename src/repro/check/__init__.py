@@ -13,7 +13,8 @@ ROADMAP:
   fast-path bit-identity, traced vs untraced bit-identity, span/event
   parity, link byte conservation, atomic conservation under faults.
   A run whose fast tiers are disarmed is its own event run, so a
-  faulted check makes two runs (fast and traced) plus the probe job.
+  faulted check makes two runs (fast and traced) plus the probe job,
+  which runs once per job shape.
 
 :mod:`repro.check.shrink` minimises a failing workload to a
 pytest-pasteable repro; ``python -m repro check`` drives the lot.

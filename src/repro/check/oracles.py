@@ -94,8 +94,33 @@ def heaps_equal(
 ) -> bool:
     """True when ``a`` and ``b`` hold the same buffers with the same
     bytes: the same key set, then every byte of every buffer.  The one
-    heap comparison every oracle (and test) uses."""
-    return a.keys() == b.keys() and all(_same_bytes(a[k], b[k]) for k in a)
+    heap comparison every oracle (and test) uses.
+
+    When both sides carry a write record for a key's very arrays
+    (:class:`~repro.check.reference.Heaps`), every byte outside the
+    union of the two records is zero on both sides, so only the union
+    is compared, byte for byte; otherwise the whole buffer is."""
+    return a.keys() == b.keys() and all(_same_buffer(a, b, k) for k in a)
+
+
+def _record(heaps, key) -> Optional[list]:
+    """The write record of ``heaps[key]``, if it has one for that array."""
+    rec = getattr(heaps, "written", {}).get(key)
+    return rec[1] if rec is not None and rec[0] is heaps[key] else None
+
+
+def _same_buffer(a, b, key) -> bool:
+    x, y = a[key], b[key]
+    ra, rb = _record(a, key), _record(b, key)
+    if ra is None or rb is None or x.shape != y.shape:
+        return _same_bytes(x, y)
+    union: List[List[int]] = []
+    for lo, hi in sorted(ra + rb):
+        if union and lo <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], hi)
+        else:
+            union.append([lo, hi])
+    return all(_same_bytes(x[lo:hi], y[lo:hi]) for lo, hi in union)
 
 
 def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:

@@ -60,13 +60,28 @@ def coll_fill_int64(seed: int, uid: int, pe: int, count: int) -> np.ndarray:
     return rng.integers(-(10**6), 10**6, count, dtype=np.int64)
 
 
+class Heaps(dict):
+    """``(pe, buffer name) -> final bytes`` of every symmetric buffer,
+    as read-only uint8 arrays, with their write records.
+
+    ``written[key] = (array, ranges)`` states that every byte of
+    ``array`` outside the ``(lo, hi)`` byte ranges is zero.  A record
+    holds only for the very array object it was taken with:
+    :func:`~repro.check.oracles.heaps_equal` compares any other array
+    under that key (or a plain dict's) in full."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.written: Dict[Tuple[int, str], Tuple[np.ndarray, list]] = {}
+
+
 @dataclass
 class ReferenceResult:
     """Expected end state of one workload."""
 
     #: ``(pe, buffer name) -> final bytes`` of every symmetric buffer,
-    #: as a read-only uint8 array.
-    heaps: Dict[Tuple[int, str], np.ndarray] = field(default_factory=dict)
+    #: as a read-only uint8 array, with the ranges the reference wrote.
+    heaps: Dict[Tuple[int, str], np.ndarray] = field(default_factory=Heaps)
     #: ``op uid -> bytes`` a blocking get must fetch.
     gets: Dict[int, bytes] = field(default_factory=dict)
     #: ``op uid -> int`` return of order-deterministic atomics.
@@ -87,12 +102,15 @@ class _State:
             for pe in range(w.npes)
             for spec in w.buffers
         }
+        #: ``key -> (lo, hi)`` byte ranges written (may overlap).
+        self.written: Dict[Tuple[int, str], list] = {key: [] for key in self.mem}
 
     def region(self, pe: int, buf: str, offset: int, nbytes: int) -> np.ndarray:
         return self.mem[(pe, buf)][offset : offset + nbytes]
 
     def write(self, pe: int, buf: str, offset: int, data) -> None:
         self.mem[(pe, buf)][offset : offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
+        self.written[(pe, buf)].append((offset, offset + len(data)))
 
     def word(self, pe: int, idx: int) -> int:
         return int(self.mem[(pe, "atoms")][idx * 8 : idx * 8 + 8].view(np.uint64)[0])
@@ -101,6 +119,7 @@ class _State:
         self.mem[(pe, "atoms")][idx * 8 : idx * 8 + 8].view(np.uint64)[0] = np.uint64(
             value & (2**64 - 1)
         )
+        self.written[(pe, "atoms")].append((idx * 8, idx * 8 + 8))
 
 
 def _apply_p2p_round(st: _State, payloads, rnd, out: ReferenceResult) -> None:
@@ -205,7 +224,8 @@ def execute_reference(
             _apply_msg_round(st, payloads, rnd, out)
         else:
             _apply_p2p_round(st, payloads, rnd, out)
-    for arr in st.mem.values():
+    out.heaps = Heaps(st.mem)
+    for key, arr in st.mem.items():
         arr.flags.writeable = False
-    out.heaps = st.mem
+        out.heaps.written[key] = (arr, st.written[key])
     return out

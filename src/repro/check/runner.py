@@ -4,8 +4,9 @@
 Workload` into an SPMD generator program, runs it on a fresh
 :class:`~repro.shmem.job.ShmemJob`, and reads the final symmetric-heap
 bytes back through the runtime's untimed read-back hook, as read-only
-views of the finished heaps (no copy).  The
-resulting :class:`RunObservation` carries everything the oracles
+views of the finished heaps (no copy), each with the memory model's
+write record clipped to its buffer (every byte outside it is zero).
+The resulting :class:`RunObservation` carries everything the oracles
 compare: heap bytes, fetched get/atomic values, exact virtual end
 times, protocol counts, probe series, per-link byte counters, and the
 full :class:`~repro.obs.metrics.MetricsSnapshot`.
@@ -20,6 +21,9 @@ records whether the tiers could commit: a run where they could not is
 its own event run, which is why a faulted check makes no separate
 ``fastpath=False`` run.
 
+A faulted run's fault plan is scheduled from the program-phase start
+of a probe job, which is run once per job shape (:func:`probe_start`).
+
 Every put and send payload comes from one read-only table per check
 (:func:`~repro.check.reference.draw_payloads`), shared by the runs and
 the reference.
@@ -32,12 +36,13 @@ catch and the shrinker must minimise to that single op.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.check.reference import coll_fill, coll_fill_int64, draw_payloads
+from repro.check.reference import Heaps, coll_fill, coll_fill_int64, draw_payloads
 from repro.check.workload import Workload
 from repro.hardware.params import wilkes_params
 from repro.shmem.constants import Domain
@@ -59,8 +64,9 @@ class RunObservation:
     workload: Workload
     mode: str
     #: ``(pe, buffer name) -> final bytes`` of every symmetric buffer:
-    #: a read-only uint8 view of the finished job's heap (no copy).
-    heaps: Dict[Tuple[int, str], np.ndarray] = field(default_factory=dict)
+    #: a read-only uint8 view of the finished job's heap (no copy),
+    #: with the heap's write record clipped to the buffer.
+    heaps: Dict[Tuple[int, str], np.ndarray] = field(default_factory=Heaps)
     gets: Dict[int, bytes] = field(default_factory=dict)
     atomics: Dict[int, int] = field(default_factory=dict)
     #: ``op uid -> (source, tag)`` envelope of every two-sided receive.
@@ -90,29 +96,46 @@ class RunObservation:
         }
 
 
-def _job_for(w: Workload, fault_plan=None) -> ShmemJob:
+def _job_for(nodes: int, design: str, pes_per_node: int, faults: bool,
+             fault_plan=None) -> ShmemJob:
     from repro.hardware.node import NodeConfig
 
-    params = wilkes_params(**FAULT_PARAMS) if w.faults else None
-    node = NodeConfig(gpus=max(2, w.pes_per_node))
+    params = wilkes_params(**FAULT_PARAMS) if faults else None
+    node = NodeConfig(gpus=max(2, pes_per_node))
     return ShmemJob(
-        nodes=w.nodes,
-        design=w.design,
+        nodes=nodes,
+        design=design,
         params=params,
         node_config=node,
-        pes_per_node=w.pes_per_node,
+        pes_per_node=pes_per_node,
         fault_plan=fault_plan,
     )
 
 
 def measure_start(w: Workload) -> float:
     """Virtual time at which programs leave init (probe-job idiom), so
-    fault windows can be scheduled inside the program phase."""
+    fault windows can be scheduled inside the program phase.  It depends
+    only on the job's shape, so each shape is probed once per process
+    (:func:`probe_start`)."""
+    return probe_start(w.nodes, w.design, w.pes_per_node, w.faults)
+
+
+@functools.lru_cache(maxsize=None)
+def probe_start(nodes: int, design: str, pes_per_node: int, faults: bool) -> float:
+    """Run the probe job of one shape (the fields :func:`_job_for`
+    reads); memoised.  The probe's engine counters are kept out of
+    :data:`~repro.simulator.core.GLOBAL_STATS`, so a check's totals do
+    not depend on whether its shape was probed before."""
+    from repro.simulator.core import GLOBAL_STATS, SimStats, reset_global_stats
 
     def empty(ctx):
         yield from ctx.barrier_all()
 
-    return _job_for(w).run(empty).start_time
+    tally = SimStats()
+    tally.absorb(GLOBAL_STATS)
+    start = _job_for(nodes, design, pes_per_node, faults).run(empty).start_time
+    reset_global_stats().absorb(tally)
+    return start
 
 
 def _fault_plan(w: Workload, start: float):
@@ -326,7 +349,7 @@ def run_workload(
     if payloads is None:
         payloads = draw_payloads(w)
     plan = _fault_plan(w, start) if w.faults else None
-    job = _job_for(w, fault_plan=plan)
+    job = _job_for(w.nodes, w.design, w.pes_per_node, w.faults, fault_plan=plan)
     job.sim.fastpath = fastpath
     tracer = None
     if trace:
@@ -341,9 +364,11 @@ def run_workload(
     offsets = res.results[0]["offsets"]
     for pe in range(w.npes):
         for spec in w.buffers:
-            obs.heaps[(pe, spec.name)] = job.runtime.heap_read_back(
-                pe, Domain(spec.domain), offsets[spec.name], spec.size
-            )
+            key, domain, offset = (pe, spec.name), Domain(spec.domain), offsets[spec.name]
+            view = job.runtime.heap_read_back(pe, domain, offset, spec.size)
+            written = job.runtime.heap_of(pe, domain).heap.ptr(offset).written(spec.size)
+            obs.heaps[key] = view
+            obs.heaps.written[key] = (view, written)
         obs.gets.update(res.results[pe]["gets"])
         obs.atomics.update(res.results[pe]["atomics"])
         obs.msgs.update(res.results[pe]["msgs"])

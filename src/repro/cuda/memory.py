@@ -30,16 +30,28 @@ they *escape* their allocation: it is settled first, and from then on
 its snapshots are copied and its writes land at once.
 :attr:`MemorySpace.bytes_copied` counts every byte the model physically
 copies: eager writes, copy-outs and applies.
+
+The three mutators also feed each allocation's *write record*
+(:attr:`Allocation.written`): the ``BLOCK``-byte blocks they may ever
+have changed, an inbound range's blocks when it is recorded and all of
+them once ``as_array`` escapes the allocation.  No other code writes an
+allocation's bytes, so every byte outside the record is still zero;
+:meth:`Ptr.written` reads the record back as byte ranges.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import CudaError
+
+#: The write record's granularity: a block is ``1 << BLOCK_SHIFT`` bytes
+#: (a page).
+BLOCK_SHIFT = 12
+BLOCK = 1 << BLOCK_SHIFT
 
 
 class MemKind(enum.Enum):
@@ -63,7 +75,7 @@ class Allocation:
 
     __slots__ = (
         "space", "kind", "node_id", "device_id", "owner", "size", "_data", "base", "freed", "tag",
-        "pending", "inbound", "escaped",
+        "pending", "inbound", "escaped", "written",
     )
 
     def __init__(
@@ -98,6 +110,9 @@ class Allocation:
         self.inbound: list = []
         #: Set once a view the model cannot watch has been handed out.
         self.escaped = False
+        #: The write record: one byte per ``BLOCK`` bytes, set to 1 by
+        #: every mutator over the blocks it may change (never cleared).
+        self.written = bytearray((size + BLOCK - 1) >> BLOCK_SHIFT)
 
     @property
     def data(self) -> np.ndarray:
@@ -399,6 +414,12 @@ class Ptr:
         lo = self.offset
         if snap and payload.alloc is alloc and payload.offset == lo and payload.data is None:
             return  # bytes written back where they are read from: no change
+        first = lo >> BLOCK_SHIFT
+        if (lo + n - 1) >> BLOCK_SHIFT == first:  # one block: the common case
+            alloc.written[first] = 1
+        else:
+            end = (lo + n + BLOCK - 1) >> BLOCK_SHIFT
+            alloc.written[first:end] = b"\x01" * (end - first)
         if alloc.pending:
             alloc.materialise(lo, lo + n)
         if alloc.inbound:
@@ -417,8 +438,8 @@ class Ptr:
         """A mutable numpy view (used by compute kernels and tests).
 
         The model cannot see writes through the view, so this settles
-        every registration and inbound range of the allocation and marks
-        it escaped.
+        every registration and inbound range of the allocation, marks
+        it escaped and records all of it as written.
         """
         dtype = np.dtype(dtype)
         if count is None:
@@ -431,6 +452,7 @@ class Ptr:
         if alloc.inbound:
             alloc.settle(0, alloc.size)
         alloc.escaped = True
+        alloc.written[:] = b"\x01" * len(alloc.written)
         return alloc.data[self.offset : self.offset + nbytes].view(dtype)
 
     def fill(self, value: int, nbytes: Optional[int] = None) -> None:
@@ -444,7 +466,29 @@ class Ptr:
             alloc.materialise(lo, lo + nbytes)
         if alloc.inbound:
             alloc.settle(lo, lo + nbytes, overwrite=True)
+        first = lo >> BLOCK_SHIFT
+        end = (lo + nbytes + BLOCK - 1) >> BLOCK_SHIFT
+        alloc.written[first:end] = b"\x01" * (end - first)
         alloc.data[lo : lo + nbytes] = value
+
+    def written(self, nbytes: int) -> List[Tuple[int, int]]:
+        """The write record of the ``nbytes`` at this pointer: sorted,
+        disjoint ``(lo, hi)`` byte ranges, relative to this pointer, that
+        cover every byte a mutator may have changed.  Every byte outside
+        them was never written and reads as zero."""
+        self._check(nbytes)
+        lo = self.offset
+        record = self.alloc.written
+        end = (lo + nbytes + BLOCK - 1) >> BLOCK_SHIFT
+        ranges = []
+        a = record.find(1, lo >> BLOCK_SHIFT, end)
+        while a != -1:
+            b = record.find(0, a, end)
+            if b == -1:
+                b = end
+            ranges.append((max((a << BLOCK_SHIFT) - lo, 0), min((b << BLOCK_SHIFT) - lo, nbytes)))
+            a = record.find(1, b, end)
+        return ranges
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Ptr {self.alloc.kind.value} va=0x{self.va:x} (+{self.offset})>"

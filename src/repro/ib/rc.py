@@ -43,14 +43,17 @@ def retry(
     The ``k``-th failure waits ``delay(k)`` (a Timeout named ``name``);
     the failure past the budget is re-raised.  ``retries`` counts every
     failure when ``count_last``, else only those that are re-run.
-    Hooks: ``before()`` (a generator) runs ahead of each attempt,
+    Hooks: ``before()`` runs ahead of each attempt and returns a
+    generator to run first, or ``None`` to go straight on;
     ``failed(exc, k)`` sees each failure before the budget check (and
     may raise instead), ``succeeded()`` sees the success.
     """
     k = 0
     while True:
         if before is not None:
-            yield from before()
+            wait = before()
+            if wait is not None:
+                yield from wait
         try:
             result = yield from attempt()
         except errors as exc:
@@ -94,11 +97,17 @@ class RCTransport:
             lambda k: self.timeout * self.backoff_factor ** (k - 1), "rc:backoff", **hooks,
         )
 
-    def _stall(self, hca: HCA) -> Generator:
+    def _stall(self, hca: HCA) -> Optional[Generator]:
+        """The wait for an injected stall on ``hca`` still in force, or
+        ``None`` when there is none (the common case builds nothing)."""
         wait = hca.stall_remaining(self.sim.now)
         if wait > 0.0:
             self.sim.stats.hca_stalls += 1
-            yield self.sim.timeout(wait, name="rc:hca-stall")
+            return self._stalled(wait)
+        return None
+
+    def _stalled(self, wait: float) -> Generator:
+        yield self.sim.timeout(wait, name="rc:hca-stall")
 
     def execute(self, spec: TransferSpec, hca: Optional[HCA] = None) -> Generator:
         """Run ``spec`` with RC retry semantics.

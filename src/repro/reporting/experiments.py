@@ -166,7 +166,7 @@ IB_ROW, HP_ROW, GDR_ROW = "IB send/recv (verbs write)", f"OpenSHMEM put ({HP})",
 
 
 def _measure_table2(quick: bool = False) -> Rows:
-    rows = table2_probe(design=HP) + table2_probe(design=GDR)[1:]
+    rows = table2_probe(designs=(HP, GDR))
     return {
         "Host-Host (usec)": {r.level: r.host_host_usec for r in rows},
         "GPU-GPU (usec)": {r.level: r.gpu_gpu_usec for r in rows},

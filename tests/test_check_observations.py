@@ -1,6 +1,6 @@
 """Heap observations of the differential harness: zero-copy views,
-one heap comparison, one fault-plan probe per check, and one run that
-is both the fast and the event run of a faulted check.
+one heap comparison, one fault-plan probe per job shape, and one run
+that is both the fast and the event run of a faulted check.
 
 A finished job's heaps are read back as read-only views of the heap
 allocations (no copy), the reference keeps its arrays, and every oracle
@@ -24,7 +24,8 @@ from repro.check.oracles import (
     oracle_bit_identity,
     oracle_heap_matches_reference,
 )
-from repro.check.runner import measure_start
+from repro.check.runner import measure_start, probe_start
+from repro.check.workload import DESIGNS, TOPOLOGIES
 from repro.shmem import Domain, ShmemJob
 
 H = Domain.HOST
@@ -116,12 +117,46 @@ def test_one_probe_job_per_faulted_check(monkeypatch):
         return run(self, program, *args, **kw)
 
     monkeypatch.setattr(ShmemJob, "run", counted)
+    probe_start.cache_clear()
     faulted = generate_workload(5, ops=8, faults=True)
     assert check_workload(faulted).passed
     assert len(runs) == 3  # one probe + fast (its own event run) + traced
     runs.clear()
+    same_shape = generate_workload(6, ops=8, faults=True, design=faulted.design,
+                                   nodes=faulted.nodes, pes_per_node=faulted.pes_per_node)
+    assert check_workload(same_shape).passed
+    assert len(runs) == 2  # the shape's probe is memoised
+    runs.clear()
     assert check_workload(generate_workload(5, ops=8)).passed
     assert len(runs) == 3
+
+
+def test_engine_totals_of_a_check_do_not_depend_on_the_probe_memo():
+    """The probe job's counters stay out of the process-wide tally, so
+    checking one workload twice gives the same engine totals though
+    only the first check runs the probe."""
+    from repro.simulator.core import GLOBAL_STATS, reset_global_stats
+
+    w = generate_workload(5, ops=8, faults=True)
+    totals = []
+    probe_start.cache_clear()
+    for _ in range(2):
+        reset_global_stats()
+        assert check_workload(w).passed
+        totals.append(GLOBAL_STATS.as_dict())
+    assert totals[0] == totals[1] and totals[0]["processed"] > 0
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
+def test_memoised_probe_start_equals_a_fresh_probe(faults):
+    """The probe's start depends only on the fields the job is built
+    from, for every design and topology the generator draws."""
+    for design in DESIGNS:
+        for nodes, ppn in TOPOLOGIES:
+            w = generate_workload(1, ops=4, design=design, nodes=nodes,
+                                  pes_per_node=ppn, faults=faults)
+            fresh = probe_start.__wrapped__(nodes, design, ppn, faults)
+            assert measure_start(w) == measure_start(w) == fresh, (design, nodes, ppn)
 
 
 def test_check_compares_modes_in_full_when_one_run_missed_the_reference(monkeypatch):
