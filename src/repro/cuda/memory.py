@@ -175,32 +175,21 @@ class Snapshot:
     :attr:`Allocation.pending`; the first write over its range copies it
     out first (:meth:`Allocation.materialise`).  Delivering a snapshot
     with :meth:`Ptr.write` copies nothing: the destination records an
-    :class:`Inbound` range with its own registration.  Slicing
-    (``payload[lo:hi]``) gives a view that reads through to its parent.
-    The transfer that took a snapshot must :meth:`release` it once it
+    :class:`Inbound` range with its own registration.  The transfer that took a snapshot must :meth:`release` it once it
     has delivered or died, or every later write to the source
     allocation keeps scanning it.
     """
 
-    __slots__ = ("alloc", "offset", "nbytes", "data", "parent")
+    __slots__ = ("alloc", "offset", "nbytes", "data")
 
-    def __init__(
-        self, alloc: Optional[Allocation], offset: int, nbytes: int, parent: "Optional[Snapshot]" = None
-    ):
+    def __init__(self, alloc: Optional[Allocation], offset: int, nbytes: int):
         self.alloc = alloc
         self.offset = offset
         self.nbytes = nbytes
         self.data: Optional[np.ndarray] = None
-        self.parent = parent
 
     def __len__(self) -> int:
         return self.nbytes
-
-    def __getitem__(self, key: slice) -> "Snapshot":
-        lo, hi, step = key.indices(self.nbytes)
-        if step != 1:
-            raise CudaError("payload snapshots slice contiguously")
-        return Snapshot(None, lo, max(hi - lo, 0), parent=self)
 
     def array(self) -> np.ndarray:
         """The payload bytes as a uint8 array (a view: do not mutate)."""
@@ -208,8 +197,6 @@ class Snapshot:
         if data is not None:
             return data
         lo = self.offset
-        if self.parent is not None:
-            return self.parent.array()[lo : lo + self.nbytes]
         if self.alloc is None:
             raise CudaError("payload snapshot used after release")
         return self.alloc.data[lo : lo + self.nbytes]
@@ -241,16 +228,11 @@ class Inbound(Snapshot):
     __slots__ = ("dst", "at")
 
     def __init__(self, payload: Snapshot, dst: Allocation, at: int):
-        n = payload.nbytes
-        off = 0
-        while payload.parent is not None:
-            off += payload.offset
-            payload = payload.parent
-        super().__init__(payload.alloc, payload.offset + off, n)
+        super().__init__(payload.alloc, payload.offset, payload.nbytes)
         data = payload.data
         if data is not None:
             self.alloc = None
-            self.data = data[off : off + n]
+            self.data = data
         elif payload.alloc is None:
             raise CudaError("payload snapshot used after release")
         else:

@@ -1,5 +1,10 @@
 """Tag/source matching and the eager/rendezvous protocol pair.
 
+:class:`TwoSided` is the posting and matching front end of both
+two-sided engines: :class:`MsgEngine` here and the lowercase MPI
+baseline (:class:`repro.mpi.MpiWorld`).  Each engine keeps its own
+instance of that state and adds only how a matched message moves.
+
 Matching follows MPI rules: a receive names a source (or
 :data:`ANY_SOURCE`) and a tag (or :data:`ANY_TAG`); posted receives are
 scanned in post order and the first compatible one wins, so
@@ -49,7 +54,7 @@ _TRANSPORTS = ("rc", "ud")
 
 
 @dataclass
-class _MsgPosted:
+class Posted:
     """One posted two-sided send or recv awaiting its match."""
 
     kind: str  # "send" | "recv"
@@ -65,31 +70,147 @@ class _MsgPosted:
     payload: Optional[Snapshot] = None
 
 
-class MsgEngine:
-    """Per-job two-sided state: match lists, bounce pools, UD transport."""
+class TwoSided:
+    """The two-sided front end both engines share: posting, matching,
+    the truncation check, failure routing, and the per-(PE, kind) host
+    pools and per-allocation registrations.
+
+    A subclass sets :attr:`name` (the prefix of its event, process and
+    pool names) and :attr:`eager_limit`, and supplies ``_transfer(send,
+    recv)``, the generator that moves one matched message.
+    """
+
+    name: str
+    #: Host-resident sends at or below this size snapshot their payload
+    #: at post and complete at once.
+    eager_limit: int
 
     def __init__(self, job):
         self.job = job
         self.sim = job.sim
         self.params = job.params
         self.verbs = job.verbs
+        #: Unmatched sends / posted receives, per destination PE, in
+        #: post order (the order matching scans).
+        self._unexpected: Dict[int, List[Posted]] = {}
+        self._posted: Dict[int, List[Posted]] = {}
+        self._pools: Dict[Tuple[int, str], StagingPool] = {}
+        self._mrs: Dict[int, MemoryRegion] = {}
+        self.messages = 0
+
+    # ---------------------------------------------------------------- plumbing
+    def _endpoint(self, pe: int):
+        return self.job.runtime.endpoints[pe]
+
+    def _host_pool(self, pe: int, kind: str) -> StagingPool:
+        """PE ``pe``'s ``"tx"`` or ``"rx"`` host pool: separate pools
+        per side keep simultaneous exchanges in both directions from
+        deadlocking on each other's slots."""
+        pool = self._pools.get((pe, kind))
+        if pool is None:
+            node_id, _ = self.job.hw.pe_location(pe)
+            pool = StagingPool.host(self.job, node_id, pe, f"{self.name}.pe{pe}.{kind}-bounce")
+            self._pools[(pe, kind)] = pool
+        return pool
+
+    def _mr_of(self, alloc) -> MemoryRegion:
+        mr = self._mrs.get(id(alloc))
+        if mr is None:
+            mr = MemoryRegion(alloc)
+            self._mrs[id(alloc)] = mr
+        return mr
+
+    # ---------------------------------------------------------------- posting
+    def post_send(
+        self, pe: int, buf: Ptr, nbytes: int, dst: int, tag: int, transport: str = "rc"
+    ) -> Event:
+        """Post a send; the event fires when the buffer is reusable (at
+        once for an eager send, whose payload is already snapshotted)."""
+        sim = self.sim
+        done = sim.event(f"{self.name}:send:{pe}->{dst}")
+        item = Posted("send", pe, dst, tag, buf, nbytes, done, transport)
+        if nbytes <= self.eager_limit and buf.kind is not MemKind.DEVICE:
+            item.payload = buf.snapshot(nbytes)
+            done.succeed(sim.now)
+        self._match(item)
+        return done
+
+    def post_recv(self, pe: int, buf: Ptr, nbytes: int, src: int, tag: int) -> Event:
+        """Post a receive; the event fires on delivery."""
+        done = self.sim.event(f"{self.name}:recv:{pe}<-{src}")
+        self._match(Posted("recv", pe, src, tag, buf, nbytes, done))
+        return done
+
+    # ---------------------------------------------------------------- matching
+    def _match(self, item: Posted) -> None:
+        """Start ``item`` with the first compatible opposite entry
+        queued at its destination, scanning in post order, or queue it
+        there."""
+        is_send = item.kind == "send"
+        dst = item.peer if is_send else item.pe
+        waiting = (self._posted if is_send else self._unexpected).get(dst)
+        if waiting:
+            for i, other in enumerate(waiting):
+                send, recv = (item, other) if is_send else (other, item)
+                if self._compatible(send, recv):
+                    del waiting[i]
+                    self._start(send, recv)
+                    return
+        (self._unexpected if is_send else self._posted).setdefault(dst, []).append(item)
+
+    @staticmethod
+    def _compatible(send: Posted, recv: Posted) -> bool:
+        return recv.peer in (ANY_SOURCE, send.pe) and recv.tag in (ANY_TAG, send.tag)
+
+    def _start(self, send: Posted, recv: Posted) -> None:
+        if recv.nbytes < send.nbytes:
+            self._fail(send, recv, ShmemError(
+                f"{self.name} truncation: recv of {recv.nbytes} B matched a send of "
+                f"{send.nbytes} B (src {send.pe} -> dst {recv.pe}, tag {send.tag})"
+            ))
+            return
+        self.messages += 1
+        self.sim.process(
+            self._guarded(self._transfer(send, recv), send, recv),
+            name=f"{self.name}:{send.pe}->{recv.pe}",
+        )
+
+    @staticmethod
+    def _fail(send: Posted, recv: Posted, exc: Exception) -> None:
+        """Release an eager payload and fail whichever side is still
+        waiting."""
+        if send.payload is not None:
+            send.payload.release()
+        for done in (send.done, recv.done):
+            if not done.triggered:
+                done.fail(exc)
+
+    def _guarded(self, body: Generator, send: Posted, recv: Posted) -> Generator:
+        """Route transfer failures (UD delivery exhaustion, link loss)
+        into the posted events instead of killing the process."""
+        try:
+            yield from body
+        except Exception as exc:  # noqa: BLE001 — any failure fails the message
+            self._fail(send, recv, exc)
+
+
+class MsgEngine(TwoSided):
+    """Per-job two-sided state: match lists, bounce pools, UD transport."""
+
+    name = "msg"
+
+    def __init__(self, job):
+        super().__init__(job)
         self.ud = UDTransport(job.verbs)
         #: Route-level transport selection; falls back to
         #: :attr:`default_transport` for unlisted (src, dst) pairs.
         self.default_transport = "rc"
         self._routes: Dict[Tuple[int, int], str] = {}
-        #: Unmatched sends / posted receives, per destination PE, in
-        #: post order (the order wildcard matching scans).
-        self._unexpected: Dict[int, List[_MsgPosted]] = {}
-        self._posted: Dict[int, List[_MsgPosted]] = {}
-        self._bounce: Dict[Tuple[int, str], StagingPool] = {}
-        self._mrs: Dict[int, MemoryRegion] = {}
         #: Matched pairs in match order — one
         #: ``(dst, src, tag, nbytes, protocol, transport, now)`` tuple
         #: per message.  Identical across the analytic, event, and
         #: traced engines (the determinism tests pin this).
         self.match_log: List[Tuple[int, int, int, int, str, str, float]] = []
-        self.messages = 0
         self.eager = 0
         self.rendezvous = 0
 
@@ -111,28 +232,9 @@ class MsgEngine:
     def transport_for(self, src: int, dst: int) -> str:
         return self._routes.get((src, dst), self.default_transport)
 
-    # ---------------------------------------------------------------- plumbing
     def _check_pe(self, pe: int) -> None:
         if not 0 <= pe < self.job.npes:
             raise ShmemError(f"msg peer {pe} out of range (npes={self.job.npes})")
-
-    def _endpoint(self, pe: int):
-        return self.job.runtime.endpoints[pe]
-
-    def _bounce_pool(self, pe: int, kind: str = "rx") -> StagingPool:
-        pool = self._bounce.get((pe, kind))
-        if pool is None:
-            node_id, _ = self.job.hw.pe_location(pe)
-            pool = StagingPool.host(self.job, node_id, pe, f"msg.pe{pe}.{kind}-bounce")
-            self._bounce[(pe, kind)] = pool
-        return pool
-
-    def _mr_of(self, alloc) -> MemoryRegion:
-        mr = self._mrs.get(id(alloc))
-        if mr is None:
-            mr = MemoryRegion(alloc)
-            self._mrs[id(alloc)] = mr
-        return mr
 
     # ---------------------------------------------------------------- posting
     def isend(
@@ -156,24 +258,9 @@ class MsgEngine:
             raise ShmemError(
                 f"unknown msg transport {transport!r} (expected one of {_TRANSPORTS})"
             )
-        sim = self.sim
-        done = sim.event(f"msg:send:{src_pe}->{dst}")
-        item = _MsgPosted(
-            "send", src_pe, dst, tag, buf, nbytes, done,
-            transport=transport or self.transport_for(src_pe, dst),
+        return self.post_send(
+            src_pe, buf, nbytes, dst, tag, transport or self.transport_for(src_pe, dst)
         )
-        if nbytes <= self.eager_limit and buf.kind is not MemKind.DEVICE:
-            item.payload = buf.snapshot(nbytes)
-            done.succeed(sim.now)
-        recvs = self._posted.get(dst)
-        if recvs:
-            for i, recv in enumerate(recvs):
-                if self._compatible(item, recv):
-                    del recvs[i]
-                    self._start(item, recv)
-                    return done
-        self._unexpected.setdefault(dst, []).append(item)
-        return done
 
     def irecv(
         self,
@@ -188,76 +275,32 @@ class MsgEngine:
         receivers need to learn who actually sent."""
         if src != ANY_SOURCE:
             self._check_pe(src)
-        sim = self.sim
-        done = sim.event(f"msg:recv:{dst_pe}<-{src}")
-        item = _MsgPosted("recv", dst_pe, src, tag, buf, nbytes, done)
-        sends = self._unexpected.get(dst_pe)
-        if sends:
-            for i, send in enumerate(sends):
-                if self._compatible(send, item):
-                    del sends[i]
-                    self._start(send, item)
-                    return done
-        self._posted.setdefault(dst_pe, []).append(item)
-        return done
+        return self.post_recv(dst_pe, buf, nbytes, src, tag)
 
-    @staticmethod
-    def _compatible(send: _MsgPosted, recv: _MsgPosted) -> bool:
-        return recv.peer in (ANY_SOURCE, send.pe) and recv.tag in (ANY_TAG, send.tag)
-
-    # ---------------------------------------------------------------- matching
-    def _start(self, send: _MsgPosted, recv: _MsgPosted) -> None:
+    def _transfer(self, send: Posted, recv: Posted) -> Generator:
+        """Count the match and pick its protocol."""
         sim = self.sim
-        if recv.nbytes < send.nbytes:
-            exc = ShmemError(
-                f"msg truncation: recv of {recv.nbytes} B matched a send of "
-                f"{send.nbytes} B (src {send.pe} -> dst {recv.pe}, tag {send.tag})"
-            )
-            if send.payload is not None:
-                send.payload.release()
-            if not send.done.triggered:
-                send.done.fail(exc)
-            recv.done.fail(exc)
-            return
         eager = send.payload is not None
-        protocol = "eager" if eager else "rendezvous"
         if eager:
             self.eager += 1
             sim.stats.msg_eager += 1
         else:
             self.rendezvous += 1
             sim.stats.msg_rendezvous += 1
-        self.messages += 1
-        self.match_log.append(
-            (recv.pe, send.pe, send.tag, send.nbytes, protocol, send.transport, sim.now)
-        )
-        body = self._eager(send, recv) if eager else self._rendezvous(send, recv)
-        sim.process(
-            self._guarded(body, send, recv),
-            name=f"msg:{send.pe}->{recv.pe}",
-        )
-
-    def _guarded(self, body: Generator, send: _MsgPosted, recv: _MsgPosted) -> Generator:
-        """Route transfer failures (UD delivery exhaustion, link loss)
-        into the posted events instead of killing the process."""
-        try:
-            yield from body
-        except Exception as exc:  # noqa: BLE001 — any failure fails the message
-            if send.payload is not None:
-                send.payload.release()
-            if not send.done.triggered:
-                send.done.fail(exc)
-            if not recv.done.triggered:
-                recv.done.fail(exc)
+        self.match_log.append((
+            recv.pe, send.pe, send.tag, send.nbytes,
+            "eager" if eager else "rendezvous", send.transport, sim.now,
+        ))
+        return self._eager(send, recv) if eager else self._rendezvous(send, recv)
 
     # ------------------------------------------------------------- eager path
-    def _eager(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
+    def _eager(self, send: Posted, recv: Posted) -> Generator:
         sim = self.sim
         p = self.params
         job = self.job
         payload = send.payload
         same_node = job.hw.same_node(send.pe, recv.pe)
-        pool = self._bounce_pool(recv.pe)
+        pool = self._host_pool(recv.pe, "rx")
         slot = yield from pool.acquire()
         try:
             if same_node:
@@ -293,7 +336,7 @@ class MsgEngine:
         recv.done.succeed((send.pe, send.tag))
 
     # -------------------------------------------------------- rendezvous path
-    def _rendezvous(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
+    def _rendezvous(self, send: Posted, recv: Posted) -> Generator:
         sim = self.sim
         p = self.params
         job = self.job
@@ -335,7 +378,7 @@ class MsgEngine:
         send.done.succeed(sim.now)
         recv.done.succeed((send.pe, send.tag))
 
-    def _gdr_degraded(self, send: _MsgPosted, recv: _MsgPosted) -> bool:
+    def _gdr_degraded(self, send: Posted, recv: Posted) -> bool:
         rt = self.job.runtime
         return (
             (send.buf.kind is MemKind.DEVICE
@@ -344,7 +387,7 @@ class MsgEngine:
                 and rt.gpu_leg_unhealthy(recv.pe, "gdrP2Pwrite"))
         )
 
-    def _rc_bulk(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
+    def _rc_bulk(self, send: Posted, recv: Posted) -> Generator:
         """Rendezvous bulk data over RC: a zero-copy RDMA write straight
         into the posted buffer (GDR legs price device residency on
         either side), riding the same health ladder as one-sided puts —
@@ -370,7 +413,7 @@ class MsgEngine:
             self.sim.stats.failovers += 1
             yield from self._rc_staged(send, recv)
 
-    def _rc_staged(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
+    def _rc_staged(self, send: Posted, recv: Posted) -> Generator:
         """Health failover for rendezvous bulk data: chunk device
         payloads through host bounce slots (cudaMemcpy legs survive
         ``gdrP2P``-scoped faults) and move each chunk with plain RC
@@ -382,7 +425,7 @@ class MsgEngine:
         dst_ep.recv_nowait()
         yield self.sim.timeout(self.params.rdma_ack_latency, name="msg:rc-staged-ack")
 
-    def _ud_staged(self, send: _MsgPosted, recv: _MsgPosted) -> Generator:
+    def _ud_staged(self, send: Posted, recv: Posted) -> Generator:
         """UD bulk data: chunk through host bounce slots on both sides.
 
         Datagrams cannot RDMA into registered user memory, so device
@@ -393,7 +436,7 @@ class MsgEngine:
         # Bounce-slot copy legs without the RC retry ladder.
         yield from self._staged(send, recv, self.ud.send, CudaContext.memcpy)
 
-    def _staged(self, send: _MsgPosted, recv: _MsgPosted, wire, copy) -> Generator:
+    def _staged(self, send: Posted, recv: Posted, wire, copy) -> Generator:
         """The store-and-forward chunk loop: a device payload's chunk
         is copied into a sender bounce slot with ``copy(cuda, dst, src,
         nbytes)``, crosses with ``wire(src_ep, dst_ep, nbytes)`` into a
@@ -401,8 +444,8 @@ class MsgEngine:
         job = self.job
         src_ep, dst_ep = self._endpoint(send.pe), self._endpoint(recv.pe)
         src_cuda, dst_cuda = job.contexts[send.pe].cuda, job.contexts[recv.pe].cuda
-        tx_pool = self._bounce_pool(send.pe, "tx")
-        rx_pool = self._bounce_pool(recv.pe)
+        tx_pool = self._host_pool(send.pe, "tx")
+        rx_pool = self._host_pool(recv.pe, "rx")
 
         def forward(_src, sslot, offset, csize) -> Generator:
             dslot = yield from rx_pool.acquire()

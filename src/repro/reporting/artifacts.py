@@ -1,8 +1,8 @@
 """Shared JSON artifact envelope + atomic writer.
 
-Every benchmark/CI artifact this repo archives (`check_smoke.json`,
-`BENCH_smoke.json`, the perf-smoke baseline, the `repro serve` soak
-report) used to hand-roll its own ``json.dumps`` + ``write_text``.
+Every benchmark/CI artifact this repo archives (`BENCH_smoke.json`,
+the perf-smoke baseline, the `repro serve` smoke and chaos reports)
+used to hand-roll its own ``json.dumps`` + ``write_text``.
 That had two costs: no common schema marker for downstream tooling to
 dispatch on, and non-atomic writes — a crash (or Ctrl-C) mid-dump
 leaves a torn file that later parses as garbage.  This module is the
@@ -43,7 +43,7 @@ SCHEMA_PREFIX = "repro"
 def artifact_doc(kind: str, payload: Dict[str, Any], version: int = 1) -> Dict[str, Any]:
     """Wrap ``payload`` in the standard artifact envelope.
 
-    ``kind`` names the report shape (``check_smoke``, ``sweep``,
+    ``kind`` names the report shape (``serve_chaos``, ``sweep``,
     ``perf_baseline``, ``serve_soak``, ...); the resulting document
     carries ``schema = "repro/<kind>/v<version>"`` as its first key.
     """

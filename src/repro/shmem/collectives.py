@@ -242,7 +242,7 @@ def allreduce(ctx, dst, src, count: int, dtype="float64", op: str = "sum", team=
     if me == 0:
         from repro.shmem.constants import Domain
 
-        acc = np.array(src.as_array(dt, count), copy=True)
+        acc = np.frombuffer(src.local.read(nbytes), dtype=dt)
         # Fetch remote contributions *same-domain* (D-D for GPU operands,
         # which every CUDA-aware design supports), then stage to the host
         # locally for the arithmetic — as a CUDA-aware collective would.
@@ -283,7 +283,7 @@ def _allreduce_recursive_doubling(ctx, dst, src, count: int, dt, reducer, team, 
     nbytes = count * dt.itemsize
     # Accumulate on the host (kernels would do this on the GPU; the
     # staging cost is charged through the timed copies below).
-    acc = np.array(src.as_array(dt, count), copy=True)
+    acc = np.frombuffer(src.local.read(nbytes), dtype=dt)
     on_gpu = dst.domain is Domain.GPU
     stage = ctx.cuda.malloc_host(nbytes, tag="rd.stage")
     try:

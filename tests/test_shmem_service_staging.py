@@ -216,7 +216,7 @@ def _pools(job):
     pools = [*rt.staging.values(), *rt.rx_staging.values(),
              *(proxy.staging for proxy in rt.proxies.values())]
     if job._msg is not None:
-        pools += list(job.msg._bounce.values())
+        pools += list(job.msg._pools.values())
     return {pool.name: pool.available for pool in pools}
 
 
