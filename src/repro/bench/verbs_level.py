@@ -47,6 +47,7 @@ def _verbs_latency(gpu: bool, nbytes: int = 4, params=None) -> float:
     ep = verbs.endpoint(0, 0, owner=0)
     proc = sim.process(verbs.rdma_write(ep, src.ptr(), MemoryRegion(dst), 0, nbytes))
     sim.run()
+    sim.flush_stats()  # counted with the target's jobs, like a ShmemJob's run
     assert proc.ok
     return to_usec(sim.now)
 

@@ -42,7 +42,7 @@ allocation's bytes, so every byte outside the record is still zero;
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -491,6 +491,9 @@ class MemorySpace:
     def __init__(self) -> None:
         self._next_va = 0x7F00_0000_0000
         self._allocs: list = []
+        #: Called with each allocation as :meth:`free` frees it, so a
+        #: registration memo can drop it.
+        self.on_free: List[Callable[["Allocation"], None]] = []
 
     def allocate(
         self,
@@ -516,6 +519,8 @@ class MemorySpace:
         for rng in alloc.inbound:  # nothing can read them any more
             rng.release()
         alloc.inbound = []
+        for forget in self.on_free:
+            forget(alloc)
 
     def materialise_pending(self) -> None:
         """Copy out every pending snapshot in the space (inbound ranges

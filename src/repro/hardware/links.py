@@ -443,12 +443,7 @@ class AnalyticTransfer:
         if c._triggered:
             return
         if c.callbacks:
-            c._triggered = True
-            if exc is not None:
-                c._exc = exc
-            else:
-                c._value = value
-            c._run_callbacks()
+            c.fire_now(value, exc)
         elif exc is not None:
             c.fail(exc)
         else:

@@ -153,11 +153,11 @@ class HardwareParams:
     #: CPU cost of posting one UD send WQE.  Cheaper than the RC post:
     #: no QP connection state to consult, address handle is precomputed.
     ud_post_overhead: float = usec(0.18)
-    #: Sender-side resend timer for UD messages: the msg layer (not the
-    #: transport — UD never retries) waits this long for missing
-    #: segments before re-posting them.
+    #: Sender-side resend timer for UD messages: ``UDTransport.send``
+    #: waits this long for missing segments before re-posting them (a
+    #: single datagram is never retried).
     ud_resend_timeout: float = usec(50.0)
-    #: Resend rounds before the msg layer declares the peer unreachable.
+    #: Resend rounds before ``UDTransport.send`` declares the peer unreachable.
     ud_resend_limit: int = 5
 
     # ------------------------------------------------------ protocol thresholds

@@ -35,7 +35,7 @@ from repro.simulator import Simulator
 def retry(
     sim: Simulator, attempt: Callable[[], Generator], budget: int,
     delay: Callable[[int], float], name: str, *, errors=(LinkDown,), count_last=True,
-    before=None, failed=None, succeeded=None,
+    before=None, failed=None, succeeded=None, first: Optional[Generator] = None,
 ) -> Generator:
     """Run ``attempt()`` until it returns, re-running it after a failure
     in ``errors`` at most ``budget`` times; returns its result.
@@ -46,16 +46,20 @@ def retry(
     Hooks: ``before()`` runs ahead of each attempt and returns a
     generator to run first, or ``None`` to go straight on;
     ``failed(exc, k)`` sees each failure before the budget check (and
-    may raise instead), ``succeeded()`` sees the success.
+    may raise instead), ``succeeded()`` sees the success.  ``first``,
+    when given, is the first attempt already under way (its ``before()``
+    done): a callback-driven write hands its failed or stalled attempt
+    over to this loop that way.
     """
     k = 0
     while True:
-        if before is not None:
+        if first is None and before is not None:
             wait = before()
             if wait is not None:
                 yield from wait
+        gen, first = first, None
         try:
-            result = yield from attempt()
+            result = yield from (attempt() if gen is None else gen)
         except errors as exc:
             k += 1
             if count_last:
@@ -109,14 +113,28 @@ class RCTransport:
     def _stalled(self, wait: float) -> Generator:
         yield self.sim.timeout(wait, name="rc:hca-stall")
 
-    def execute(self, spec: TransferSpec, hca: Optional[HCA] = None) -> Generator:
+    def record_success(self, spec: TransferSpec) -> None:
+        """Feed a transfer's success on every direction to the health
+        tracker.  A first attempt that succeeds needs nothing else: it
+        lost no hold, so the span ledger has nothing to tally."""
+        now = self.sim.now
+        for d in spec.directions():
+            self.health.record_success(d.name, now)
+
+    def execute(
+        self, spec: TransferSpec, hca: Optional[HCA] = None,
+        failure: Optional[BaseException] = None,
+    ) -> Generator:
         """Run ``spec`` with RC retry semantics.
 
         ``hca`` is the adapter whose send queue carries the WR; an
         injected stall on it delays (each attempt of) the transfer, the
-        queue-drain behaviour stalled firmware exhibits.  A plain
-        dispatcher, like ``Verbs._execute``: the transfer runs one
-        generator frame below the retry loop.
+        queue-drain behaviour stalled firmware exhibits.  ``failure`` is
+        the exception a first attempt already raised outside this loop
+        (``Verbs.rdma_write`` runs its first attempt as callbacks); the
+        loop then starts at that failure.  A plain dispatcher, like
+        ``Verbs._execute``: the transfer runs one generator frame below
+        the retry loop.
         """
         sim, health = self.sim, self.health
         is_write = spec.label == "rdma_write"
@@ -155,10 +173,16 @@ class RCTransport:
         def succeeded() -> None:
             if is_write and lost:
                 sim.stats.rc_retx_holds += lost
-            for d in spec.directions():
-                health.record_success(d.name, sim.now)
+            self.record_success(spec)
 
         return self.backoff(
             partial(spec.execute, sim), before=None if hca is None else partial(self._stall, hca),
-            failed=failed, succeeded=succeeded,
+            failed=failed, succeeded=succeeded, first=None if failure is None else _raise(failure),
         )
+
+
+def _raise(exc: BaseException) -> Generator:
+    """An attempt that already failed with ``exc``, as :func:`retry`'s
+    ``first``."""
+    raise exc
+    yield  # pragma: no cover - makes this a generator

@@ -7,9 +7,11 @@ but every payload must fit a datagram, so messages are segmented into
 ``ud_mtu``-sized packets, each paying its own post + HCA overheads,
 and a packet lost to a link fault is simply **dropped**: the transport
 never retransmits (:class:`repro.ib.rc.RCTransport` is deliberately
-not consulted).  Reliability, when wanted, lives a layer up — the msg
-layer's resend timer re-posts missing segments
-(:class:`repro.msg.engine.MsgEngine`).
+not consulted).  Reliability, when wanted, is a loop above the
+datagrams: :meth:`UDTransport.send` re-posts the missing segments after
+``ud_resend_timeout``, for at most ``ud_resend_limit`` rounds, while
+each packet it posts (:meth:`UDTransport.send_packet`) is still fire
+and forget.  The msg layer's UD route calls ``send``.
 
 :class:`UDReassembly` is the receive-side half: offset-keyed segment
 bookkeeping that tolerates out-of-order and duplicate delivery and
@@ -189,7 +191,8 @@ class UDTransport:
 
     def send(self, ep, dst, nbytes: int) -> Generator:
         """Reliably deliver ``nbytes`` as datagrams: segment on the MTU
-        grid, then drive the msg layer's resend loop over the gaps.
+        grid, post every segment, then re-post the gaps after each
+        ``ud_resend_timeout`` (this loop is UD's only resend timer).
 
         Yields until every segment has landed; returns the reassembly
         (``.complete`` is True).  Raises :class:`~repro.errors.IBError`

@@ -1,9 +1,11 @@
 """Queue-pair level operations: RDMA write/read, send/recv, atomics.
 
-All generators in this module follow the same template: charge the
+All operations in this module follow the same template: charge the
 posting CPU cost, traverse the source PCIe leg, the fabric, and the
-destination PCIe leg, then touch real bytes.  The PCIe legs are where
-GPUDirect RDMA lives — a device-memory buffer routes through
+destination PCIe leg, then touch real bytes.  The RDMA write runs as
+a callback machine, :class:`RdmaWrite` (a put posts it without a
+process of its own); ``rdma_write`` is its generator face.  The PCIe
+legs are where GPUDirect RDMA lives — a device-memory buffer routes through
 :meth:`~repro.hardware.pcie.PCIeTopology.p2p` with Table III rates,
 a host buffer through the HCA's ordinary DMA engine at FDR rate.
 
@@ -87,7 +89,10 @@ class Verbs:
         """Run a transfer spec, through the RC retry loop when one is
         attached.  Every timed wire/PCIe crossing in this module funnels
         through here, so attaching ``rc`` retrofits retransmission onto
-        all verbs without touching the per-op generators.
+        all verbs without touching the per-op generators.  (An RDMA
+        write's first attempt is the exception: :class:`RdmaWrite` runs
+        it from callbacks with RC's success path inline, and hands a
+        failed or stalled one to ``rc.execute``.)
 
         A plain dispatcher (not a generator itself): it hands back the
         underlying generator so the no-plan path adds no delegation
@@ -192,42 +197,19 @@ class Verbs:
         payload is a deferred :class:`~repro.cuda.memory.Snapshot`:
         delivery copies straight from the source unless the source was
         overwritten after the post, and the snapshot is released when the
-        write delivers or dies.
+        write acks or dies.
+
+        The generator face of :class:`RdmaWrite`: the write runs as the
+        machine's callbacks and resumes this generator where its own
+        yields would have; a failed or stalled attempt under RC continues
+        in this frame (:meth:`RdmaWrite.resume`).
         """
-        self._check_local(ep, local)
-        remote_mr.check_range(remote_offset, nbytes)
-        dst_ptr = remote_mr.ptr(remote_offset)
-        p = self.params
-        sim = self.sim
-        tracer = sim.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                sim, "rdma_write", "ib", f"ib:pe{ep.owner}",
-                nbytes=nbytes, target_node=remote_mr.node_id,
-            )
-        payload = None
-        try:
-            yield sim.timeout(p.rdma_post_overhead, name="rdma_write:post")
-            payload = local.snapshot(nbytes)  # source buffer reusable from here on
-            if posted is not None and not posted.triggered:
-                posted.succeed(sim.now)
-
-            ep.hca.count_tx()
-            path, dst_hca = self.write_path(ep, local, remote_mr, nbytes, remote_hca)
-            yield from self._execute(path, ep.hca)
-            dst_hca.count_rx()
-
-            dst_ptr.write(payload)
-            if delivered is not None and not delivered.triggered:
-                delivered.succeed(sim.now)
-            yield sim.timeout(p.rdma_ack_latency, name="rdma_write:ack")
-        finally:
-            if payload is not None:
-                payload.release()
-            if tracer is not None:
-                tracer.end(sim, span)
-        return nbytes
+        write = RdmaWrite(self, ep, local, remote_mr, remote_offset, nbytes,
+                          remote_hca, delivered, posted)
+        result = yield write
+        if write.resuming:
+            result = yield from write.resume()
+        return result
 
     # ----------------------------------------------------------- RDMA read
     def rdma_read(
@@ -432,3 +414,205 @@ class Verbs:
             ep, remote_mr, remote_offset, nbytes, lambda o: value, remote_hca
         )
         return old
+
+
+class RdmaWrite(Event):
+    """One signaled RDMA write, run as callbacks: the write machine.  It
+    is itself the event that fires when the write completes.
+
+    Timeline, with the float operations and same-instant hops of a
+    generator that yields a post timeout, the path's transfer and an ack
+    timeout:
+
+    * built at ``t``: the write is validated and its post wake-up drawn
+      for ``t + rdma_post_overhead``;
+    * post: payload snapshotted, ``posted`` succeeded through the
+      scheduler, source HCA tx counted, and the path's hold begun:
+      ``TransferSpec.execute``, driven from its events' callbacks (its
+      setup wake-up is drawn now);
+    * hold end: under RC the success is fed to the health tracker; the
+      target HCA rx counted, payload written, ``delivered`` succeeded,
+      the ack wake-up drawn;
+    * ack: payload released, the ``rdma_write`` span recorded on
+      ``ib:pe{owner}`` from ``t``, and the write fired with the byte
+      count.
+
+    :meth:`Verbs.rdma_write` waits on the write, which then fires inside
+    the pop that ends it, so the waiting generator resumes where its own
+    yield would have.  A *detached* write (putmem's, posted from the
+    caller) has no waiter: it fires through the scheduler, the hop a
+    spawned process's completion takes.
+
+    Under RC (``Verbs.rc``), an attempt that fails or meets an HCA stall
+    still in force leaves the callbacks: :meth:`resume` is the rest of
+    the write as a generator, RC's retry loop from that attempt on, then
+    delivery and ack.  The generator face runs it in its own frame.  A
+    detached write starts it as a process whose first step runs in the
+    failing pop (:meth:`~repro.simulator.Simulator.start`), wrapped in
+    ``recover(first=...)`` when given (``Runtime._recover``), and that
+    process's outcome fires the write.  Any other error dies at once:
+    the write fails at the instant the generator would have raised.
+    """
+
+    __slots__ = (
+        "verbs", "ep", "local", "remote_mr", "dst_ptr", "nbytes", "remote_hca",
+        "delivered", "posted", "recover", "detached", "payload", "path", "dst_hca",
+        "hold", "failure", "resuming", "tracer", "start",
+    )
+
+    def __init__(
+        self, verbs: Verbs, ep: Endpoint, local: Ptr, remote_mr: MemoryRegion,
+        remote_offset: int, nbytes: int, remote_hca: Optional[int] = None,
+        delivered: Optional[Event] = None, posted: Optional[Event] = None, *,
+        recover=None, detached: bool = False,
+    ):
+        verbs._check_local(ep, local)
+        remote_mr.check_range(remote_offset, nbytes)
+        sim = verbs.sim
+        super().__init__(sim, "rdma_write")
+        self.verbs = verbs
+        self.ep = ep
+        self.local = local
+        self.remote_mr = remote_mr
+        self.dst_ptr = remote_mr.ptr(remote_offset)
+        self.nbytes = nbytes
+        self.remote_hca = remote_hca
+        self.delivered = delivered
+        self.posted = posted
+        self.recover = recover
+        self.detached = detached
+        self.payload = None
+        self.path = self.dst_hca = self.hold = None
+        #: The failed attempt's exception (``None``: a stall) once the
+        #: write left its callbacks; ``resuming`` says it did so under
+        #: the generator face.
+        self.failure: Optional[BaseException] = None
+        self.resuming = False
+        self.tracer = sim.tracer
+        self.start = sim.now
+        post = sim.wake_at(sim.now + verbs.params.rdma_post_overhead, name="rdma_write:post")
+        post.callbacks.append(self._post)
+
+    def _post(self, _ev: Event) -> None:
+        try:
+            self.payload = self.local.snapshot(self.nbytes)  # source reusable from here on
+        except BaseException as exc:
+            self._die(exc)
+            return
+        posted = self.posted
+        if posted is not None and not posted.triggered:
+            posted.succeed(self.sim.now)
+        ep = self.ep
+        ep.hca.count_tx()
+        try:
+            self.path, self.dst_hca = self.verbs.write_path(
+                ep, self.local, self.remote_mr, self.nbytes, self.remote_hca
+            )
+        except BaseException as exc:
+            self._die(exc)
+            return
+        if self.verbs.rc is not None and ep.hca.stall_remaining(self.sim.now) > 0.0:
+            self._hand_over(None)
+            return
+        self.hold = self.path.execute(self.sim)
+        self._step_hold(None)
+
+    def _step_hold(self, ev: Optional[Event]) -> None:
+        # Drives the hold's generator (``TransferSpec.execute``, every
+        # timed crossing's one funnel) from its events' callbacks.
+        try:
+            if ev is None:
+                target = self.hold.send(None)
+            elif ev._exc is not None:
+                ev.defuse()
+                target = self.hold.throw(ev._exc)
+            else:
+                target = self.hold.send(ev._value)
+        except StopIteration:
+            self._landed()
+            return
+        except BaseException as exc:
+            self._fault(exc)
+            return
+        target.callbacks.append(self._step_hold)
+
+    def _landed(self) -> None:
+        rc = self.verbs.rc
+        if rc is not None:
+            rc.record_success(self.path)
+        try:
+            self._deliver()
+        except BaseException as exc:
+            self._die(exc)
+            return
+        sim = self.sim
+        ack = sim.wake_at(sim.now + self.verbs.params.rdma_ack_latency, name="rdma_write:ack")
+        ack.callbacks.append(self._acked)
+
+    def _deliver(self) -> None:
+        self.dst_hca.count_rx()
+        self.dst_ptr.write(self.payload)
+        delivered = self.delivered
+        if delivered is not None and not delivered.triggered:
+            delivered.succeed(self.sim.now)
+
+    def _acked(self, _ev: Event) -> None:
+        self._close()
+        self._fire(self.nbytes)
+
+    def _close(self) -> None:
+        if self.payload is not None:
+            self.payload.release()
+        if self.tracer is not None:
+            self.tracer.complete(
+                self.sim, "rdma_write", "ib", f"ib:pe{self.ep.owner}", self.start,
+                nbytes=self.nbytes, target_node=self.remote_mr.node_id,
+            )
+
+    def _fire(self, value=None, exc: Optional[BaseException] = None) -> None:
+        if not self.detached:
+            self.fire_now(value, exc)
+        elif exc is None:
+            self.succeed(value)
+        else:
+            self.fail(exc)
+
+    def _die(self, exc: BaseException) -> None:
+        self._close()
+        self._fire(exc=exc)
+
+    def _fault(self, exc: BaseException) -> None:
+        if self.verbs.rc is None:
+            self._die(exc)
+        else:
+            self._hand_over(exc)
+
+    def _hand_over(self, failure: Optional[BaseException]) -> None:
+        self.failure = failure
+        if not self.detached:
+            self.resuming = True
+            self.fire_now()
+            return
+        rest = self.resume()
+        if self.recover is not None:
+            rest = self.recover(first=rest)
+        proc = self.sim.start(rest, name=f"pe{self.ep.owner}:rdma-write")
+        proc.callbacks.append(self._relay)
+
+    def _relay(self, proc: Event) -> None:
+        exc = proc._exc
+        if exc is not None:
+            proc.defuse()
+        self.fire_now(proc._value, exc)
+
+    def resume(self) -> Generator:
+        """The rest of the write from its failed or stalled attempt:
+        RC's retry loop takes that attempt over, then the bytes land and
+        the ack returns as on the callback path.  Returns ``nbytes``."""
+        try:
+            yield from self.verbs.rc.execute(self.path, self.ep.hca, failure=self.failure)
+            self._deliver()
+            yield self.sim.timeout(self.verbs.params.rdma_ack_latency, name="rdma_write:ack")
+        finally:
+            self._close()
+        return self.nbytes

@@ -19,11 +19,9 @@ deliberately *not* built on the OpenSHMEM runtime designs: it is the
 independent baseline the paper's Figure 12 compares against, and its
 timing is pinned.  It posts and matches through the same front end as
 :mod:`repro.msg` (:class:`repro.msg.engine.TwoSided`), with its own
-match lists; only its transfer is its own.  The capitalised ``MPI_Send``/``MPI_Recv``/
-``MPI_Isend``/``MPI_Irecv`` surface is the **MPI-over-SHMEM shim**: it
-routes through the runtime's two-sided engine (:mod:`repro.msg`), so
-MPI programs exercise the same eager/rendezvous and RC/UD wire paths
-the protocol-crossover studies sweep.
+match lists; only its transfer is its own.  Programs that want the
+runtime's own two-sided engine (wildcards, the tunable eager limit, the
+RC/UD routes) call ``ctx.isend``/``ctx.irecv`` (:mod:`repro.msg`).
 """
 
 from repro.mpi.core import MpiComm, MpiWorld

@@ -9,7 +9,7 @@ rendezvous round-trip and the host-staged GPU pipeline) and the
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import ShmemError
@@ -182,42 +182,3 @@ class MpiComm:
         if live:
             yield self.world.sim.all_of(live)
         return None
-
-    # --------------------------------------------- MPI-over-SHMEM shim
-    # The capitalised surface routes through the OpenSHMEM runtime's
-    # two-sided engine (:mod:`repro.msg`): wildcard receives, the
-    # tunable eager/rendezvous split and the RC/UD wire paths the
-    # crossover studies sweep.  The lowercase API above shares that
-    # engine's posting and matching front end but keeps its own
-    # instance of it and the baseline's transfer (whose timing fig12
-    # pins).
-
-    def MPI_Isend(self, buf: Ptr, nbytes: int, dst: int, tag: int = 0) -> Event:
-        """``MPI_Isend`` over the SHMEM runtime's msg engine."""
-        self._check_peer(dst)
-        return self.ctx.isend(buf, nbytes, dst, tag)
-
-    def MPI_Irecv(
-        self, buf: Ptr, nbytes: int, src: Optional[int] = None, tag: Optional[int] = None
-    ) -> Event:
-        """``MPI_Irecv``; ``src=None``/``tag=None`` are
-        ``MPI_ANY_SOURCE``/``MPI_ANY_TAG``.  The event's value is the
-        matched ``(source, tag)`` envelope (the status object)."""
-        if src is not None:
-            self._check_peer(src)
-        return self.ctx.irecv(buf, nbytes, src, tag)
-
-    def MPI_Send(self, buf: Ptr, nbytes: int, dst: int, tag: int = 0) -> Generator:
-        """Blocking ``MPI_Send`` over the SHMEM runtime's msg engine."""
-        self._check_peer(dst)
-        yield from self.ctx.send(buf, nbytes, dst, tag)
-        return None
-
-    def MPI_Recv(
-        self, buf: Ptr, nbytes: int, src: Optional[int] = None, tag: Optional[int] = None
-    ) -> Generator:
-        """Blocking ``MPI_Recv``; returns the ``(source, tag)`` envelope."""
-        if src is not None:
-            self._check_peer(src)
-        envelope = yield from self.ctx.recv(buf, nbytes, src, tag)
-        return envelope

@@ -27,8 +27,8 @@ Two protocols, split at ``params.msg_eager_threshold``:
 Transport is chosen per route (``set_route``): "rc" rides the existing
 :class:`~repro.ib.verbs.Verbs` paths (and therefore the RC retry
 engine under faults); "ud" rides :class:`~repro.ib.ud.UDTransport`,
-where faults *drop* packets and this layer's resend timer — not the
-transport — restores them.
+where faults *drop* packets and :meth:`UDTransport.send`'s resend
+loop, above the datagrams it posts, restores them.
 """
 
 from __future__ import annotations
@@ -95,7 +95,10 @@ class TwoSided:
         self._unexpected: Dict[int, List[Posted]] = {}
         self._posted: Dict[int, List[Posted]] = {}
         self._pools: Dict[Tuple[int, str], StagingPool] = {}
+        #: Registrations of the buffers rendezvous wrote into, by
+        #: ``id(alloc)``; an allocation leaves as it is freed.
         self._mrs: Dict[int, MemoryRegion] = {}
+        job.space.on_free.append(self._forget_mr)
         self.messages = 0
 
     # ---------------------------------------------------------------- plumbing
@@ -114,11 +117,19 @@ class TwoSided:
         return pool
 
     def _mr_of(self, alloc) -> MemoryRegion:
+        """``alloc``'s registration, made on its first use (the memo
+        charges no time).  A freed allocation is never kept: the memo
+        drops it as it is freed (:meth:`_forget_mr`) and never takes it
+        in after, so no entry outlives its buffer."""
         mr = self._mrs.get(id(alloc))
         if mr is None:
             mr = MemoryRegion(alloc)
-            self._mrs[id(alloc)] = mr
+            if not alloc.freed:
+                self._mrs[id(alloc)] = mr
         return mr
+
+    def _forget_mr(self, alloc) -> None:
+        self._mrs.pop(id(alloc), None)
 
     # ---------------------------------------------------------------- posting
     def post_send(

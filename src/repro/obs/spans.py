@@ -11,9 +11,11 @@ Spans are the simulator's one event recorder.  Emission is pull-free
 and costless when disabled: every hook guards on ``sim.tracer is None``
 (one attribute load) and nothing is recorded.  Attaching a
 :class:`SpanTracer` closes the batched tiers and the tier-2 RDMA-write
-flows, whose per-op generators emit the op and verbs spans, and
-changes nothing else: the engine schedules exactly as it does
-untraced, and every link hold runs the same
+flows, which elide the op spans, just as ``Simulator.fastpath = False``
+does, and changes nothing else: the event path schedules exactly as it
+does untraced (a route instant and a write's ``ib`` span are stamped
+with their own timestamps, :meth:`SpanTracer.instant` ``at=`` and
+:meth:`SpanTracer.complete`), and every link hold runs the same
 :class:`~repro.hardware.links.AnalyticTransfer` traced or not,
 emitting one ``link:`` span per hop direction at hold end (arg
 ``hop`` = the direction's index, so ``hop == 0`` spans count holds).
@@ -93,9 +95,9 @@ class SpanTracer:
     # ------------------------------------------------------------ lifecycle
     def attach(self, sim: Simulator, label: Optional[str] = None) -> "SpanTracer":
         """Start observing ``sim``.  Also disarms its batched tiers and
-        putmem's tier-2 flow (they elide the per-op generators that emit
-        op spans); verbs calls and link holds run the same body either
-        way."""
+        putmem's tier-2 flow, as ``sim.fastpath = False`` does (they
+        elide the per-op generators that emit op spans); past that, a
+        traced run takes the untraced event path, event for event."""
         scope = self._scopes.setdefault(id(sim), len(self._scopes))
         if label is not None:
             self._scope_labels.setdefault(scope, label)
@@ -157,19 +159,26 @@ class SpanTracer:
     ) -> Optional[Span]:
         """Record an already-finished span: ``[start, sim.now]``.  Used
         by the hardware layer, which knows a crossing's full interval
-        only once the hold ends."""
+        only once the hold ends, and by an RDMA write at its ack."""
         if not self._room():
             return None
         span = Span(name, cat, track, start, end=sim.now, scope=self._scope(sim), args=args)
         self.spans.append(span)
         return span
 
-    def instant(self, sim: Simulator, name: str, cat: str, track: str, **args) -> None:
-        """Record a zero-duration marker (route decisions, faults)."""
+    def instant(
+        self, sim: Simulator, name: str, cat: str, track: str, at: Optional[float] = None,
+        **args,
+    ) -> None:
+        """Record a zero-duration marker (route decisions, faults) at
+        ``at``, or at the current instant when ``at`` is ``None``.  The
+        runtime stamps a route decision ahead of the wake-up it lands
+        in, so no wake-up exists only to be traced."""
         if not self._room():
             return
         self.instants.append(
-            Instant(name, cat, track, sim.now, scope=self._scope(sim), args=args)
+            Instant(name, cat, track, sim.now if at is None else at, scope=self._scope(sim),
+                    args=args)
         )
 
     # -------------------------------------------------------------- queries

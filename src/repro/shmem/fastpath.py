@@ -66,13 +66,12 @@ class AnalyticFlow:
     write has on top of the link hold: the post instant, the payload
     snapshot and the posted gate before it; the HCA counters, the
     payload write, the delivery notification and the ack after it.
-    What the closed form elides is the *machinery*: no ``Process``
-    wrapping putmem's generator per put, no dispatch/lookup/post/ack
-    ``Timeout`` allocations — only a handful of absolutely-timed
-    wake-ups.
+    What the closed form elides is the *machinery*: no resume of
+    putmem's generator per put and no issue wake-up — only a handful
+    of absolutely-timed wake-ups.
 
     Timeline (same float operations in the same order as putmem's
-    dispatch + ``Verbs.rdma_write`` + ``TransferSpec.execute``):
+    issue wake-up + :class:`~repro.ib.verbs.RdmaWrite`):
 
     * ``t_post = base + rdma_post_overhead`` — payload snapshotted,
       ``posted`` fires (the put-return instant the caller yields on),
@@ -129,8 +128,8 @@ class AnalyticFlow:
         self.src_hca = src_hca
         self.dst_hca = dst_hca
         self.notify = notify
-        # Completion is a spawned-``Process`` event on the event path,
-        # so it is delivered through the scheduler (tie-order rule 2).
+        # Completion is the caller-posted write's own event on the event
+        # path, delivered through the scheduler (tie-order rule 2).
         self.completion = Event(sim, name="an-flow:done")
         # The caller-facing posted event, succeeded with a scheduler
         # push at t_post — the same extra hop the event path's

@@ -35,7 +35,7 @@ from repro.errors import CompletionError, LinkDown, ShmemError
 from repro.hardware.links import chunked
 from repro.ib.mr import MemoryRegion
 from repro.ib.rc import retry
-from repro.ib.verbs import Endpoint, Verbs
+from repro.ib.verbs import Endpoint, RdmaWrite, Verbs
 from repro.shmem.address import SymAddr
 from repro.shmem.capabilities import Capabilities
 from repro.shmem.constants import Config, Domain, Locality, Op, Protocol
@@ -442,10 +442,14 @@ class Runtime:
             return cuda.memcpy(dst, src, nbytes)
         return self.verbs.rc.backoff(partial(cuda.memcpy, dst, src, nbytes))
 
-    def _recover(self, ctx, route, attempt, handlers, args, pe, before=None) -> Generator:
+    def _recover(
+        self, ctx, route, attempt, handlers, args, pe, before=None, first=None
+    ) -> Generator:
         """Run ``attempt()``, a put's or get's transfer on ``route``, and
         answer a failure that outlived RC retransmission the way the
-        design does.  Returns the route the op completed on.
+        design does.  Returns the route the op completed on.  ``first``
+        is the first attempt already under way (a caller-posted write
+        whose attempt failed or stalled, :class:`~repro.ib.verbs.RdmaWrite`).
 
         The device-initiated design has no host-staged ladder (the
         kernel reaches neither staging pools nor a proxy): it replays
@@ -459,11 +463,11 @@ class Runtime:
             yield from retry(
                 self.sim, attempt, p.rc_retry_cnt, lambda _k: p.health_cooldown,
                 "device:replay-cooldown", errors=_LINK_FAILURES, count_last=False,
-                before=before,
+                before=before, first=first,
             )
             return route
         try:
-            yield from attempt()
+            yield from (attempt() if first is None else first)
             return route
         except _LINK_FAILURES:
             rung = self._fallback(route, ctx, pe)
@@ -524,20 +528,55 @@ class Runtime:
     ) -> Generator:
         """The put/get prologue: dispatch, route (steered off unhealthy
         paths), count, ``route:`` instant, lookup, then resolve the
-        remote address.  Returns ``(route, remote_ptr)``."""
-        yield from self._issue_dispatch(ctx)
-        route = self._route(ctx, op, local_on_device, sym.domain, nbytes, pe)
-        if self.health is not None:
-            route = self._health_reroute(route, ctx, pe)
+        remote address.  Returns ``(route, remote_ptr)``.
+
+        The route is a pure memo, so it is selected at the issue instant
+        and both fixed delays are one wake-up at ``(now + dispatch) +
+        lookup``, the float sum the two timeouts give; the ``route:``
+        instant is stamped at ``now + dispatch``.  The two timeouts stay
+        where the gap between them can be observed: a selection error
+        surfaces after dispatch, a device PE's first op pays the kernel
+        warm-up inside dispatch, and under a health tracker a route with
+        GDR legs is steered (and the tracker's cooldowns probed) at
+        ``now + dispatch``, against live link state."""
+        sim = self.sim
+        try:
+            route = self._route(ctx, op, local_on_device, sym.domain, nbytes, pe)
+        except Exception:
+            route = None
+        if (route is None
+                or self.spec.device_initiated and ctx.pe not in self._warmed_pes
+                or self.health is not None and self._route_gdr_legs(route, ctx, pe)):
+            yield from self._issue_dispatch(ctx)
+            if route is None:  # raises again, now after dispatch
+                route = self._route(ctx, op, local_on_device, sym.domain, nbytes, pe)
+            if self.health is not None:
+                route = self._health_reroute(route, ctx, pe)
+            self._count_route(ctx, route, sim.now)
+            yield from self._issue_lookup(ctx)
+        else:
+            dispatch, lookup = self._issue_delays()
+            at = sim.now + dispatch
+            self._count_route(ctx, route, at)
+            yield sim.wake_at(at + lookup, name="shmem:issue")
+        return route, self.resolve(sym, pe)
+
+    def _issue_delays(self) -> Tuple[float, float]:
+        """The (dispatch, lookup) delays of one op after warm-up."""
+        p = self.params
+        if self.spec.device_initiated:
+            return p.device_issue_overhead, p.device_translate_overhead
+        return p.shmem_dispatch_overhead, p.shmem_lookup_overhead
+
+    def _count_route(self, ctx, route: Route, at: float) -> None:
+        """Count the op's protocol and trace its ``route:`` instant at ``at``."""
         self._count(route)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(
-                self.sim, f"route:{route.protocol.value}", "route", f"pe{ctx.pe}",
+                self.sim, f"route:{route.protocol.value}", "route", f"pe{ctx.pe}", at=at,
                 **route.span_args(),
             )
-        yield from self._issue_lookup(ctx)
-        return route, self.resolve(sym, pe)
 
     def _sample(self, ctx, kind: str, route: Route, t0: float) -> None:
         """Record one op's protocol-execution time, globally and per PE."""
@@ -710,12 +749,9 @@ class Runtime:
         except Exception:
             return None  # event path raises at the accurate instant
         p = self.params
-        if device:
-            # Same float arithmetic as the two elided device Timeouts.
-            t0 = (sim.now + p.device_issue_overhead) + p.device_translate_overhead
-        else:
-            # Same float arithmetic as the two sequential Timeouts it elides.
-            t0 = (sim.now + p.shmem_dispatch_overhead) + p.shmem_lookup_overhead
+        # Same float arithmetic as the event path's issue wake-up.
+        dispatch, lookup = self._issue_delays()
+        t0 = (sim.now + dispatch) + lookup
         self._count(route)
         notify = self._an_notify_cb.get(pe)
         if notify is None:
@@ -746,8 +782,15 @@ class Runtime:
         local HCA writes back into its own node) and the device-initiated
         design's put.  In the last, a GPU thread rings the HCA doorbell
         itself: on the wire it is the same single RDMA as Direct GDR.
-        Under faults the write runs under :meth:`_recover`; a write that
-        fails has posted and not delivered, so replays reuse both events."""
+
+        The write is posted from here and runs as callbacks
+        (:class:`~repro.ib.verbs.RdmaWrite`); the caller resumes on
+        ``posted``.  Under faults a failed or stalled attempt hands the
+        rest of the write to :meth:`_recover`, started as the op's one
+        process; a write that fails has posted and not delivered, so
+        replays reuse both events.  An invalid write, or a device write
+        whose path is down at the doorbell, runs as a process from the
+        start, so it raises or waits at the instants it always has."""
         mr = self._remote_mr(dst, pe)
         posted = self.sim.event("put:posted")
         delivered = self.sim.event("put:delivered")
@@ -757,17 +800,40 @@ class Runtime:
             self.verbs.rdma_write, ctx.endpoint, src, mr, dst.offset, nbytes,
             remote_hca=remote_hca, delivered=delivered, posted=posted,
         )
-        if self.health is None:
-            gen = write()
-        else:
-            gen = self._recover(
-                ctx, route, write, self._PUT_HANDLERS, (src, dst, dst_ptr, nbytes), pe,
+        recover = None
+        if self.health is not None:
+            recover = partial(
+                self._recover, ctx, route, write, self._PUT_HANDLERS,
+                (src, dst, dst_ptr, nbytes), pe,
                 before=partial(self._wait_device_path_clear, ctx, src, dst, nbytes, pe),
             )
-        proc = self.sim.process(gen, name=f"pe{ctx.pe}:rdma-put")
-        ctx.track(proc)
-        self._bridge_failure(proc, posted)
+        done = None
+        if recover is None or not (
+            self.spec.device_initiated and self._device_path_blocked(ctx, src, dst, nbytes, pe)
+        ):
+            try:
+                done = RdmaWrite(
+                    self.verbs, ctx.endpoint, src, mr, dst.offset, nbytes, remote_hca,
+                    delivered, posted, recover=recover, detached=True,
+                )
+            except Exception:
+                done = None  # invalid: the process below raises it
+        if done is None:
+            gen = write() if recover is None else recover()
+            done = self.sim.process(gen, name=f"pe{ctx.pe}:rdma-put")
+        ctx.track(done)
+        self._bridge_failure(done, posted)
         yield posted
+
+    def _device_path_blocked(self, ctx, src, dst, nbytes, pe) -> bool:
+        """Is a leg of a device write's path down right now?  ``False``
+        on any lookup error, so the write itself raises at its instant."""
+        try:
+            mr = self._remote_mr(dst, pe)
+            path, _ = self.verbs.write_path(ctx.endpoint, src, mr, nbytes)
+        except Exception:
+            return False
+        return any(d.blocks(path.leg_label(d)) for d in path.directions())
 
     def _wait_device_path_clear(self, ctx, src, dst, nbytes, pe) -> Generator:
         """Deferred WQE start for device-initiated writes under faults.
@@ -778,16 +844,8 @@ class Runtime:
         protection from :meth:`_health_reroute` (they steer onto a
         fallback protocol before posting); the device design has no
         ladder, so it waits the path out instead."""
-        p = self.params
-        while True:
-            try:
-                mr = self._remote_mr(dst, pe)
-                path, _ = self.verbs.write_path(ctx.endpoint, src, mr, nbytes)
-            except Exception:
-                return  # let the write itself raise at the accurate instant
-            if not any(d.blocks(path.leg_label(d)) for d in path.directions()):
-                return
-            yield self.sim.timeout(p.health_cooldown, name="device:defer-wqe")
+        while self._device_path_blocked(ctx, src, dst, nbytes, pe):
+            yield self.sim.timeout(self.params.health_cooldown, name="device:defer-wqe")
 
     def _put_pipeline_gdr_write(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
         """Proposed large-message put (Fig 4 dotted): D2H staging chunks

@@ -97,7 +97,7 @@ class SimStats:
     protocol), and the UD transport adds ``ud_packets`` (datagram
     segments posted), ``ud_drops`` (segments lost to a link fault —
     UD never retries at the transport level), and ``ud_resends``
-    (segments re-posted by the msg layer's resend timer).
+    (segments re-posted by ``UDTransport.send``'s resend timer).
     """
 
     __slots__ = (
@@ -244,6 +244,18 @@ class Event:
         self.sim._push(self, 0.0, priority)
         return self
 
+    def fire_now(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        """Trigger the event (failed when ``exc`` is given) and run its
+        callbacks inside the current pop, with no scheduler entry: a
+        waiting process resumes here, as a generator returning into its
+        caller would."""
+        self._triggered = True
+        if exc is None:
+            self._value = value
+        else:
+            self._exc = exc
+        self._run_callbacks()
+
     def _run_callbacks(self) -> None:
         self._processed = True
         callbacks, self.callbacks = self.callbacks, []
@@ -292,14 +304,20 @@ class Process(Event):
 
     __slots__ = ("_gen", "_waiting_on")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", gen: Generator, name: str = "", now: bool = False):
         if not hasattr(gen, "send"):
             raise SimulationError(f"Process requires a generator, got {type(gen).__name__}")
         super().__init__(sim, name or getattr(gen, "__name__", "process"))
         self._gen = gen
         self._waiting_on: Optional[Event] = None
-        # Kick-start at the current instant.
-        sim._push_resume(self, None, None)
+        if now:
+            # First step inside the caller's (see Simulator.start).
+            outer = sim._active_process
+            self._step(None, None)
+            sim._active_process = outer
+        else:
+            # Kick-start at the current instant.
+            sim._push_resume(self, None, None)
 
     @property
     def is_alive(self) -> bool:
@@ -380,8 +398,10 @@ class Simulator:
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
         #: this; an attached tracer disarms the batched tiers and putmem's
-        #: tier-2 RDMA-write flow so every op runs the generator that
-        #: emits its spans.  Verbs calls and link holds ignore it.
+        #: tier-2 RDMA-write flow, as ``fastpath = False`` does, since
+        #: those elide the op spans.  The event path itself schedules
+        #: the same work traced or not: spans and instants take their
+        #: timestamps, so none waits for a wake-up of its own.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
@@ -442,6 +462,14 @@ class Simulator:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
+
+    def start(self, gen: Generator, name: str = "") -> Process:
+        """Like :meth:`process`, but the first step runs now, inside the
+        current one, rather than from the ready queue.  A callback that
+        hands the rest of an operation to a generator uses it: the
+        generator's first yield then draws its scheduler entry at the
+        point where a waiting generator would have drawn it."""
+        return Process(self, gen, name, now=True)
 
     def all_of(self, events: Iterable[Event]) -> Event:
         from repro.simulator.conditions import AllOf

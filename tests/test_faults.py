@@ -717,22 +717,22 @@ _RECOVERY_CASES = {
 _RECOVERY_PINS = {
     "device-get-replay": dict(
         results=[True, None], end=0.0009707780950078132,
-        stats=dict(scheduled=181, processed=181, resumed_fast=13, retries=4,
+        stats=dict(scheduled=166, processed=166, resumed_fast=5, retries=4,
                    flap_windows=1, degraded_time=0.0005205115463314818),
     ),
     "device-get-exhaust": dict(
         results=["RetryExceeded", None], end=0.0009378050023448492,
-        stats=dict(scheduled=183, processed=183, resumed_fast=13, retries=11,
+        stats=dict(scheduled=168, processed=168, resumed_fast=5, retries=11,
                    flap_windows=1, degraded_time=0.0007592769073370359),
     ),
     "host-get-failover": dict(
         results=[True, None], end=0.0011921050023448493,
-        stats=dict(scheduled=175, processed=175, resumed_fast=16, retries=3,
+        stats=dict(scheduled=159, processed=159, resumed_fast=8, retries=3,
                    failovers=1, flap_windows=1, degraded_time=0.00099395),
     ),
     "device-put-exhaust": dict(
         results=["RetryExceeded", None], end=0.003479805002344849,
-        stats=dict(scheduled=258, processed=258, resumed_fast=25, retries=11,
+        stats=dict(scheduled=242, processed=242, resumed_fast=16, retries=11,
                    flap_windows=12, rc_retx_holds=4, degraded_time=0.0030304884536685177),
     ),
 }

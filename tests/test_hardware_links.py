@@ -483,7 +483,7 @@ def test_link_holds_build_no_request(monkeypatch):
     assert built == []
     assert res.elapsed == 0.0010082002014665625
     assert job.sim.stats.as_dict() == dict(
-        scheduled=2002, processed=2002, resumed_fast=138, fastpath_batches=0,
+        scheduled=1960, processed=1960, resumed_fast=138, fastpath_batches=0,
         analytic_flows=46, contended_windows=106, collective_closed_forms=0,
         vectorised_events=0, retries=0, failovers=0, flap_windows=0,
         hca_stalls=0, cq_errors=0, rc_retx_holds=0, rc_aborted_wrs=0,

@@ -294,6 +294,49 @@ def test_active_process_visible_during_step():
     assert sim.active_process is None
 
 
+def test_start_runs_the_first_step_inside_the_caller():
+    """``Simulator.start`` steps the generator at once (no kick-start
+    entry), restores the caller's active process, and then behaves as
+    any process: resumed by its events, succeeding with its return."""
+    sim = Simulator()
+    trace = []
+
+    def inner(sim):
+        trace.append(("inner", sim.now))
+        yield sim.timeout(1.0)
+        return "done"
+
+    def outer(sim):
+        yield sim.timeout(2.0)
+        before = sim.stats.scheduled
+        child = sim.start(inner(sim))
+        # Only the child's timeout was scheduled, and it ran in this step.
+        trace.append(("outer", sim.stats.scheduled - before, sim.active_process is me[0]))
+        value = yield child
+        return value, sim.now
+
+    me = [sim.process(outer(sim))]
+    sim.run()
+    assert trace == [("inner", 2.0), ("outer", 1, True)]
+    assert me[0].value == ("done", 3.0)
+
+
+def test_fire_now_resumes_the_waiter_in_the_same_step():
+    sim = Simulator()
+    ev = sim.event("sync")
+    got = []
+
+    def waiter(sim):
+        got.append((yield ev))
+
+    sim.process(waiter(sim))
+    sim.run()  # the waiter is parked on ev
+    before = sim.stats.processed
+    ev.fire_now("v")
+    assert got == ["v"] and ev.processed
+    assert sim.stats.processed == before  # no scheduler entry was used
+
+
 # ------------------------------------------------- global stats hygiene
 def test_reset_global_stats_preserves_counter_types():
     """Reset must go through a fresh SimStats so ``degraded_time`` stays
