@@ -35,7 +35,11 @@ Three checks:
    scheduler guard cannot see a change that copies payloads again; this
    deterministic count can.
 
-Total target wall is printed as a diagnostic only.
+Total target wall and each target's garbage collections per generation
+(the report's ``gc_collections``) are printed against the baseline as
+diagnostics only.  The collection counts repeat exactly under one
+interpreter version but move between versions, so they become a guard
+once the baseline is recorded under CI's Python.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ def target_counts(doc: dict) -> dict:
         rec["exp_id"]: {
             **{k: rec["sim_stats"][k] for k in WORK_COUNTERS},
             "bytes_copied": rec["bytes_copied"],
+            "gc_collections": rec.get("gc_collections"),
         }
         for rec in doc.get("targets", [])
     }
@@ -115,12 +120,15 @@ def main(argv=None) -> int:
         print(f"FAIL: {BASELINE} has no per-target counts; "
               "re-record it with --update-baseline", file=sys.stderr)
         return 1
+    print(f"gc collections gen 0/1/2 (diagnostic, not gated; baseline under "
+          f"Python {base.get('python', '?')}, this run {platform.python_version()}):")
     failures = []
     for exp_id, got in sorted(counts.items()):
         want = base["targets"].get(exp_id)
         if want is None:
             failures.append(f"{exp_id}: not in the baseline")
             continue
+        print(f"  {exp_id}: {got['gc_collections']} (baseline {want.get('gc_collections')})")
         for k in GUARDED:
             if k not in want:
                 failures.append(f"{exp_id}: no baseline {k}; re-record it with --update-baseline")

@@ -18,6 +18,7 @@ and as a coarse regression guard on scheduler workload.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -80,6 +81,10 @@ class TargetResult:
     #: Bytes the memory model physically copied
     #: (``repro.cuda.memory.MemorySpace.bytes_copied``).
     bytes_copied: int = 0
+    #: Garbage collections the target ran, per generation 0/1/2: a
+    #: deterministic count of the objects it allocated (the same on
+    #: every sweep run under one interpreter version; see ``_run_one``).
+    gc_collections: List[int] = field(default_factory=lambda: [0, 0, 0])
     #: Paper-claim conditions the full-size rows fail (see ``_run_one``).
     claim_failures: Optional[List[str]] = None
 
@@ -93,6 +98,7 @@ class TargetResult:
             "error": self.error,
             "metrics": self.metrics,
             "bytes_copied": self.bytes_copied,
+            "gc_collections": self.gc_collections,
             "claim_failures": self.claim_failures,
         }
 
@@ -138,12 +144,17 @@ class SweepReport:
         }
 
 
-def _run_one(exp_id: str, quick: bool) -> dict:
+def _run_one(exp_id: str, quick: bool, collect: bool = False) -> dict:
     """Worker: run one experiment, return a plain dict (picklable).
 
     ``claim_failures`` lists the paper-claim conditions the rendered
     rows fail (empty when the claim holds); it is ``None`` for a quick
-    run, whose claim is not checked, and for a run that raised."""
+    run, whose claim is not checked, and for a run that raised.
+
+    ``collect`` runs a full garbage collection first, so the record's
+    ``gc_collections`` do not depend on what the process ran before.
+    The sweep runner asks for it; the service does not, as it reads no
+    collection counts and the collection costs a few ms per job."""
     from repro.cuda.memory import MemorySpace
     from repro.obs import snapshot_stats
     from repro.reporting.experiments import EXPERIMENTS
@@ -151,6 +162,9 @@ def _run_one(exp_id: str, quick: bool) -> dict:
 
     reset_global_stats()
     copied = MemorySpace.bytes_copied
+    if collect:
+        gc.collect()
+    collected = _gc_collections()
     t0 = time.perf_counter()
     claim_failures = None
     try:
@@ -174,7 +188,13 @@ def _run_one(exp_id: str, quick: bool) -> dict:
         "claim_failures": claim_failures,
         "metrics": snapshot_stats(GLOBAL_STATS),
         "bytes_copied": MemorySpace.bytes_copied - copied,
+        "gc_collections": [b - a for a, b in zip(collected, _gc_collections())],
     }
+
+
+def _gc_collections() -> List[int]:
+    """Collections run so far by each GC generation."""
+    return [gen["collections"] for gen in gc.get_stats()]
 
 
 class SweepRunner:
@@ -210,6 +230,7 @@ class SweepRunner:
             error=rec.get("error"),
             metrics=rec.get("metrics", {}),
             bytes_copied=rec.get("bytes_copied", 0),
+            gc_collections=rec.get("gc_collections", [0, 0, 0]),
             claim_failures=rec.get("claim_failures"),
         )
 
@@ -245,7 +266,7 @@ class SweepRunner:
                 pool = ctx.Pool(min(self.jobs, len(todo)))
                 try:
                     recs = pool.starmap_async(
-                        _run_one, [(e, self.quick) for e in todo]
+                        _run_one, [(e, self.quick, True) for e in todo]
                     ).get()
                     pool.close()
                 except KeyboardInterrupt:
@@ -258,7 +279,7 @@ class SweepRunner:
                 finally:
                     pool.join()
             else:
-                recs = [_run_one(e, self.quick) for e in todo]
+                recs = [_run_one(e, self.quick, True) for e in todo]
             for rec in recs:
                 self._store(rec)
                 by_id[rec["exp_id"]] = TargetResult(
@@ -270,6 +291,7 @@ class SweepRunner:
                     error=rec["error"],
                     metrics=rec.get("metrics", {}),
                     bytes_copied=rec["bytes_copied"],
+                    gc_collections=rec["gc_collections"],
                     claim_failures=rec["claim_failures"],
                 )
                 if verbose:

@@ -42,7 +42,7 @@ allocation's bytes, so every byte outside the record is still zero;
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,6 +142,8 @@ class Allocation:
             else:
                 keep.append(snap)
         self.pending = keep
+        if self.freed and not keep:
+            self.space.forget(self)
 
     def settle(self, lo: int, hi: int, overwrite: bool = False) -> None:
         """Apply every inbound range overlapping ``[lo, hi)``, which is
@@ -211,7 +213,10 @@ class Snapshot:
         """Drop the payload: its transfer delivered or died."""
         alloc = self.alloc
         if alloc is not None and self.data is None:
-            alloc.pending.remove(self)
+            pending = alloc.pending
+            pending.remove(self)
+            if alloc.freed and not pending:
+                alloc.space.forget(alloc)
         self.alloc = None
         self.data = None
 
@@ -490,7 +495,10 @@ class MemorySpace:
 
     def __init__(self) -> None:
         self._next_va = 0x7F00_0000_0000
-        self._allocs: list = []
+        #: Live allocations, and freed ones that a pending snapshot
+        #: still reads, in allocation order (a dict used as an ordered
+        #: set, so a free drops its entry without a scan).
+        self._allocs: Dict[Allocation, None] = {}
         #: Called with each allocation as :meth:`free` frees it, so a
         #: registration memo can drop it.
         self.on_free: List[Callable[["Allocation"], None]] = []
@@ -509,7 +517,7 @@ class MemorySpace:
             self, kind, size, node_id, owner, device_id=device_id, base=self._next_va, tag=tag
         )
         self._next_va += size + self.GUARD
-        self._allocs.append(alloc)
+        self._allocs[alloc] = None
         return alloc
 
     def free(self, alloc: Allocation) -> None:
@@ -519,13 +527,19 @@ class MemorySpace:
         for rng in alloc.inbound:  # nothing can read them any more
             rng.release()
         alloc.inbound = []
+        if not alloc.pending:
+            self.forget(alloc)
         for forget in self.on_free:
             forget(alloc)
+
+    def forget(self, alloc: Allocation) -> None:
+        """Drop a freed allocation once no pending snapshot reads it."""
+        self._allocs.pop(alloc, None)
 
     def materialise_pending(self) -> None:
         """Copy out every pending snapshot in the space (inbound ranges
         reading through are applied)."""
-        for alloc in self._allocs:
+        for alloc in list(self._allocs):  # a freed one leaves as it settles
             if alloc.pending:
                 alloc.materialise(0, alloc.size)
 

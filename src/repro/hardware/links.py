@@ -13,7 +13,9 @@ latency, an effective bandwidth, and the set of link directions the
 transfer must occupy.  :class:`AnalyticTransfer` is the single machine
 through which *all* simulated data movement holds its links (via
 ``TransferSpec.execute``, or wrapped by putmem's tier-2 RDMA-write flow), so
-failure injection and tracing hook in there.
+failure injection and tracing hook in there.  When a grant's tuple
+would be the scheduler's very next pop, the machine takes the slot
+inline instead (:meth:`LinkDirection.take`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ class LinkDirection:
 
     * :meth:`grant` takes a slot for ``owner`` if one is free, else
       queues it, and returns whether it was granted at once;
+    * :meth:`take` takes a free slot with no scheduler entry, for an
+      owner that would otherwise be called by the very next pop;
     * :meth:`release` frees a slot and hands it to the first waiter;
     * :meth:`cancel` withdraws ``owner``: a queued owner leaves the
       queue, a granted one releases its slot.
@@ -73,6 +77,7 @@ class LinkDirection:
     __slots__ = (
         "link",
         "tag",
+        "name",
         "sim",
         "capacity",
         "holders",
@@ -87,6 +92,7 @@ class LinkDirection:
     def __init__(self, link: "Link", tag: str, capacity: int):
         self.link = link
         self.tag = tag
+        self.name = f"{link.name}:{tag}"
         self.sim = link.sim
         self.capacity = capacity
         self.holders = 0
@@ -101,10 +107,6 @@ class LinkDirection:
         #: :class:`AnalyticTransfer` for the mid-flight check.
         self._fail_log: List[Optional[str]] = []
 
-    @property
-    def name(self) -> str:
-        return f"{self.link.name}:{self.tag}"
-
     def grant(self, owner: Callable[["LinkDirection"], None]) -> bool:
         """Take a slot for ``owner``, or queue it behind the holders.
 
@@ -117,6 +119,12 @@ class LinkDirection:
             return True
         self._waiters.append(owner)
         return False
+
+    def take(self) -> None:
+        """Take a free slot now, with no grant on the ready queue: the
+        caller checked ``holders < capacity`` and runs what the grant's
+        pop would have run in its place."""
+        self.holders += 1
 
     def release(self) -> None:
         """Free one held slot, handing it to the first queued owner."""
@@ -367,19 +375,25 @@ class AnalyticTransfer:
     :meth:`TransferSpec.execute` yields on one of these for every timed
     crossing, and :class:`~repro.shmem.fastpath.AnalyticFlow` wraps one
     per signaled RDMA write it commits.  The machine takes its link
-    slots one :meth:`LinkDirection.grant` per scheduler step — contended
-    windows price themselves exactly as processes queueing on the
-    directions would — but runs as callbacks rather than as a generator:
-    no per-hop resumes, no ``Request`` event per grant, and the setup and
-    hold-end instants are absolute wake-ups (both named after the spec's
-    label) instead of ``Timeout`` allocations.
+    slots in the order of a process that yields after every
+    :meth:`LinkDirection.grant` — contended windows price themselves
+    exactly as processes queueing on the directions would — but runs
+    as callbacks rather than as a generator: no per-hop resumes, no
+    ``Request`` event per grant, and the setup and hold-end instants are
+    bare heap calls (:meth:`~repro.simulator.Simulator.call_at`), no
+    Event built.
 
     Timeline:
 
     * ``t_req = now + spec.setup`` — hop directions requested in global
-      acquisition order, one grant per scheduler step; a queued grant
-      suspends the acquisition, resuming when the holder's release
-      hands the slot over;
+      acquisition order.  A free slot is taken inline
+      (:meth:`LinkDirection.take`) when the machine runs as the whole of
+      a scheduler pop (its setup call or a grant's pop, not the
+      zero-setup boot) and the ready queue is empty: the grant's tuple
+      would then be the very next pop, with nothing run in between.
+      Otherwise the request is a grant through the ready queue, and a
+      queued grant suspends the acquisition, resuming when the holder's
+      release hands the slot over;
     * ``t_end = last_grant + spec.duration()`` — one ``link`` span per
       direction recorded when a tracer is attached (arg ``hop`` is the
       direction's index, so ``hop == 0`` spans count holds), then the
@@ -426,8 +440,7 @@ class AnalyticTransfer:
         self.contended = False
         if spec.setup:
             self._booting = False
-            w = sim.wake_at(sim.now + spec.setup, name=spec.label)
-            w.callbacks.append(self._acquire)
+            sim.call_at(sim.now + spec.setup, self._acquire)
         else:
             # No setup leg: request synchronously at the current
             # instant.  A failure here surfaces through ``boot_exc``.
@@ -464,44 +477,53 @@ class AnalyticTransfer:
             return
         self._fire(exc=exc)
 
-    def _acquire(self, _wake) -> None:
-        # First entry arrives from the setup wake-up (or synchronously
+    def _acquire(self, _arg) -> None:
+        # First entry arrives from the setup call (or synchronously
         # from the constructor); re-entries arrive from each grant's
-        # own pop — immediate or handed over — so the transfer takes
-        # exactly one grant per scheduler step, the cadence of a process
-        # that yields after *every* request, immediate grant or not
-        # (the pinned timings depend on it).  Chaining consecutive
-        # immediate grants inline here would jump ahead of same-instant
-        # parties whose resumes already sat in the ready queue, flipping
-        # a FIFO grant on a shared direction once three or more
-        # transfers contend.
+        # own pop, immediate or handed over.  The machine requests in
+        # the cadence of a process that yields after *every* request,
+        # immediate grant or not (the pinned timings depend on it).  A
+        # free slot is taken inline only when that grant's pop would
+        # come next: this call is a whole pop (not the constructor's
+        # boot, whose caller runs on afterwards) and the ready queue is
+        # empty.  Taking one inline past a non-empty ready queue would
+        # jump ahead of same-instant parties whose grants or resumes
+        # already sat there, flipping a FIFO grant on a shared direction
+        # once three or more transfers contend
+        # (``tests/test_hardware_links.py::
+        # test_same_instant_three_way_contention_pin``).
         if self._dead:
             return
         spec = self.spec
         dirs = spec.directions()
+        sim = self.sim
         i = self._idx
-        if i:
-            d = dirs[i - 1]
-            if (d._down or d._blocked) and d.blocks(spec.leg_label(d)):
-                self._die(LinkDown(f"link direction {d.name} went down", direction=d))
-                return
-        if i < len(dirs):
+        while True:
+            if i:
+                d = dirs[i - 1]
+                if (d._down or d._blocked) and d.blocks(spec.leg_label(d)):
+                    self._die(LinkDown(f"link direction {d.name} went down", direction=d))
+                    return
+            if i == len(dirs):
+                break
             d = dirs[i]
             if (d._down or d._blocked) and d.blocks(spec.leg_label(d)):
                 self._die(LinkDown(f"link direction {d.name} is down", direction=d))
                 return
-            self._idx = i + 1
+            i += 1
+            self._idx = i
+            if d.holders < d.capacity and not sim._ready and not self._booting:
+                d.take()
+                continue
             if not d.grant(self._acquire) and not self.contended:
                 self.contended = True
-                self.sim.stats.contended_windows += 1
+                sim.stats.contended_windows += 1
             return
         self._marks = [len(d._fail_log) for d in dirs]
-        sim = self.sim
         self._hold_start = sim.now
-        end = sim.wake_at(sim.now + spec.duration(), name=spec.label)
-        end.callbacks.append(self._finish)
+        sim.call_at(sim.now + spec.duration(), self._finish)
 
-    def _finish(self, _ev: Event) -> None:
+    def _finish(self, _arg) -> None:
         if self._dead:
             return
         spec = self.spec

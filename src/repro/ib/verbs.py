@@ -425,7 +425,8 @@ class RdmaWrite(Event):
     timeout:
 
     * built at ``t``: the write is validated and its post wake-up drawn
-      for ``t + rdma_post_overhead``;
+      for ``t + rdma_post_overhead``, a bare heap call
+      (:meth:`~repro.simulator.Simulator.call_at`), as is the ack's;
     * post: payload snapshotted, ``posted`` succeeded through the
       scheduler, source HCA tx counted, and the path's hold begun:
       ``TransferSpec.execute``, driven from its events' callbacks (its
@@ -490,10 +491,9 @@ class RdmaWrite(Event):
         self.resuming = False
         self.tracer = sim.tracer
         self.start = sim.now
-        post = sim.wake_at(sim.now + verbs.params.rdma_post_overhead, name="rdma_write:post")
-        post.callbacks.append(self._post)
+        sim.call_at(sim.now + verbs.params.rdma_post_overhead, self._post)
 
-    def _post(self, _ev: Event) -> None:
+    def _post(self, _arg) -> None:
         try:
             self.payload = self.local.snapshot(self.nbytes)  # source reusable from here on
         except BaseException as exc:
@@ -546,8 +546,7 @@ class RdmaWrite(Event):
             self._die(exc)
             return
         sim = self.sim
-        ack = sim.wake_at(sim.now + self.verbs.params.rdma_ack_latency, name="rdma_write:ack")
-        ack.callbacks.append(self._acked)
+        sim.call_at(sim.now + self.verbs.params.rdma_ack_latency, self._acked)
 
     def _deliver(self) -> None:
         self.dst_hca.count_rx()
@@ -556,7 +555,7 @@ class RdmaWrite(Event):
         if delivered is not None and not delivered.triggered:
             delivered.succeed(self.sim.now)
 
-    def _acked(self, _ev: Event) -> None:
+    def _acked(self, _arg) -> None:
         self._close()
         self._fire(self.nbytes)
 

@@ -5,7 +5,9 @@ These are module-level functions (picklable by qualified name) the
 ``ProcessPoolExecutor``.  Sweep targets reuse the cached sweep
 runner's worker verbatim — that is what makes a service-submitted
 sweep bit-identical to ``benchmarks/run_all.py``: same worker, same
-record shape, same disk cache key.
+record shape, same disk cache key.  Only the sweep's leading garbage
+collection is skipped: it costs a few ms per job and serves just the
+record's ``gc_collections`` meter.
 """
 
 from __future__ import annotations

@@ -68,7 +68,9 @@ class AnalyticFlow:
     payload write, the delivery notification and the ack after it.
     What the closed form elides is the *machinery*: no resume of
     putmem's generator per put and no issue wake-up — only a handful
-    of absolutely-timed wake-ups.
+    of absolutely-timed heap calls
+    (:meth:`~repro.simulator.Simulator.call_at`), no Event built for
+    any of them.
 
     Timeline (same float operations in the same order as putmem's
     issue wake-up + :class:`~repro.ib.verbs.RdmaWrite`):
@@ -136,15 +138,14 @@ class AnalyticFlow:
         # ``posted.succeed`` inserts before the caller resumes.
         self.posted = Event(sim, name="an:posted")
         self.payload: Optional[Snapshot] = None
-        w = sim.wake_at(base + post_overhead, name="an:post")
-        w.callbacks.append(self._at_posted)
+        sim.call_at(base + post_overhead, self._at_posted)
 
     def _die(self, exc: BaseException) -> None:
         if self.payload is not None:
             self.payload.release()
         self.completion.fail(exc)
 
-    def _at_posted(self, _ev: Event) -> None:
+    def _at_posted(self, _arg) -> None:
         sim = self.sim
         try:
             self.payload = self.src.snapshot(self.nbytes)
@@ -182,16 +183,13 @@ class AnalyticFlow:
             self._die(exc)
             return
         self.payload.release()
-        delivered = Event(sim, name="an:delivered")
-        delivered.callbacks.append(self._deliver)
-        delivered.succeed(sim.now)
-        ack = sim.wake_at(sim.now + self.ack_latency, name="an:ack")
-        ack.callbacks.append(self._complete)
+        sim.call_at(sim.now, self._deliver)
+        sim.call_at(sim.now + self.ack_latency, self._complete)
 
-    def _deliver(self, _ev: Event) -> None:
+    def _deliver(self, _arg) -> None:
         self.notify()
 
-    def _complete(self, _ev: Event) -> None:
+    def _complete(self, _arg) -> None:
         self.completion.succeed(self.nbytes)
 
 

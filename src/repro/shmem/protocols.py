@@ -30,7 +30,7 @@ are the tight bottleneck (Table III): ``gdr_get_threshold`` <
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ShmemError
 from repro.hardware.params import HardwareParams
@@ -51,6 +51,12 @@ class Route:
     locality: Locality
     nbytes: int
     reason: str = ""
+    #: ``protocol.value`` as a plain string, for the per-op probe keys
+    #: and spans (an Enum's ``value`` is a Python-level property).
+    protocol_name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "protocol_name", self.protocol.value)
 
     @property
     def one_sided(self) -> bool:
@@ -65,7 +71,7 @@ class Route:
     def span_args(self) -> dict:
         """The decision, flattened for a tracing instant marker."""
         return {
-            "protocol": self.protocol.value,
+            "protocol": self.protocol_name,
             "op": self.op.value,
             "config": self.config.value,
             "locality": self.locality.value,

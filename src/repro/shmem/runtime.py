@@ -574,15 +574,16 @@ class Runtime:
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(
-                self.sim, f"route:{route.protocol.value}", "route", f"pe{ctx.pe}", at=at,
+                self.sim, f"route:{route.protocol_name}", "route", f"pe{ctx.pe}", at=at,
                 **route.span_args(),
             )
 
     def _sample(self, ctx, kind: str, route: Route, t0: float) -> None:
         """Record one op's protocol-execution time, globally and per PE."""
         elapsed = self.sim.now - t0
-        ctx.probe.sample(f"{kind}:{route.protocol.value}", elapsed)
-        ctx.probe.sample(f"pe{ctx.pe}.{kind}:{route.protocol.value}", elapsed)
+        name = route.protocol_name
+        ctx.probe.sample(f"{kind}:{name}", elapsed)
+        ctx.probe.sample(f"pe{ctx.pe}.{kind}:{name}", elapsed)
 
     def _fallback(self, route: Route, ctx, pe: int) -> Optional[Route]:
         """Reactive failover step for a put or get that died even after

@@ -4,12 +4,15 @@ Design notes
 ------------
 The scheduler keeps two structures:
 
-* a binary heap of ``(time, seq, event)`` entries for everything
-  scheduled at NORMAL priority (timeouts, plain ``succeed()`` calls);
+* a binary heap of ``(time, seq, fn, arg)`` entries whose pop calls
+  ``fn(arg)``: an event scheduled at NORMAL priority (a timeout, a
+  plain ``succeed()``) is ``(time, seq, Event._run_callbacks, event)``,
+  and a bare call (:meth:`Simulator.call_at`) is any callable with its
+  one argument, no Event built;
 * a FIFO *ready queue* for URGENT work at the current instant —
   resource hand-offs, link grants and process resumptions.
 
-``seq`` is a monotonically increasing tie-breaker so that events
+``seq`` is a monotonically increasing tie-breaker so that entries
 scheduled at the same instant fire in FIFO order — this makes every
 simulation fully deterministic, which the test-suite relies on.
 
@@ -25,6 +28,9 @@ instead of throwaway Event allocations, in every mode:
 * link grants, ``(None, owner, direction)``: a
   :class:`~repro.hardware.links.LinkDirection` pushes one when it
   hands a slot to an owner, and its pop calls ``owner(direction)``.
+  (The link-hold machine takes a free slot inline instead when that
+  tuple would be the very next pop; see
+  :class:`~repro.hardware.links.AnalyticTransfer`.)
 
 Both count as scheduler work in ``scheduled``/``processed``; only
 resumptions count in ``resumed_fast``.  Observing a run (the span
@@ -279,6 +285,10 @@ class Event:
         return f"<{label} {state}>"
 
 
+#: A scheduled event's heap call (see the module notes).
+_run_callbacks = Event._run_callbacks
+
+
 class Timeout(Event):
     """An event that fires ``delay`` seconds into the future."""
 
@@ -443,22 +453,31 @@ class Simulator:
         return Timeout(self, delay, value, name)
 
     def wake_at(self, when: float, value: Any = None, name: str = "") -> Event:
-        """An event firing at absolute time ``when`` (NORMAL priority).
+        """An event firing at absolute time ``when`` (NORMAL priority),
+        for a process to yield on.
 
-        Used by the batched and analytic transfer fast paths, whose
-        instants are computed in absolute terms: scheduling
+        Used where an instant is computed in absolute terms (the issue
+        wake-up, the tier-0 batch's end): scheduling
         ``timeout(when - now)`` would re-round the float and could drift
-        off the event-accurate path by one ulp.
+        off the event-accurate path by one ulp.  A callback machine that
+        only needs to run at ``when`` uses :meth:`call_at` instead.
         """
-        if when < self._now:
-            raise SimulationError(f"wake_at({when!r}) is in the past (now={self._now!r})")
         ev = Event(self, name or f"wake_at({when:g})")
         ev._triggered = True
         ev._value = value
+        self.call_at(when, _run_callbacks, ev)
+        return ev
+
+    def call_at(self, when: float, fn: Callable[[Any], None], arg: Any = None) -> None:
+        """Call ``fn(arg)`` at absolute time ``when``: one heap entry,
+        ordered exactly as :meth:`wake_at`'s event would be, with no
+        Event built.  The link-hold and RDMA-write machines schedule
+        their fixed-instant wake-ups this way."""
+        if when < self._now:
+            raise SimulationError(f"call_at({when!r}) is in the past (now={self._now!r})")
         self._seq += 1
         self.stats.scheduled += 1
-        heapq.heappush(self._queue, (when, self._seq, ev))
-        return ev
+        heapq.heappush(self._queue, (when, self._seq, fn, arg))
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
@@ -491,7 +510,7 @@ class Simulator:
             self._ready.append(event)
         else:
             self._seq += 1
-            heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+            heapq.heappush(self._queue, (self._now + delay, self._seq, _run_callbacks, event))
 
     def _push_resume(self, process: Process, value: Any, exc: Optional[BaseException]) -> None:
         self.stats.scheduled += 1
@@ -506,7 +525,8 @@ class Simulator:
         """Process the single next event.
 
         The ready queue holds Events, resumption tuples and link-grant
-        tuples (see the module notes), drained FIFO before the heap.
+        tuples (see the module notes), drained FIFO before the heap,
+        whose entries are calls.
         """
         self.stats.processed += 1
         if self._ready:
@@ -521,9 +541,9 @@ class Simulator:
                 return
             item._run_callbacks()
             return
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, fn, arg = heapq.heappop(self._queue)
         self._now = when
-        event._run_callbacks()
+        fn(arg)
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains or virtual time reaches ``until``.

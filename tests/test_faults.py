@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import CompletionError, IBError, LinkDown, RetryExceeded
 from repro.faults import DEGRADED, FaultPlan, HealthTracker, HEALTHY, PROBING
-from repro.hardware.links import Link, TransferSpec
+from repro.hardware.links import Link, LinkDirection, TransferSpec
 from repro.hardware.params import wilkes_params
 from repro.ib.rc import RCTransport, retry
 from repro.shmem import Domain, ShmemJob
@@ -600,18 +600,26 @@ def _run_hold_case(case, monkeypatch):
 
     # Grant instants on the direction the second transfer queues on.  A
     # grant pops at the instant it is pushed (the ready queue drains
-    # before time moves), so the push is where it is recorded; the
-    # owner passes through untouched.
+    # before time moves), so the push is where it is recorded, and a
+    # slot taken inline (``LinkDirection.take``) at the instant it is
+    # taken; the owner passes through untouched.
     grants = []
     direction = next(d for d in _link_directions(faulted) if d.name == watched)
     push_grant = Simulator._push_grant
+    take = LinkDirection.take
 
     def recording_push_grant(sim, owner, d):
         if d is direction:
             grants.append(sim.now)
         push_grant(sim, owner, d)
 
+    def recording_take(d):
+        if d is direction:
+            grants.append(d.sim.now)
+        take(d)
+
     monkeypatch.setattr(Simulator, "_push_grant", recording_push_grant)
+    monkeypatch.setattr(LinkDirection, "take", recording_take)
 
     res = faulted.run(program)
     return dict(
@@ -717,22 +725,22 @@ _RECOVERY_CASES = {
 _RECOVERY_PINS = {
     "device-get-replay": dict(
         results=[True, None], end=0.0009707780950078132,
-        stats=dict(scheduled=166, processed=166, resumed_fast=5, retries=4,
+        stats=dict(scheduled=118, processed=118, resumed_fast=5, retries=4,
                    flap_windows=1, degraded_time=0.0005205115463314818),
     ),
     "device-get-exhaust": dict(
         results=["RetryExceeded", None], end=0.0009378050023448492,
-        stats=dict(scheduled=168, processed=168, resumed_fast=5, retries=11,
+        stats=dict(scheduled=125, processed=125, resumed_fast=5, retries=11,
                    flap_windows=1, degraded_time=0.0007592769073370359),
     ),
     "host-get-failover": dict(
         results=[True, None], end=0.0011921050023448493,
-        stats=dict(scheduled=159, processed=159, resumed_fast=8, retries=3,
+        stats=dict(scheduled=115, processed=115, resumed_fast=8, retries=3,
                    failovers=1, flap_windows=1, degraded_time=0.00099395),
     ),
     "device-put-exhaust": dict(
         results=["RetryExceeded", None], end=0.003479805002344849,
-        stats=dict(scheduled=242, processed=242, resumed_fast=16, retries=11,
+        stats=dict(scheduled=176, processed=176, resumed_fast=16, retries=11,
                    flap_windows=12, rc_retx_holds=4, degraded_time=0.0030304884536685177),
     ),
 }

@@ -447,6 +447,38 @@ def test_dying_transfer_hands_its_slots_on():
     assert link.fwd.idle and link.rev.holders == 0
 
 
+def test_same_instant_three_way_contention_pin():
+    """Three transfers start in one pop and request the shared direction
+    ``s``.  Their first grants (``a``, ``c``, ``d``) queue up together,
+    so t1's grant of ``b`` must not be taken inline past the other two:
+    t2 and t3 request ``s`` before t1 does.  The end times and the
+    resulting grant order on ``s`` are the values of the one-grant-per-
+    pop machine."""
+    sim = Simulator()
+    links = {n: Link(sim, n) for n in "abcds"}
+    paths = {"t1": "abs", "t2": "cs", "t3": "ds"}
+    sizes = {"t1": 300, "t2": 200, "t3": 100}  # 3 s, 2 s, 1 s holds
+    go = sim.timeout(1.0)
+    ends = {}
+
+    def xfer(name):
+        spec = TransferSpec(sizes[name], label=name)
+        for n in paths[name]:
+            spec.add(links[n].fwd, 0.0, 100.0)
+        yield go
+        yield from spec.execute(sim)
+        ends[name] = sim.now
+
+    for name in paths:
+        sim.process(xfer(name))
+    sim.run()
+    assert ends == {"t2": 3.0, "t3": 4.0, "t1": 7.0}
+    granted_s = sorted((ends[n] - sizes[n] / 100.0, n) for n in ends)
+    assert granted_s == [(1.0, "t2"), (3.0, "t3"), (4.0, "t1")]
+    assert sim.stats.contended_windows == 2
+    assert links["s"].fwd.idle
+
+
 # ---------------------------------------------------- Request-free holds
 def _contended_puts(ctx):
     """Every PE streams windows of non-blocking puts to the PE on the
@@ -483,7 +515,7 @@ def test_link_holds_build_no_request(monkeypatch):
     assert built == []
     assert res.elapsed == 0.0010082002014665625
     assert job.sim.stats.as_dict() == dict(
-        scheduled=1960, processed=1960, resumed_fast=138, fastpath_batches=0,
+        scheduled=1472, processed=1472, resumed_fast=138, fastpath_batches=0,
         analytic_flows=46, contended_windows=106, collective_closed_forms=0,
         vectorised_events=0, retries=0, failovers=0, flap_windows=0,
         hca_stalls=0, cq_errors=0, rc_retx_holds=0, rc_aborted_wrs=0,

@@ -254,7 +254,7 @@ def test_inter_socket_proxy_get_pin():
     assert res.results == [(True, 0.0005135121683383173), None]
     assert job.sim.now == 0.0005158134189245293
     assert job.sim.stats.as_dict() == _zero_stats(
-        scheduled=244, processed=244, resumed_fast=11, analytic_flows=10, contended_windows=1
+        scheduled=175, processed=175, resumed_fast=11, analytic_flows=10, contended_windows=1
     )
     assert _pools(job) == {
         "pe0.staging": 4, "pe1.staging": 4, "pe0.rx-staging": 4, "pe1.rx-staging": 4,
@@ -292,7 +292,7 @@ def test_rc_rendezvous_staged_failover_pin():
     assert res.results == [0.000813413852393847, (True, 0.000813413852393847)]
     assert job.sim.now == 0.002
     assert job.sim.stats.as_dict() == _zero_stats(
-        scheduled=182, processed=182, resumed_fast=8, failovers=1, flap_windows=1,
+        scheduled=128, processed=128, resumed_fast=8, failovers=1, flap_windows=1,
         msg_rendezvous=1,
     )
     assert _pools(job) == {

@@ -337,6 +337,28 @@ def test_fire_now_resumes_the_waiter_in_the_same_step():
     assert sim.stats.processed == before  # no scheduler entry was used
 
 
+def test_call_at_shares_the_heap_order_of_events():
+    """A bare call, a ``wake_at`` event and a timeout due at one instant
+    pop in the order they were submitted, each one scheduler entry."""
+    sim = Simulator()
+    order = []
+    sim.call_at(1.0, order.append, "call")
+    sim.wake_at(1.0).callbacks.append(lambda _ev: order.append("wake_at"))
+    sim.timeout(1.0).callbacks.append(lambda _ev: order.append("timeout"))
+    sim.call_at(1.0, lambda arg: order.append((arg, sim.now)))
+    sim.run()
+    assert order == ["call", "wake_at", "timeout", (None, 1.0)]
+    assert (sim.stats.scheduled, sim.stats.processed) == (4, 4)
+
+
+def test_call_at_into_the_past_raises():
+    sim = Simulator()
+    sim.call_at(1.0, lambda _arg: None)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.call_at(0.5, lambda _arg: None)
+
+
 # ------------------------------------------------- global stats hygiene
 def test_reset_global_stats_preserves_counter_types():
     """Reset must go through a fresh SimStats so ``degraded_time`` stays

@@ -3,7 +3,8 @@
 Both engines (:class:`repro.msg.MsgEngine` and the lowercase MPI
 baseline) register the receive buffer a rendezvous writes into, once per
 allocation.  A buffer freed after its message must leave that memo: each
-round below receives into a fresh buffer and frees it.
+round below receives into a fresh buffer and frees it.  Nor does the
+memory space keep a freed buffer that no pending snapshot still reads.
 """
 
 from repro.shmem import ShmemJob
@@ -50,11 +51,16 @@ def _freed_in_memo(engine):
     return [mr.alloc for mr in engine._mrs.values() if mr.alloc.freed]
 
 
+def _freed_in_space(job):
+    return [a for a in job.space._allocs if a.freed and not a.pending]
+
+
 def test_msg_engine_memo_drops_freed_buffers():
     job = ShmemJob(nodes=2, pes_per_node=1, design="enhanced-gdr")
     job.run(_rounds(_msg))
     assert job.msg.rendezvous == ROUNDS
     assert _freed_in_memo(job.msg) == []
+    assert _freed_in_space(job) == []
 
 
 def test_mpi_world_memo_drops_freed_buffers():
@@ -62,3 +68,4 @@ def test_mpi_world_memo_drops_freed_buffers():
     job.run(_rounds(_mpi))
     assert job.mpi.messages == ROUNDS
     assert _freed_in_memo(job.mpi) == []
+    assert _freed_in_space(job) == []
