@@ -18,13 +18,7 @@ check:
 	PYTHONPATH=src $(PYTHON) -m repro check --seeds 10 --seed-start 10000 --faults --repro-out check-repro-faults.py
 
 examples:
-	PYTHONPATH=src $(PYTHON) examples/quickstart.py
-	PYTHONPATH=src $(PYTHON) examples/overlap_demo.py
-	PYTHONPATH=src $(PYTHON) examples/protocol_explorer.py
-	PYTHONPATH=src $(PYTHON) examples/irregular_workload.py
-	PYTHONPATH=src $(PYTHON) examples/upc_demo.py
-	PYTHONPATH=src $(PYTHON) examples/stencil2d_demo.py
-	PYTHONPATH=src $(PYTHON) examples/lbm_demo.py
+	for f in examples/*.py; do PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 experiments:
 	PYTHONPATH=src $(PYTHON) -m repro run all --quick

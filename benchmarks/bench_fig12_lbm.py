@@ -17,35 +17,3 @@ def test_fig12a_lbm_strong(benchmark):
 
 def test_fig12b_lbm_weak(benchmark):
     run_and_archive(benchmark, "fig12b", lambda: run_fig12(mode="weak"))
-
-
-def run_fig12b_3d() -> str:
-    """Weak scaling with the paper's 3-D process grid (§V-C: 'with 64
-    processes, we distribute on the grid as 4 x 4 x 4'), 64^3 per GPU."""
-    from repro.apps.grid import process_grid_3d
-    from repro.apps.lbm3d import LBM3DConfig, run_lbm3d
-    from repro.reporting.format import format_table
-
-    rows = []
-    for npes in (8, 64):
-        px, py, pz = process_grid_3d(npes)
-        cfg = LBM3DConfig(
-            nx=64 * px, ny=64 * py, nz=64 * pz, iterations=1000,
-            measure_iterations=4, warmup_iterations=1,
-        )
-        hp = run_lbm3d(nodes=npes // 2, design="host-pipeline", cfg=cfg)
-        gd = run_lbm3d(nodes=npes // 2, design="enhanced-gdr", cfg=cfg)
-        imp = 100 * (1 - gd["evolution_time"] / hp["evolution_time"])
-        rows.append([
-            str(npes), f"{px}x{py}x{pz}",
-            f"{hp['evolution_time']:.3f}", f"{gd['evolution_time']:.3f}", f"{imp:.0f}%",
-        ])
-    return format_table(
-        ["GPUs", "process grid", "host-pipeline (s)", "enhanced-gdr (s)", "improvement"],
-        rows,
-        title="Fig 12(b) variant — LBM weak scaling, 3-D decomposition, 64^3/GPU",
-    )
-
-
-def test_fig12b_lbm_weak_3d(benchmark):
-    run_and_archive(benchmark, "fig12b_3d", lambda: run_fig12b_3d())

@@ -15,21 +15,16 @@ real: every halo byte crosses the simulated OpenSHMEM runtime.
 from repro.apps.grid import partition_1d, process_grid, tile_of
 from repro.apps.stencil2d import StencilConfig, StencilResult, run_stencil2d, stencil_program
 from repro.apps.lbm import LBMConfig, LBMResult, lbm_program, run_lbm
-from repro.apps.lbm3d import LBM3DConfig, LBM3DResult, lbm3d_program, run_lbm3d
 
 __all__ = [
-    "LBM3DConfig",
-    "LBM3DResult",
     "LBMConfig",
     "LBMResult",
     "StencilConfig",
     "StencilResult",
-    "lbm3d_program",
     "lbm_program",
     "partition_1d",
     "process_grid",
     "run_lbm",
-    "run_lbm3d",
     "run_stencil2d",
     "stencil_program",
     "tile_of",

@@ -23,28 +23,6 @@ def process_grid(npes: int) -> Tuple[int, int]:
     return px, npes // px
 
 
-def process_grid_3d(npes: int) -> Tuple[int, int, int]:
-    """Balanced 3-D factorization (the paper's LBM weak-scaling layout:
-    'with 64 processes, we distribute on the grid as 4 x 4 x 4')."""
-    if npes < 1:
-        raise ConfigurationError(f"need at least one PE, got {npes}")
-    best = (1, 1, npes)
-    best_score = None
-    for a in range(1, int(round(npes ** (1 / 3))) + 2):
-        if npes % a:
-            continue
-        rest = npes // a
-        for b in range(a, int(math.isqrt(rest)) + 1):
-            if rest % b:
-                continue
-            c = rest // b
-            score = (c - a, c + b + a)  # minimize spread, then surface
-            if best_score is None or score < best_score:
-                best_score = score
-                best = (a, b, c)
-    return best
-
-
 def partition_1d(extent: int, parts: int) -> List[Tuple[int, int]]:
     """Split ``[0, extent)`` into ``parts`` contiguous near-equal ranges."""
     if parts < 1 or extent < parts:

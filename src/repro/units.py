@@ -7,8 +7,6 @@ the paper's units (microseconds, MB/s).
 
 from __future__ import annotations
 
-import re
-
 KiB = 1024
 MiB = 1024 * KiB
 GiB = 1024 * MiB
@@ -28,16 +26,6 @@ def to_usec(seconds: float) -> float:
     return seconds * 1e6
 
 
-def nsec(x: float) -> float:
-    """Nanoseconds -> seconds."""
-    return x * 1e-9
-
-
-def msec(x: float) -> float:
-    """Milliseconds -> seconds."""
-    return x * 1e-3
-
-
 def to_msec(seconds: float) -> float:
     """Seconds -> milliseconds."""
     return seconds * 1e3
@@ -51,38 +39,6 @@ def MBps(x: float) -> float:
 def to_MBps(bytes_per_second: float) -> float:
     """Bytes/second -> decimal MB/s."""
     return bytes_per_second / MB
-
-
-_SIZE_RE = re.compile(r"^\s*([0-9]*\.?[0-9]+)\s*([KMG]i?B?|B)?\s*$", re.IGNORECASE)
-_SIZE_FACTORS = {
-    None: 1,
-    "B": 1,
-    "K": KiB,
-    "KB": KiB,
-    "KIB": KiB,
-    "M": MiB,
-    "MB": MiB,
-    "MIB": MiB,
-    "G": GiB,
-    "GB": GiB,
-    "GIB": GiB,
-}
-
-
-def parse_size(text: str) -> int:
-    """Parse ``"8"``, ``"4K"``, ``"2MB"`` ... into bytes (binary units)."""
-    m = _SIZE_RE.match(str(text))
-    if not m:
-        raise ValueError(f"unparseable size {text!r}")
-    value = float(m.group(1))
-    suffix = m.group(2).upper() if m.group(2) else None
-    factor = _SIZE_FACTORS.get(suffix)
-    if factor is None:
-        raise ValueError(f"unknown size suffix in {text!r}")
-    result = value * factor
-    if result != int(result):
-        raise ValueError(f"size {text!r} is not a whole number of bytes")
-    return int(result)
 
 
 def fmt_size(nbytes: int) -> str:

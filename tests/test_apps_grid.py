@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.grid import neighbor, partition_1d, process_grid, process_grid_3d, tile_of
+from repro.apps.grid import neighbor, partition_1d, process_grid, tile_of
 from repro.errors import ConfigurationError
 
 
@@ -16,13 +16,6 @@ def test_process_grid_known_values():
     assert process_grid(64) == (8, 8)
     assert process_grid(6) == (2, 3)
     assert process_grid(7) == (1, 7)
-
-
-def test_process_grid_3d_paper_example():
-    """'with 64 processes, we distribute on the grid as 4 x 4 x 4'."""
-    assert process_grid_3d(64) == (4, 4, 4)
-    assert process_grid_3d(8) == (2, 2, 2)
-    assert process_grid_3d(1) == (1, 1, 1)
 
 
 def test_partition_1d_even():
@@ -68,14 +61,6 @@ def test_property_process_grid_factors(npes):
     px, py = process_grid(npes)
     assert px * py == npes
     assert px <= py
-
-
-@given(st.integers(min_value=1, max_value=512))
-@settings(max_examples=80, deadline=None)
-def test_property_process_grid_3d_factors(npes):
-    a, b, c = process_grid_3d(npes)
-    assert a * b * c == npes
-    assert a <= b <= c
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=20))
