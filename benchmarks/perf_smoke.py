@@ -37,9 +37,12 @@ Three checks:
 
 Total target wall and each target's garbage collections per generation
 (the report's ``gc_collections``) are printed against the baseline as
-diagnostics only.  The collection counts repeat exactly under one
-interpreter version but move between versions, so they become a guard
-once the baseline is recorded under CI's Python.
+diagnostics only.  So are each target's calls into ``repro.*``
+functions, metered here (:class:`repro.obs.calls.CallMeter`, what
+``python -m repro profile`` prints) by re-running the report's targets
+in sorted order at the report's size.  Both counts repeat exactly under
+one interpreter version but move between versions, so they become
+guards once the baseline is recorded under CI's Python.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.obs.calls import meter_experiment  # noqa: E402
 from repro.reporting.artifacts import (  # noqa: E402
     artifact_doc,
     read_json_artifact,
@@ -83,6 +87,13 @@ def target_counts(doc: dict) -> dict:
     }
 
 
+def call_counts(exp_ids, quick: bool) -> dict:
+    """``{exp_id: calls into repro.*}``, each target re-run under a
+    call meter in sorted order (first-use work, such as module memos,
+    lands on the first target that needs it)."""
+    return {exp_id: meter_experiment(exp_id, quick).total for exp_id in sorted(exp_ids)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("report", help="sweep JSON from run_all.py --smoke")
@@ -94,6 +105,8 @@ def main(argv=None) -> int:
     totals = doc.get("engine_totals", {})
     wall = doc.get("total_target_wall_seconds", 0.0)
     counts = target_counts(doc)
+    for exp_id, calls in call_counts(counts, doc.get("quick", False)).items():
+        counts[exp_id]["calls"] = calls
 
     fired = {k: totals.get(k, 0) for k in TIER_COUNTERS}
     print("tier counters:", fired)
@@ -120,15 +133,18 @@ def main(argv=None) -> int:
         print(f"FAIL: {BASELINE} has no per-target counts; "
               "re-record it with --update-baseline", file=sys.stderr)
         return 1
-    print(f"gc collections gen 0/1/2 (diagnostic, not gated; baseline under "
-          f"Python {base.get('python', '?')}, this run {platform.python_version()}):")
+    print(f"gc collections gen 0/1/2 and calls into repro.* (diagnostic, not gated; "
+          f"baseline under Python {base.get('python', '?')}, this run "
+          f"{platform.python_version()}):")
     failures = []
     for exp_id, got in sorted(counts.items()):
         want = base["targets"].get(exp_id)
         if want is None:
             failures.append(f"{exp_id}: not in the baseline")
             continue
-        print(f"  {exp_id}: {got['gc_collections']} (baseline {want.get('gc_collections')})")
+        print(f"  {exp_id}: gc {got['gc_collections']} (baseline {want.get('gc_collections')}), "
+              f"{got['calls']:,} calls (baseline {want.get('calls', 'not recorded')}) "
+              f"over {got['processed']:,} processed / {got['scheduled']:,} scheduled events")
         for k in GUARDED:
             if k not in want:
                 failures.append(f"{exp_id}: no baseline {k}; re-record it with --update-baseline")

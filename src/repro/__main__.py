@@ -8,6 +8,7 @@ Usage::
     python -m repro run table3 --quick   # trimmed sweep
     python -m repro run all --quick      # everything (CI smoke)
     python -m repro trace fig8a          # traced run -> Chrome JSON
+    python -m repro profile fig8a --quick  # calls into repro.* per layer
     python -m repro check --seeds 200    # differential correctness sweep
     python -m repro check --seed 17 --faults   # one seed, fault plan armed
     python -m repro serve --port 8787    # host the async job service
@@ -28,6 +29,7 @@ COMMANDS = {
     "list": "list registered experiments",
     "run": "run one experiment (or 'all')",
     "trace": "traced run, export Chrome JSON",
+    "profile": "deterministic count of calls into repro.* per layer",
     "check": "differential correctness harness (seeded fuzzing + oracles)",
     "serve": "host the async simulation job service",
     "submit": "submit jobs to a running service",
@@ -68,6 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tracep.add_argument("--serve-url", default=None,
                         help="trace via the job service at this URL")
+    profp = sub.add_parser("profile", help=COMMANDS["profile"])
+    profp.add_argument("experiment", help="experiment id, e.g. fig8a, or 'all'")
+    profp.add_argument("--quick", action="store_true", help="trimmed sweeps")
     from repro.check.cli import build_parser as build_check_parser
 
     checkp = sub.add_parser("check", help=COMMANDS["check"])
@@ -212,6 +217,19 @@ def _run_via_service(args, targets) -> int:
     return 1 if failed else 0
 
 
+def _profile(targets, quick: bool) -> int:
+    """``repro profile``: each target's run (measure and render) under a
+    :class:`~repro.obs.calls.CallMeter`.  Targets run in order in this
+    process, so a target's counts include the first-use work (imports,
+    module memos) of whatever ran before it in the list."""
+    from repro.obs.calls import meter_experiment
+
+    for target in targets:
+        meter = meter_experiment(target, quick)
+        print(meter.report(target + (" (quick)" if quick else "")))
+    return 0
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # A missing or unknown subcommand gets the full usage listing and a
@@ -278,6 +296,9 @@ def main(argv=None) -> int:
             + (f" [TRUNCATED: {tracer.dropped} dropped]" if tracer.truncated else "")
         )
         return 0
+
+    if args.command == "profile":
+        return _profile(targets, args.quick)
 
     if args.serve_url:
         return _run_via_service(args, targets)

@@ -453,6 +453,10 @@ class RdmaWrite(Event):
     ``recover(first=...)`` when given (``Runtime._recover``), and that
     process's outcome fires the write.  Any other error dies at once:
     the write fails at the instant the generator would have raised.
+
+    ``planned`` is ``(dst_ptr, path, dst_hca)`` from a put plan
+    (``Runtime._put_plan``), which has made this write's checks and
+    resolved its path already; the write then skips both.
     """
 
     __slots__ = (
@@ -465,17 +469,22 @@ class RdmaWrite(Event):
         self, verbs: Verbs, ep: Endpoint, local: Ptr, remote_mr: MemoryRegion,
         remote_offset: int, nbytes: int, remote_hca: Optional[int] = None,
         delivered: Optional[Event] = None, posted: Optional[Event] = None, *,
-        recover=None, detached: bool = False,
+        recover=None, detached: bool = False, planned: Optional[tuple] = None,
     ):
-        verbs._check_local(ep, local)
-        remote_mr.check_range(remote_offset, nbytes)
+        if planned is None:
+            verbs._check_local(ep, local)
+            remote_mr.check_range(remote_offset, nbytes)
+            dst_ptr = remote_mr.ptr(remote_offset)
+            path = dst_hca = None
+        else:
+            dst_ptr, path, dst_hca = planned
         sim = verbs.sim
         super().__init__(sim, "rdma_write")
         self.verbs = verbs
         self.ep = ep
         self.local = local
         self.remote_mr = remote_mr
-        self.dst_ptr = remote_mr.ptr(remote_offset)
+        self.dst_ptr = dst_ptr
         self.nbytes = nbytes
         self.remote_hca = remote_hca
         self.delivered = delivered
@@ -483,7 +492,9 @@ class RdmaWrite(Event):
         self.recover = recover
         self.detached = detached
         self.payload = None
-        self.path = self.dst_hca = self.hold = None
+        self.path = path
+        self.dst_hca = dst_hca
+        self.hold = None
         #: The failed attempt's exception (``None``: a stall) once the
         #: write left its callbacks; ``resuming`` says it did so under
         #: the generator face.
@@ -504,13 +515,14 @@ class RdmaWrite(Event):
             posted.succeed(self.sim.now)
         ep = self.ep
         ep.hca.count_tx()
-        try:
-            self.path, self.dst_hca = self.verbs.write_path(
-                ep, self.local, self.remote_mr, self.nbytes, self.remote_hca
-            )
-        except BaseException as exc:
-            self._die(exc)
-            return
+        if self.path is None:
+            try:
+                self.path, self.dst_hca = self.verbs.write_path(
+                    ep, self.local, self.remote_mr, self.nbytes, self.remote_hca
+                )
+            except BaseException as exc:
+                self._die(exc)
+                return
         if self.verbs.rc is not None and ep.hca.stall_remaining(self.sim.now) > 0.0:
             self._hand_over(None)
             return

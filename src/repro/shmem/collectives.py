@@ -108,12 +108,34 @@ def _next_gen(ctx, kind: str, team, offset: int) -> int:
     return gen
 
 
+def _signal(ctx, flag, gen: int, peer: int, wait: bool = False) -> Generator:
+    """Set the sync word ``flag`` on PE ``peer`` to ``gen`` and complete
+    the put; with ``wait``, then wait until this PE's own ``flag``
+    reaches ``gen``.  One barrier round, or one broadcast hand-off.
+
+    It runs inside the runtime gate the calling collective holds, so it
+    calls the runtime's put and quiet directly and waits on the word
+    inline: the same steps ``put_uint64``, ``quiet`` and ``wait_until``
+    take inside a held gate, without their wrapper frames."""
+    runtime = ctx.job.runtime
+    scratch = ctx.scratch
+    scratch.write(gen.to_bytes(8, "little"))
+    yield from runtime.putmem(ctx, flag.addr, scratch, 8, peer)
+    yield from runtime.quiet(ctx)
+    if wait:
+        local = flag.local
+        while int.from_bytes(local.read(8), "little") < gen:
+            ev = ctx.sim.event(f"pe{ctx.pe}.wait")
+            ctx._watchers.append(ev)
+            yield ev
+
+
 def barrier_all(ctx, team=None, flags: FlagArea = WORLD_FLAGS) -> Generator:
     """Dissemination barrier over put + wait_until.
 
     Round ``r``: signal rank ``(me + 2^r) % size`` of ``team`` at word
     ``r`` of the barrier area and wait for the matching signal;
-    ``log2(size)`` rounds."""
+    ``log2(size)`` rounds (:func:`_signal`, inside the caller's gate)."""
     team, me = _resolve(ctx, team)
     size = team.size
     if size == 1:
@@ -126,10 +148,7 @@ def barrier_all(ctx, team=None, flags: FlagArea = WORLD_FLAGS) -> Generator:
     gen = _next_gen(ctx, "barrier", team, flags.barrier)
     for rnd in range(rounds):
         partner = team.pe_of((me + (1 << rnd)) % size)
-        slot = ctx.sync_sym(flags.barrier + 8 * rnd)
-        yield from ctx.put_uint64(slot.addr, gen, partner)
-        yield from ctx.quiet()
-        yield from ctx.wait_until(slot, ">=", gen)
+        yield from _signal(ctx, ctx.sync_sym(flags.barrier + 8 * rnd), gen, partner, wait=True)
     return None
 
 
@@ -172,8 +191,7 @@ def _broadcast_binomial(ctx, sym, nbytes: int, root: int, team, me: int, flags) 
                 peer = team.pe_of((root + peer_v) % size)
                 yield from ctx.putmem(sym.addr, sym.local, nbytes, peer)
                 yield from ctx.quiet()  # data before flag
-                yield from ctx.put_uint64(flag.addr, gen, peer)
-                yield from ctx.quiet()
+                yield from _signal(ctx, flag, gen, peer)
         mask <<= 1
     return None
 
@@ -356,8 +374,7 @@ def collect(ctx, dst, src, my_nbytes: int) -> Generator:
     if 8 * npes > 2048:
         raise ShmemError("collect size table exceeds the reserved sync area")
     yield from barrier_all(ctx)
-    # The slot is a function of this PE alone — resolve it once, not
-    # once per peer (sync_sym walks the heap layout each call).
+    # The slot is a function of this PE alone.
     my_slot = ctx.sync_sym(COLLECT_SIZES_OFF + 8 * ctx.pe)
     for i in range(1, npes):
         peer = (ctx.pe + i) % npes

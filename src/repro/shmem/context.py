@@ -58,6 +58,8 @@ class ShmemContext(TypedOps, LockOps, TeamOps):
         self._scratch: Optional[Ptr] = None  # small host buffer for flags
         #: Collective flag generations, keyed ``(kind, team, flag offset)``.
         self._gens: dict = {}
+        #: :meth:`sync_sym` pointers, keyed ``(offset, size)``.
+        self._sync_syms: dict = {}
 
     # --------------------------------------------------------- identity
     @property
@@ -90,9 +92,18 @@ class ShmemContext(TypedOps, LockOps, TeamOps):
         return self._scratch
 
     def sync_sym(self, offset: int, size: int = 8) -> SymPtr:
-        """A SymPtr into the reserved sync area of the host heap."""
-        info = self.runtime.heap_of(self.pe, Domain.HOST)
-        return SymPtr(SymAddr(Domain.HOST, offset), info.heap.ptr(offset), size, self)
+        """A SymPtr into the reserved sync area of the host heap, built
+        once per ``(offset, size)``: the host heap lives as long as the
+        job, so the pointer never goes stale.  Callers share it and never
+        mutate it."""
+        key = (offset, size)
+        sym = self._sync_syms.get(key)
+        if sym is None:
+            info = self.runtime.heap_of(self.pe, Domain.HOST)
+            sym = self._sync_syms[key] = SymPtr(
+                SymAddr(Domain.HOST, offset), info.heap.ptr(offset), size, self
+            )
+        return sym
 
     # ----------------------------------------------------- runtime gate
     def _enter(self) -> None:

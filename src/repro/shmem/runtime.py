@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import CompletionError, LinkDown, ShmemError
-from repro.hardware.links import chunked
+from repro.hardware.links import TransferSpec, chunked
 from repro.ib.mr import MemoryRegion
 from repro.ib.rc import retry
 from repro.ib.verbs import Endpoint, RdmaWrite, Verbs
@@ -59,11 +59,12 @@ from repro.simulator import Event, Simulator
 #: offsets start above this.
 SYNC_RESERVED = 4096
 
-#: Put protocols the contended-window analytic tier can replay: the
-#: single-RDMA paths whose event schedule is one ``rdma_write`` (post,
-#: setup, FIFO hop acquisition, pipelined hold, ack).  Chunked/staged
-#: protocols stay on their own handlers.
-_ANALYTIC_PUT_PROTOCOLS = frozenset(
+#: The single-RDMA put protocols: their event schedule is one
+#: ``rdma_write`` (post, setup, FIFO hop acquisition, pipelined hold,
+#: ack), so a put plan resolves their write and the contended-window
+#: analytic tier can replay them.  Chunked/staged protocols stay on
+#: their own handlers.
+_RDMA_PUT_PROTOCOLS = frozenset(
     {Protocol.DIRECT_GDR, Protocol.RDMA_HOST, Protocol.GDR_LOOPBACK, Protocol.DEVICE_GDR}
 )
 
@@ -77,6 +78,32 @@ class HeapInfo:
 
     heap: SymmetricHeap
     mr: Optional[MemoryRegion]
+
+
+class PutPlan(NamedTuple):
+    """One put signature, validated and resolved once
+    (:meth:`Runtime._put_plan`).
+
+    Every field is a pure function of the signature, so a plan cannot
+    go stale: the route is the design's selection (a health reroute is
+    taken per op, never stored), the destination lives in a symmetric
+    heap that outlives the job's ops, and nothing here refers to the
+    source buffer, so a plan keeps no freed allocation alive."""
+
+    route: Route
+    #: The resolved destination.
+    dst_ptr: Ptr
+    #: ``route``'s probe series: global, then this PE's.
+    series: Tuple[str, str]
+    #: Wakes the target PE's ``wait_until`` watchers.
+    notify: Callable[[], None]
+    #: The rest is set for single-RDMA routes only: the remote region,
+    #: the remote-HCA hint, the write's path, and both HCAs.
+    mr: Optional[MemoryRegion] = None
+    remote_hca: Optional[int] = None
+    path: Optional[TransferSpec] = None
+    src_hca: object = None
+    dst_hca: object = None
 
 
 class Runtime:
@@ -116,7 +143,13 @@ class Runtime:
         self._mr_cache: Dict[int, MemoryRegion] = {}
         #: Protocol decisions memoised by :meth:`_route`.
         self._routes: Dict[tuple, Route] = {}
-        self._an_notify_cb: Dict[int, object] = {}
+        #: Put plans (:meth:`_put_plan`), by signature.
+        self._plans: Dict[tuple, PutPlan] = {}
+        #: Per target PE, the callback waking its watchers; the target's
+        #: plans share it.
+        self._notifiers = [partial(self._notify, pe) for pe in range(self.npes)]
+        #: Probe series names, by ``(pe, kind, protocol)``.
+        self._series_names: Dict[tuple, Tuple[str, str]] = {}
         #: Device-initiated design: PEs whose persistent communication
         #: kernel is running.  The first device-issued op of a PE pays
         #: ``kernel_launch_overhead`` once; after that, per-op host
@@ -524,11 +557,13 @@ class Runtime:
         return route
 
     def _issue(
-        self, ctx, op: Op, local_on_device: bool, sym: SymAddr, nbytes: int, pe: int
+        self, ctx, op: Op, local_on_device: bool, sym: SymAddr, nbytes: int, pe: int,
+        plan: Optional[PutPlan] = None,
     ) -> Generator:
         """The put/get prologue: dispatch, route (steered off unhealthy
         paths), count, ``route:`` instant, lookup, then resolve the
-        remote address.  Returns ``(route, remote_ptr)``.
+        remote address.  Returns ``(route, remote_ptr)``.  A put's
+        ``plan``, when it has one, supplies the route and the address.
 
         The route is a pure memo, so it is selected at the issue instant
         and both fixed delays are one wake-up at ``(now + dispatch) +
@@ -540,10 +575,13 @@ class Runtime:
         GDR legs is steered (and the tracker's cooldowns probed) at
         ``now + dispatch``, against live link state."""
         sim = self.sim
-        try:
-            route = self._route(ctx, op, local_on_device, sym.domain, nbytes, pe)
-        except Exception:
-            route = None
+        if plan is not None:
+            route = plan.route
+        else:
+            try:
+                route = self._route(ctx, op, local_on_device, sym.domain, nbytes, pe)
+            except Exception:
+                route = None
         if (route is None
                 or self.spec.device_initiated and ctx.pe not in self._warmed_pes
                 or self.health is not None and self._route_gdr_legs(route, ctx, pe)):
@@ -559,7 +597,7 @@ class Runtime:
             at = sim.now + dispatch
             self._count_route(ctx, route, at)
             yield sim.wake_at(at + lookup, name="shmem:issue")
-        return route, self.resolve(sym, pe)
+        return route, self.resolve(sym, pe) if plan is None else plan.dst_ptr
 
     def _issue_delays(self) -> Tuple[float, float]:
         """The (dispatch, lookup) delays of one op after warm-up."""
@@ -578,12 +616,22 @@ class Runtime:
                 **route.span_args(),
             )
 
-    def _sample(self, ctx, kind: str, route: Route, t0: float) -> None:
+    def _series(self, pe: int, kind: str, route: Route) -> Tuple[str, str]:
+        """The probe series of a ``kind`` op on ``route`` from PE ``pe``:
+        ``kind:protocol`` and ``pe<pe>.kind:protocol``, named once."""
+        key = (pe, kind, route.protocol)
+        names = self._series_names.get(key)
+        if names is None:
+            name = route.protocol_name
+            names = self._series_names[key] = (f"{kind}:{name}", f"pe{pe}.{kind}:{name}")
+        return names
+
+    def _sample(self, ctx, series: Tuple[str, str], t0: float) -> None:
         """Record one op's protocol-execution time, globally and per PE."""
         elapsed = self.sim.now - t0
-        name = route.protocol_name
-        ctx.probe.sample(f"{kind}:{name}", elapsed)
-        ctx.probe.sample(f"pe{ctx.pe}.{kind}:{name}", elapsed)
+        probe = ctx.probe
+        probe.sample(series[0], elapsed)
+        probe.sample(series[1], elapsed)
 
     def _fallback(self, route: Route, ctx, pe: int) -> Optional[Route]:
         """Reactive failover step for a put or get that died even after
@@ -605,23 +653,63 @@ class Runtime:
         self._check_pe(pe)
         if nbytes <= 0:
             raise ShmemError(f"putmem of {nbytes} bytes")
-        fast = self._fast_rdma_put(ctx, dst, src, nbytes, pe)
+        plan = self._put_plan(ctx, dst, src, nbytes, pe)
+        fast = None if plan is None else self._fast_rdma_put(ctx, plan, src, nbytes)
         if fast is not None:
-            posted, route, t0 = fast
+            posted, t0 = fast
             yield posted
+            series = plan.series
         else:
             span = self._op_span(ctx, "shmem:put", nbytes=nbytes, target_pe=pe)
             try:
                 route, dst_ptr = yield from self._issue(
-                    ctx, Op.PUT, src.kind is MemKind.DEVICE, dst, nbytes, pe
+                    ctx, Op.PUT, src.kind is MemKind.DEVICE, dst, nbytes, pe, plan
                 )
                 handler = self._PUT_HANDLERS[route.protocol]
                 t0 = self.sim.now
                 yield from handler(self, ctx, route, src, dst, dst_ptr, nbytes, pe)
             finally:
                 self._end_span(span)
-        self._sample(ctx, "put", route, t0)
+            if plan is not None and route is plan.route:
+                series = plan.series
+            else:
+                series = self._series(ctx.pe, "put", route)
+        self._sample(ctx, series, t0)
         return None
+
+    def _put_plan(self, ctx, dst: SymAddr, src: Ptr, nbytes: int, pe: int) -> Optional[PutPlan]:
+        """The plan of this put's signature: the calling and target PEs,
+        where the source lives (kind, device, node), the destination's
+        domain and offset, and the size.  ``None`` when the signature
+        fails validation; a failure is never cached, so the op's own
+        path raises it at the accurate instant every time."""
+        alloc = src.alloc
+        key = (ctx.pe, pe, alloc.kind, alloc.device_id, alloc.node_id, dst.domain, dst.offset,
+               nbytes)
+        plan = self._plans.get(key)
+        if plan is None:
+            try:
+                plan = self._plans[key] = self._make_plan(ctx, dst, src, nbytes, pe)
+            except Exception:
+                return None
+        return plan
+
+    def _make_plan(self, ctx, dst: SymAddr, src: Ptr, nbytes: int, pe: int) -> PutPlan:
+        """Validate and resolve one put signature (see :class:`PutPlan`):
+        the checks and lookups the event path makes at issue and at post."""
+        route = self._route(ctx, Op.PUT, src.kind is MemKind.DEVICE, dst.domain, nbytes, pe)
+        dst_ptr = self.resolve(dst, pe)
+        series = self._series(ctx.pe, "put", route)
+        notify = self._notifiers[pe]
+        if route.protocol not in _RDMA_PUT_PROTOCOLS:
+            return PutPlan(route, dst_ptr, series, notify)
+        ep = ctx.endpoint
+        mr = self._remote_mr(dst, pe)
+        self.verbs._check_local(ep, src)
+        mr.check_range(dst.offset, nbytes)
+        remote_hca = ep.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
+        path, dst_hca = self.verbs.write_path(ep, src, mr, nbytes, remote_hca)
+        return PutPlan(route, dst_ptr, series, notify, mr, remote_hca, path, ep.hca, dst_hca)
 
     # --- copy-based puts (blocking; delivery == return) ----------------
     def _put_copy(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
@@ -709,7 +797,7 @@ class Runtime:
         return done
 
     # --- RDMA-based puts (return at post; completion tracked) ----------
-    def _fast_rdma_put(self, ctx, dst, src, nbytes, pe):
+    def _fast_rdma_put(self, ctx, plan: PutPlan, src: Ptr, nbytes: int):
         """Tier-2 analytic commit: replay a single-RDMA put — including
         its dispatch/lookup overheads — through an
         :class:`~repro.shmem.fastpath.AnalyticFlow`.
@@ -718,56 +806,37 @@ class Runtime:
         contention: the flow requests the same FIFO resources at the
         same instants as the event path, so contended windows price
         themselves bit-identically (see the AnalyticFlow docstring).
-        The route comes from :meth:`_route` and the path from
-        :meth:`Verbs.write_path`, the memos the event path reads too.
-        Returns ``(posted, route, t0)`` for the caller to yield/sample
-        on, or ``None`` to take the event path.  Declines whole-hog on
-        any validation error so the event path raises at the accurate
-        instant, and whenever a span tracer or a fault plan (whose
-        injector attaches the health tracker and RC retransmission) is
-        attached — those layers hook the event path.
+        The route, the destination and the write's path come from the
+        put's plan, which the event path reads too.  Returns ``(posted,
+        t0)`` for the caller to yield/sample on, or ``None`` to take the
+        event path: for a route that is not a single RDMA write, and
+        whenever a span tracer or a fault plan (whose injector attaches
+        the health tracker and RC retransmission) is attached — those
+        layers hook the event path.
         """
-        if not self.tiers_armed:
+        if plan.path is None or not self.tiers_armed:
             return None
         sim = self.sim
-        device = self.spec.device_initiated
-        if device and ctx.pe not in self._warmed_pes:
+        if self.spec.device_initiated and ctx.pe not in self._warmed_pes:
             # First device op of this PE: the event path must charge
             # the kernel-launch warm-up (identically in every mode).
             return None
-        ep = ctx.endpoint
-        try:
-            route = self._route(ctx, Op.PUT, src.kind is MemKind.DEVICE, dst.domain, nbytes, pe)
-            if route.protocol not in _ANALYTIC_PUT_PROTOCOLS:
-                return None
-            mr = self._remote_mr(dst, pe)
-            self.resolve(dst, pe)
-            self.verbs._check_local(ep, src)
-            mr.check_range(dst.offset, nbytes)
-            remote_hca = ep.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
-            path, dst_hca = self.verbs.write_path(ep, src, mr, nbytes, remote_hca)
-            dst_ptr = mr.ptr(dst.offset)
-        except Exception:
-            return None  # event path raises at the accurate instant
         p = self.params
         # Same float arithmetic as the event path's issue wake-up.
         dispatch, lookup = self._issue_delays()
         t0 = (sim.now + dispatch) + lookup
-        self._count(route)
-        notify = self._an_notify_cb.get(pe)
-        if notify is None:
-            notify = self._an_notify_cb[pe] = partial(self._notify, pe)
+        self._count(plan.route)
         flow = AnalyticFlow(
-            sim, path, src, dst_ptr, nbytes,
+            sim, plan.path, src, plan.dst_ptr, nbytes,
             base=t0,
             post_overhead=p.rdma_post_overhead,
             ack_latency=p.rdma_ack_latency,
-            src_hca=ep.hca, dst_hca=dst_hca,
-            notify=notify,
+            src_hca=plan.src_hca, dst_hca=plan.dst_hca,
+            notify=plan.notify,
         )
         ctx.track(flow.completion)
         sim.stats.analytic_flows += 1
-        return flow.posted, route, t0
+        return flow.posted, t0
 
     def _remote_mr(self, dst: SymAddr, pe: int) -> MemoryRegion:
         info = self.heap_of(pe, dst.domain)
@@ -791,12 +860,19 @@ class Runtime:
         process; a write that fails has posted and not delivered, so
         replays reuse both events.  An invalid write, or a device write
         whose path is down at the doorbell, runs as a process from the
-        start, so it raises or waits at the instants it always has."""
-        mr = self._remote_mr(dst, pe)
+        start, so it raises or waits at the instants it always has.  A
+        valid write has a put plan (``route`` is its route: a health
+        reroute never lands on a single-RDMA protocol), which has made
+        the write's checks and resolved its path."""
+        plan = self._put_plan(ctx, dst, src, nbytes, pe)
+        if plan is None:
+            mr = self._remote_mr(dst, pe)
+            remote_hca = ctx.endpoint.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
+        else:
+            mr, remote_hca = plan.mr, plan.remote_hca
         posted = self.sim.event("put:posted")
         delivered = self.sim.event("put:delivered")
         delivered.callbacks.append(lambda _ev: self._notify(pe))
-        remote_hca = ctx.endpoint.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
         write = partial(
             self.verbs.rdma_write, ctx.endpoint, src, mr, dst.offset, nbytes,
             remote_hca=remote_hca, delivered=delivered, posted=posted,
@@ -816,6 +892,7 @@ class Runtime:
                 done = RdmaWrite(
                     self.verbs, ctx.endpoint, src, mr, dst.offset, nbytes, remote_hca,
                     delivered, posted, recover=recover, detached=True,
+                    planned=None if plan is None else (plan.dst_ptr, plan.path, plan.dst_hca),
                 )
             except Exception:
                 done = None  # invalid: the process below raises it
@@ -1004,7 +1081,7 @@ class Runtime:
                 )
         finally:
             self._end_span(span)
-        self._sample(ctx, "get", route, t0)
+        self._sample(ctx, self._series(ctx.pe, "get", route), t0)
         ctx.memory_changed()
         return None
 
@@ -1103,7 +1180,7 @@ class Runtime:
             yield self.sim.timeout(self.params.device_quiet_overhead, name="device:quiet")
         while ctx.pending:
             batch, ctx.pending[:] = list(ctx.pending), []
-            live = [ev for ev in batch if not ev.processed]
+            live = [ev for ev in batch if not ev._processed]
             if live:
                 # Always through the AllOf wrapper, even for a single
                 # event: waiting on the op directly would resume this
@@ -1112,8 +1189,8 @@ class Runtime:
                 # timing drift at scale).
                 yield self.sim.all_of(live)  # raises on any failure
             for ev in batch:
-                if ev.processed and not ev.ok:
-                    raise ev.exception
+                if ev._processed and ev._exc is not None:
+                    raise ev._exc
         return None
 
     def fence(self, ctx) -> Generator:

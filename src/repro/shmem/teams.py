@@ -66,11 +66,12 @@ class ActiveSet:
         """Translate a set-local rank to the global PE."""
         if not 0 <= rank < self.size:
             raise ShmemError(f"rank {rank} outside active set of size {self.size}")
-        return self.start + rank * self.stride
+        return self.start + (rank << self.log_stride)
 
 
 class TeamOps:
-    """Mixin for :class:`~repro.shmem.context.ShmemContext`."""
+    """Mixin for :class:`~repro.shmem.context.ShmemContext`.  Each team
+    collective is one gated runtime call, like the world collectives."""
 
     def _team_flags(self, team: ActiveSet, sync_slot: int) -> _coll.FlagArea:
         """Check that this PE is in ``team`` and map ``sync_slot`` to
@@ -95,16 +96,28 @@ class TeamOps:
         ``sync_slot`` names a private flag range (a pSync analogue);
         concurrent collectives on disjoint teams must use ranges that do
         not overlap."""
-        yield from _coll.barrier_all(self, team, self._team_flags(team, sync_slot))
+        self._enter()
+        try:
+            yield from _coll.barrier_all(self, team, self._team_flags(team, sync_slot))
+        finally:
+            self._exit()
 
     def team_broadcast(self, team: ActiveSet, sym, nbytes: int, root_rank: int = 0,
                        sync_slot: int = 8) -> Generator:
         """Broadcast within the active set (root is a *rank*)."""
-        yield from _coll.broadcast(self, sym, nbytes, root_rank, team,
-                                   self._team_flags(team, sync_slot))
+        self._enter()
+        try:
+            yield from _coll.broadcast(self, sym, nbytes, root_rank, team,
+                                       self._team_flags(team, sync_slot))
+        finally:
+            self._exit()
 
     def team_reduce(self, team: ActiveSet, dst, src, count: int, dtype="float64",
                     op: str = "sum", sync_slot: int = 16) -> Generator:
         """All-reduce within the active set."""
-        yield from _coll.allreduce(self, dst, src, count, dtype, op, team,
-                                   self._team_flags(team, sync_slot))
+        self._enter()
+        try:
+            yield from _coll.allreduce(self, dst, src, count, dtype, op, team,
+                                       self._team_flags(team, sync_slot))
+        finally:
+            self._exit()

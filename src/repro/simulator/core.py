@@ -491,13 +491,9 @@ class Simulator:
         return Process(self, gen, name, now=True)
 
     def all_of(self, events: Iterable[Event]) -> Event:
-        from repro.simulator.conditions import AllOf
-
         return AllOf(self, list(events))
 
     def any_of(self, events: Iterable[Event]) -> Event:
-        from repro.simulator.conditions import AnyOf
-
         return AnyOf(self, list(events))
 
     # -- scheduling -----------------------------------------------------
@@ -585,3 +581,8 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Simulator t={self._now:.9f} queued={len(self._queue) + len(self._ready)}>"
+
+
+# The condition events subclass Event, so they load after this module
+# is complete; the package imports this module first.
+from repro.simulator.conditions import AllOf, AnyOf  # noqa: E402
