@@ -9,9 +9,9 @@ Four checks, any failure exits non-zero:
 1. **Bit-identical timestamps** — the traced run's virtual end time
    equals the untraced run's exactly (spans only read ``sim.now``).
 2. **Fast-path gating** — the untraced run commits its single-RDMA
-   puts as tier-2 flows (``analytic_flows > 0``); the traced run takes
-   the per-op path (``analytic_flows == 0``), so every op emits its
-   spans.
+   puts through tier 2 (``analytic_flows > 0``: each posted without an
+   issue wake-up); the traced run takes the per-op path
+   (``analytic_flows == 0``), so every op emits its spans.
 3. **Span/hold agreement** — the tracer's ``ib`` ``rdma_write`` span
    count equals its ``rdma_write`` link-hold count (``link`` spans
    with ``hop == 0``): one span per work request, one timed hold per
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     ref_end = ref.sim.now
     ref_flows = ref.sim.stats.analytic_flows
     if ref_flows <= 0:
-        failures.append(f"untraced run committed no analytic flows ({ref_flows})")
+        failures.append(f"untraced run made no tier-2 commits ({ref_flows})")
 
     # Span-traced run.
     job = _job()
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
         )
     if job.sim.stats.analytic_flows != 0:
         failures.append(
-            f"span-traced run still committed {job.sim.stats.analytic_flows} analytic flows"
+            f"span-traced run still made {job.sim.stats.analytic_flows} tier-2 commits"
         )
     # The verbs layer opens one "ib" span per work request; the link
     # layer reuses the spec label for its crossings, one span per hop

@@ -12,8 +12,8 @@ times, protocol counts, probe series, per-link byte counters, and the
 full :class:`~repro.obs.metrics.MetricsSnapshot`.
 
 A run can be steered into any of the three execution modes under test:
-``fastpath=False`` disarms the tier-0 staged-host batch and the tier-2
-RDMA-write flows, ``trace=True`` attaches a :class:`~repro.obs.spans.SpanTracer`
+``fastpath=False`` disarms the tier-0 staged-host batch and putmem's
+tier-2 commit, ``trace=True`` attaches a :class:`~repro.obs.spans.SpanTracer`
 (which disarms them too), and ``Workload.faults`` arms a survivable
 seeded fault plan (whose health tracker disarms them as well).  Link
 holds run the same machine in every mode.  ``RunObservation.tiers_armed``

@@ -9,8 +9,8 @@ Attaching the injector (``FaultPlan.attach(job)`` /
   :class:`~repro.ib.rc.RCTransport` so every wire crossing gains RC
   retry semantics — and a :class:`~repro.faults.health.HealthTracker`
   (``job.runtime.health``) consulted by the runtime's protocol
-  selection.  The batched tiers and putmem's tier-2 flow decline while
-  a tracker is attached: RC retry and failover live in the per-op
+  selection.  Tier 0 and putmem's tier-2 commit decline while a
+  tracker is attached: RC retry and failover live in the per-op
   generators.  Link holds are unchanged — every transfer checks for
   failures at request, grant and hold end whether or not a plan is
   attached.

@@ -12,8 +12,9 @@ the scheduler's ready queue, not an Event: no link hold allocates a
 latency, an effective bandwidth, and the set of link directions the
 transfer must occupy.  :class:`AnalyticTransfer` is the single machine
 through which *all* simulated data movement holds its links (via
-``TransferSpec.execute``, or wrapped by putmem's tier-2 RDMA-write flow), so
-failure injection and tracing hook in there.  When a grant's tuple
+``TransferSpec.execute``, or driven from callbacks by the RDMA-write
+machine, :class:`~repro.ib.verbs.RdmaWrite`), so failure injection and
+tracing hook in there.  When a grant's tuple
 would be the scheduler's very next pop, the machine takes the slot
 inline instead (:meth:`LinkDirection.take`).
 """
@@ -373,8 +374,8 @@ class AnalyticTransfer:
     """The one link-hold machine: acquire, hold, fail-check, release.
 
     :meth:`TransferSpec.execute` yields on one of these for every timed
-    crossing, and :class:`~repro.shmem.fastpath.AnalyticFlow` wraps one
-    per signaled RDMA write it commits.  The machine takes its link
+    crossing, and :class:`~repro.ib.verbs.RdmaWrite` holds one per
+    attempt, called back by its :attr:`completion`.  The machine takes its link
     slots in the order of a process that yields after every
     :meth:`LinkDirection.grant` — contended windows price themselves
     exactly as processes queueing on the directions would — but runs

@@ -28,7 +28,7 @@ from typing import Dict, Generator, Optional, Tuple
 from repro.cuda.memory import MemKind, Ptr
 from repro.errors import IBError
 from repro.hardware.cluster import ClusterHardware
-from repro.hardware.links import TransferSpec
+from repro.hardware.links import AnalyticTransfer, TransferSpec
 from repro.ib.mr import MemoryRegion
 from repro.simulator import Event, Simulator, Store
 
@@ -36,22 +36,18 @@ from repro.simulator import Event, Simulator, Store
 class Endpoint:
     """A (process, HCA) attachment point — loosely a connected QP set."""
 
-    __slots__ = ("verbs", "node_id", "hca_id", "owner", "_recv_queue")
+    __slots__ = ("verbs", "node_id", "hca_id", "owner", "node", "hca", "_recv_queue")
 
     def __init__(self, verbs: "Verbs", node_id: int, hca_id: int, owner: int):
         self.verbs = verbs
         self.node_id = node_id
         self.hca_id = hca_id
         self.owner = owner
+        #: The node and HCA, fixed once the cluster is built; every
+        #: work request reads them.
+        self.node = verbs.hw.nodes[node_id]
+        self.hca = self.node.hcas[hca_id]
         self._recv_queue: Store = Store(verbs.sim, name=f"ep(n{node_id}.h{hca_id}.pe{owner}).rq")
-
-    @property
-    def node(self):
-        return self.verbs.hw.nodes[self.node_id]
-
-    @property
-    def hca(self):
-        return self.node.hcas[self.hca_id]
 
     def recv(self) -> Generator:
         """Block until a send arrives; returns ``(source_owner, payload)``."""
@@ -144,9 +140,9 @@ class Verbs:
         remote_hca: Optional[int] = None,
     ) -> Tuple[TransferSpec, "object"]:
         """The cut-through path :meth:`rdma_write` executes, plus the
-        destination HCA.  Shared with the batched pipeline fast paths and
-        putmem's analytic commit so all compute bit-identical transfer
-        timings.
+        destination HCA.  Shared with putmem's put plans
+        (``Runtime._put_plan``), so every write of one signature holds
+        the same spec.
 
         A path is a pure function of the endpoint, the local buffer's
         placement, the remote region, the size and the remote-HCA hint,
@@ -418,24 +414,30 @@ class Verbs:
 
 class RdmaWrite(Event):
     """One signaled RDMA write, run as callbacks: the write machine.  It
-    is itself the event that fires when the write completes.
+    is itself the event that fires when the write completes.  Every
+    RDMA write in every mode runs here: putmem's single-RDMA puts on the
+    event path and as the tier-2 commit, and every other caller through
+    :meth:`Verbs.rdma_write`.
 
     Timeline, with the float operations and same-instant hops of a
     generator that yields a post timeout, the path's transfer and an ack
     timeout:
 
-    * built at ``t``: the write is validated and its post wake-up drawn
-      for ``t + rdma_post_overhead``, a bare heap call
-      (:meth:`~repro.simulator.Simulator.call_at`), as is the ack's;
+    * built: the write is validated and its post wake-up drawn for
+      ``start + rdma_post_overhead``, a bare heap call
+      (:meth:`~repro.simulator.Simulator.call_at`), as is the ack's.
+      ``start`` is the issue instant, ``sim.now`` unless the builder
+      has computed a later one (putmem's tier-2 commit builds the write
+      at the op's call, before its dispatch and lookup delays);
     * post: payload snapshotted, ``posted`` succeeded through the
-      scheduler, source HCA tx counted, and the path's hold begun:
-      ``TransferSpec.execute``, driven from its events' callbacks (its
-      setup wake-up is drawn now);
+      scheduler, source HCA tx counted, and the path's hold begun: an
+      :class:`~repro.hardware.links.AnalyticTransfer`, whose completion
+      calls back into the write (its setup wake-up is drawn now);
     * hold end: under RC the success is fed to the health tracker; the
       target HCA rx counted, payload written, ``delivered`` succeeded,
       the ack wake-up drawn;
     * ack: payload released, the ``rdma_write`` span recorded on
-      ``ib:pe{owner}`` from ``t``, and the write fired with the byte
+      ``ib:pe{owner}`` from ``start``, and the write fired with the byte
       count.
 
     :meth:`Verbs.rdma_write` waits on the write, which then fires inside
@@ -450,9 +452,11 @@ class RdmaWrite(Event):
     delivery and ack.  The generator face runs it in its own frame.  A
     detached write starts it as a process whose first step runs in the
     failing pop (:meth:`~repro.simulator.Simulator.start`), wrapped in
-    ``recover(first=...)`` when given (``Runtime._recover``), and that
+    ``recover(first=...)`` when set (``Runtime._recover``), and that
     process's outcome fires the write.  Any other error dies at once:
-    the write fails at the instant the generator would have raised.
+    the write fails at the instant the generator would have raised, and
+    so does ``posted`` if the write had not posted yet, so a caller
+    waiting on it errors instead of hanging.
 
     ``planned`` is ``(dst_ptr, path, dst_hca)`` from a put plan
     (``Runtime._put_plan``), which has made this write's checks and
@@ -462,14 +466,15 @@ class RdmaWrite(Event):
     __slots__ = (
         "verbs", "ep", "local", "remote_mr", "dst_ptr", "nbytes", "remote_hca",
         "delivered", "posted", "recover", "detached", "payload", "path", "dst_hca",
-        "hold", "failure", "resuming", "tracer", "start",
+        "failure", "resuming", "tracer", "start",
     )
 
     def __init__(
         self, verbs: Verbs, ep: Endpoint, local: Ptr, remote_mr: MemoryRegion,
         remote_offset: int, nbytes: int, remote_hca: Optional[int] = None,
         delivered: Optional[Event] = None, posted: Optional[Event] = None, *,
-        recover=None, detached: bool = False, planned: Optional[tuple] = None,
+        detached: bool = False, planned: Optional[tuple] = None,
+        start: Optional[float] = None,
     ):
         if planned is None:
             verbs._check_local(ep, local)
@@ -489,20 +494,23 @@ class RdmaWrite(Event):
         self.remote_hca = remote_hca
         self.delivered = delivered
         self.posted = posted
-        self.recover = recover
+        #: Set by ``Runtime._put_rdma`` under a health tracker; see
+        #: :meth:`_hand_over`.
+        self.recover = None
         self.detached = detached
         self.payload = None
         self.path = path
         self.dst_hca = dst_hca
-        self.hold = None
         #: The failed attempt's exception (``None``: a stall) once the
         #: write left its callbacks; ``resuming`` says it did so under
         #: the generator face.
         self.failure: Optional[BaseException] = None
         self.resuming = False
         self.tracer = sim.tracer
-        self.start = sim.now
-        sim.call_at(sim.now + verbs.params.rdma_post_overhead, self._post)
+        if start is None:
+            start = sim.now
+        self.start = start
+        sim.call_at(start + verbs.params.rdma_post_overhead, self._post)
 
     def _post(self, _arg) -> None:
         try:
@@ -511,7 +519,7 @@ class RdmaWrite(Event):
             self._die(exc)
             return
         posted = self.posted
-        if posted is not None and not posted.triggered:
+        if posted is not None and not posted._triggered:
             posted.succeed(self.sim.now)
         ep = self.ep
         ep.hca.count_tx()
@@ -526,29 +534,20 @@ class RdmaWrite(Event):
         if self.verbs.rc is not None and ep.hca.stall_remaining(self.sim.now) > 0.0:
             self._hand_over(None)
             return
-        self.hold = self.path.execute(self.sim)
-        self._step_hold(None)
-
-    def _step_hold(self, ev: Optional[Event]) -> None:
-        # Drives the hold's generator (``TransferSpec.execute``, every
-        # timed crossing's one funnel) from its events' callbacks.
-        try:
-            if ev is None:
-                target = self.hold.send(None)
-            elif ev._exc is not None:
-                ev.defuse()
-                target = self.hold.throw(ev._exc)
-            else:
-                target = self.hold.send(ev._value)
-        except StopIteration:
-            self._landed()
+        hold = AnalyticTransfer(self.sim, self.path)
+        if hold.boot_exc is not None:
+            # Zero setup and a direction already down: the attempt fails
+            # at the post instant.
+            self._fault(hold.boot_exc)
             return
-        except BaseException as exc:
+        hold.completion.callbacks.append(self._held)
+
+    def _held(self, ev: Event) -> None:
+        exc = ev._exc
+        if exc is not None:
+            ev.defuse()
             self._fault(exc)
             return
-        target.callbacks.append(self._step_hold)
-
-    def _landed(self) -> None:
         rc = self.verbs.rc
         if rc is not None:
             rc.record_success(self.path)
@@ -558,18 +557,14 @@ class RdmaWrite(Event):
             self._die(exc)
             return
         sim = self.sim
-        sim.call_at(sim.now + self.verbs.params.rdma_ack_latency, self._acked)
+        sim.call_at(sim.now + self.verbs.params.rdma_ack_latency, self._fire, self.nbytes)
 
     def _deliver(self) -> None:
         self.dst_hca.count_rx()
         self.dst_ptr.write(self.payload)
         delivered = self.delivered
-        if delivered is not None and not delivered.triggered:
+        if delivered is not None and not delivered._triggered:
             delivered.succeed(self.sim.now)
-
-    def _acked(self, _arg) -> None:
-        self._close()
-        self._fire(self.nbytes)
 
     def _close(self) -> None:
         if self.payload is not None:
@@ -581,6 +576,9 @@ class RdmaWrite(Event):
             )
 
     def _fire(self, value=None, exc: Optional[BaseException] = None) -> None:
+        """Close the write and fire it: at the ack with the byte count,
+        or failed with ``exc``."""
+        self._close()
         if not self.detached:
             self.fire_now(value, exc)
         elif exc is None:
@@ -589,8 +587,10 @@ class RdmaWrite(Event):
             self.fail(exc)
 
     def _die(self, exc: BaseException) -> None:
-        self._close()
         self._fire(exc=exc)
+        posted = self.posted
+        if posted is not None and not posted._triggered:
+            posted.fail(exc)
 
     def _fault(self, exc: BaseException) -> None:
         if self.verbs.rc is None:

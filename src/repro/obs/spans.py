@@ -10,10 +10,10 @@ paper's Figs 6-12 and Table III reason about.
 Spans are the simulator's one event recorder.  Emission is pull-free
 and costless when disabled: every hook guards on ``sim.tracer is None``
 (one attribute load) and nothing is recorded.  Attaching a
-:class:`SpanTracer` closes the batched tiers and the tier-2 RDMA-write
-flows, which elide the op spans, just as ``Simulator.fastpath = False``
-does, and changes nothing else: the event path schedules exactly as it
-does untraced (a route instant and a write's ``ib`` span are stamped
+:class:`SpanTracer` closes tier 0 and putmem's tier-2 commit, which
+elide the op spans, just as ``Simulator.fastpath = False`` does, and
+changes nothing else: the event path schedules exactly as it does
+untraced (a route instant and a write's ``ib`` span are stamped
 with their own timestamps, :meth:`SpanTracer.instant` ``at=`` and
 :meth:`SpanTracer.complete`), and every link hold runs the same
 :class:`~repro.hardware.links.AnalyticTransfer` traced or not,
@@ -94,8 +94,8 @@ class SpanTracer:
 
     # ------------------------------------------------------------ lifecycle
     def attach(self, sim: Simulator, label: Optional[str] = None) -> "SpanTracer":
-        """Start observing ``sim``.  Also disarms its batched tiers and
-        putmem's tier-2 flow, as ``sim.fastpath = False`` does (they
+        """Start observing ``sim``.  Also disarms its tier-0 batch and
+        putmem's tier-2 commit, as ``sim.fastpath = False`` does (they
         elide the per-op generators that emit op spans); past that, a
         traced run takes the untraced event path, event for event."""
         scope = self._scopes.setdefault(id(sim), len(self._scopes))

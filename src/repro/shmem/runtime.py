@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Generator, NamedTuple, Optional, Tuple
+from typing import Dict, Generator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,14 +40,7 @@ from repro.shmem.address import SymAddr
 from repro.shmem.capabilities import Capabilities
 from repro.shmem.constants import Config, Domain, Locality, Op, Protocol
 from repro.shmem.designs import DesignSpec, design_spec
-from repro.shmem.fastpath import (
-    AnalyticFlow,
-    claim,
-    claimable,
-    merged_directions,
-    plan_staged,
-    release,
-)
+from repro.shmem.fastpath import claim, claimable, merged_directions, plan_staged, release
 from repro.shmem.heap import SymmetricHeap
 from repro.shmem.protocols import ProtocolSelector, Route, make_selector
 from repro.shmem.service import Landing, ServiceEngine, ServiceItem
@@ -61,8 +54,8 @@ SYNC_RESERVED = 4096
 
 #: The single-RDMA put protocols: their event schedule is one
 #: ``rdma_write`` (post, setup, FIFO hop acquisition, pipelined hold,
-#: ack), so a put plan resolves their write and the contended-window
-#: analytic tier can replay them.  Chunked/staged protocols stay on
+#: ack), so a put plan resolves their write and the tier-2 commit can
+#: post it without an issue wake-up.  Chunked/staged protocols stay on
 #: their own handlers.
 _RDMA_PUT_PROTOCOLS = frozenset(
     {Protocol.DIRECT_GDR, Protocol.RDMA_HOST, Protocol.GDR_LOOPBACK, Protocol.DEVICE_GDR}
@@ -95,15 +88,12 @@ class PutPlan(NamedTuple):
     dst_ptr: Ptr
     #: ``route``'s probe series: global, then this PE's.
     series: Tuple[str, str]
-    #: Wakes the target PE's ``wait_until`` watchers.
-    notify: Callable[[], None]
     #: The rest is set for single-RDMA routes only: the remote region,
-    #: the remote-HCA hint, the write's path, and both HCAs.
+    #: the remote-HCA hint, and the write's ``(dst_ptr, path, dst_hca)``
+    #: (:class:`~repro.ib.verbs.RdmaWrite`'s ``planned``).
     mr: Optional[MemoryRegion] = None
     remote_hca: Optional[int] = None
-    path: Optional[TransferSpec] = None
-    src_hca: object = None
-    dst_hca: object = None
+    write: Optional[Tuple[Ptr, TransferSpec, object]] = None
 
 
 class Runtime:
@@ -145,8 +135,8 @@ class Runtime:
         self._routes: Dict[tuple, Route] = {}
         #: Put plans (:meth:`_put_plan`), by signature.
         self._plans: Dict[tuple, PutPlan] = {}
-        #: Per target PE, the callback waking its watchers; the target's
-        #: plans share it.
+        #: Per target PE, the callback waking its watchers: every put's
+        #: ``delivered`` to that PE calls it.
         self._notifiers = [partial(self._notify, pe) for pe in range(self.npes)]
         #: Probe series names, by ``(pe, kind, protocol)``.
         self._series_names: Dict[tuple, Tuple[str, str]] = {}
@@ -157,9 +147,19 @@ class Runtime:
         #: §11).  Filled identically on the fast and event paths, so
         #: bit-identity across engine modes is preserved.
         self._warmed_pes: set = set()
+        p = self.params
+        #: The (dispatch, lookup) delays of one op after warm-up.
+        self._issue_delays: Tuple[float, float] = (
+            (p.device_issue_overhead, p.device_translate_overhead)
+            if self.spec.device_initiated
+            else (p.shmem_dispatch_overhead, p.shmem_lookup_overhead)
+        )
         #: Armed by :class:`repro.faults.FaultInjector`; ``None`` in a
         #: fault-free job (and every fault code path below is skipped).
         self.health = None
+        #: ``(domain, seq) -> offset`` of every symmetric allocation
+        #: (:meth:`audit_symmetric_alloc`).
+        self._alloc_ledger: Dict[Tuple[Domain, int], int] = {}
 
         self._build_heaps()
         self._build_endpoints_and_staging()
@@ -190,7 +190,7 @@ class Runtime:
                 # can map — the very limit that stopped the paper's
                 # large-input LBM runs on Wilkes (§V-C).
                 gpu_mr = None
-                if self._registers_gpu_heap():
+                if self.spec.registers_gpu_heap:
                     if job.gpu_heap_size > self.params.gpu_max_registered:
                         raise ShmemError(
                             f"GPU symmetric heap of {job.gpu_heap_size} B exceeds "
@@ -201,9 +201,6 @@ class Runtime:
                         )
                     gpu_mr = MemoryRegion(gpu_ptr.alloc)
                 self.heaps[(pe, Domain.GPU)] = HeapInfo(gpu_heap, gpu_mr)
-
-    def _registers_gpu_heap(self) -> bool:
-        return self.spec.registers_gpu_heap
 
     def _build_endpoints_and_staging(self) -> None:
         job = self.job
@@ -249,7 +246,7 @@ class Runtime:
         regions = 1  # host heap
         if self.spec.host_staging:
             regions += 1  # staging pools
-        if (ctx.pe, Domain.GPU) in self.heaps and self._registers_gpu_heap():
+        if (ctx.pe, Domain.GPU) in self.heaps and self.spec.registers_gpu_heap:
             regions += 1
         yield self.sim.timeout(regions * p.mr_register_overhead, name="init:register")
         yield self.sim.timeout(p.ib_wire_latency * 2, name="init:exchange")
@@ -259,8 +256,6 @@ class Runtime:
     def audit_symmetric_alloc(self, domain: Domain, seq: int, offset: int, pe: int) -> None:
         """Detect non-collective shmalloc misuse: the ``seq``-th
         allocation in a domain must land at the same offset on every PE."""
-        if not hasattr(self, "_alloc_ledger"):
-            self._alloc_ledger: Dict[Tuple[Domain, int], int] = {}
         key = (domain, seq)
         expected = self._alloc_ledger.setdefault(key, offset)
         if expected != offset:
@@ -339,7 +334,7 @@ class Runtime:
     def _count(self, route: Route) -> None:
         self.protocol_counts[route.protocol] = self.protocol_counts.get(route.protocol, 0) + 1
 
-    def _notify(self, pe: int) -> None:
+    def _notify(self, pe: int, _ev: Optional[Event] = None) -> None:
         self.job.contexts[pe].memory_changed()
 
     @staticmethod
@@ -593,18 +588,11 @@ class Runtime:
             self._count_route(ctx, route, sim.now)
             yield from self._issue_lookup(ctx)
         else:
-            dispatch, lookup = self._issue_delays()
+            dispatch, lookup = self._issue_delays
             at = sim.now + dispatch
             self._count_route(ctx, route, at)
             yield sim.wake_at(at + lookup, name="shmem:issue")
         return route, self.resolve(sym, pe) if plan is None else plan.dst_ptr
-
-    def _issue_delays(self) -> Tuple[float, float]:
-        """The (dispatch, lookup) delays of one op after warm-up."""
-        p = self.params
-        if self.spec.device_initiated:
-            return p.device_issue_overhead, p.device_translate_overhead
-        return p.shmem_dispatch_overhead, p.shmem_lookup_overhead
 
     def _count_route(self, ctx, route: Route, at: float) -> None:
         """Count the op's protocol and trace its ``route:`` instant at ``at``."""
@@ -654,7 +642,7 @@ class Runtime:
         if nbytes <= 0:
             raise ShmemError(f"putmem of {nbytes} bytes")
         plan = self._put_plan(ctx, dst, src, nbytes, pe)
-        fast = None if plan is None else self._fast_rdma_put(ctx, plan, src, nbytes)
+        fast = None if plan is None else self._fast_rdma_put(ctx, plan, src, dst, nbytes, pe)
         if fast is not None:
             posted, t0 = fast
             yield posted
@@ -700,16 +688,15 @@ class Runtime:
         route = self._route(ctx, Op.PUT, src.kind is MemKind.DEVICE, dst.domain, nbytes, pe)
         dst_ptr = self.resolve(dst, pe)
         series = self._series(ctx.pe, "put", route)
-        notify = self._notifiers[pe]
         if route.protocol not in _RDMA_PUT_PROTOCOLS:
-            return PutPlan(route, dst_ptr, series, notify)
+            return PutPlan(route, dst_ptr, series)
         ep = ctx.endpoint
         mr = self._remote_mr(dst, pe)
         self.verbs._check_local(ep, src)
         mr.check_range(dst.offset, nbytes)
         remote_hca = ep.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
         path, dst_hca = self.verbs.write_path(ep, src, mr, nbytes, remote_hca)
-        return PutPlan(route, dst_ptr, series, notify, mr, remote_hca, path, ep.hca, dst_hca)
+        return PutPlan(route, dst_ptr, series, mr, remote_hca, (dst_ptr, path, dst_hca))
 
     # --- copy-based puts (blocking; delivery == return) ----------------
     def _put_copy(self, ctx, route, src, dst, dst_ptr, nbytes, pe) -> Generator:
@@ -797,46 +784,62 @@ class Runtime:
         return done
 
     # --- RDMA-based puts (return at post; completion tracked) ----------
-    def _fast_rdma_put(self, ctx, plan: PutPlan, src: Ptr, nbytes: int):
-        """Tier-2 analytic commit: replay a single-RDMA put — including
-        its dispatch/lookup overheads — through an
-        :class:`~repro.shmem.fastpath.AnalyticFlow`.
+    def _fast_rdma_put(self, ctx, plan: PutPlan, src: Ptr, dst: SymAddr, nbytes: int, pe: int):
+        """Tier-2 commit: post a single-RDMA put's write at the op's
+        call, with no issue wake-up and no resume of putmem's generator.
 
-        Unlike the quiescent tier-0 batch this works under link
-        contention: the flow requests the same FIFO resources at the
-        same instants as the event path, so contended windows price
-        themselves bit-identically (see the AnalyticFlow docstring).
-        The route, the destination and the write's path come from the
-        put's plan, which the event path reads too.  Returns ``(posted,
-        t0)`` for the caller to yield/sample on, or ``None`` to take the
-        event path: for a route that is not a single RDMA write, and
-        whenever a span tracer or a fault plan (whose injector attaches
-        the health tracker and RC retransmission) is attached — those
-        layers hook the event path.
+        The write is the event path's own planned, detached
+        :class:`~repro.ib.verbs.RdmaWrite` (:meth:`_post_write`), built
+        now with ``start=t0``, the instant the issue wake-up would end
+        (the same float sum), so its post wake-up lands where the event
+        path's does and draws its heap sequence number here, at the
+        commit.  From the post on, the put runs the event path's very
+        callbacks, so contended windows price themselves bit-identically.
+        Returns ``(posted, t0)`` for the caller to yield/sample on, or
+        ``None`` to take the event path: for a route that is not a
+        single RDMA write, a device PE's first op (its kernel warm-up is
+        charged inside dispatch), and whenever the tiers are disarmed
+        (:attr:`tiers_armed`).
         """
-        if plan.path is None or not self.tiers_armed:
+        if plan.write is None or not self.tiers_armed:
             return None
-        sim = self.sim
         if self.spec.device_initiated and ctx.pe not in self._warmed_pes:
-            # First device op of this PE: the event path must charge
-            # the kernel-launch warm-up (identically in every mode).
             return None
-        p = self.params
-        # Same float arithmetic as the event path's issue wake-up.
-        dispatch, lookup = self._issue_delays()
-        t0 = (sim.now + dispatch) + lookup
+        dispatch, lookup = self._issue_delays
+        t0 = (self.sim.now + dispatch) + lookup
         self._count(plan.route)
-        flow = AnalyticFlow(
-            sim, plan.path, src, plan.dst_ptr, nbytes,
-            base=t0,
-            post_overhead=p.rdma_post_overhead,
-            ack_latency=p.rdma_ack_latency,
-            src_hca=plan.src_hca, dst_hca=plan.dst_hca,
-            notify=plan.notify,
+        posted, _, _ = self._post_write(
+            ctx, src, dst, nbytes, pe, plan.mr, plan.remote_hca, plan.write, start=t0
         )
-        ctx.track(flow.completion)
-        sim.stats.analytic_flows += 1
-        return flow.posted, t0
+        self.sim.stats.analytic_flows += 1
+        return posted, t0
+
+    def _post_write(
+        self, ctx, src, dst, nbytes, pe, mr, remote_hca, planned, start=None, post=True
+    ) -> Tuple[Event, Event, Optional[RdmaWrite]]:
+        """Build one put's write, for both put sites: ``posted``,
+        ``delivered`` (whose callback is PE ``pe``'s shared notifier)
+        and, when ``post``, the detached
+        :class:`~repro.ib.verbs.RdmaWrite` over them, tracked by
+        ``ctx``.  ``planned`` and ``start`` pass through to the write.
+        Returns ``(posted, delivered, write)``; ``write`` is ``None``
+        when not posted or when its checks raised, and the caller then
+        runs the write as a process."""
+        sim = self.sim
+        posted = Event(sim, "put:posted")
+        delivered = Event(sim, "put:delivered")
+        delivered.callbacks.append(self._notifiers[pe])
+        if not post:
+            return posted, delivered, None
+        try:
+            write = RdmaWrite(
+                self.verbs, self.endpoints[ctx.pe], src, mr, dst.offset, nbytes, remote_hca,
+                delivered, posted, detached=True, planned=planned, start=start,
+            )
+        except Exception:
+            return posted, delivered, None  # invalid: the caller's process raises it
+        ctx.track(write)
+        return posted, delivered, write
 
     def _remote_mr(self, dst: SymAddr, pe: int) -> MemoryRegion:
         info = self.heap_of(pe, dst.domain)
@@ -868,39 +871,36 @@ class Runtime:
         if plan is None:
             mr = self._remote_mr(dst, pe)
             remote_hca = ctx.endpoint.hca_id if route.protocol is Protocol.GDR_LOOPBACK else None
+            planned = None
         else:
-            mr, remote_hca = plan.mr, plan.remote_hca
-        posted = self.sim.event("put:posted")
-        delivered = self.sim.event("put:delivered")
-        delivered.callbacks.append(lambda _ev: self._notify(pe))
-        write = partial(
-            self.verbs.rdma_write, ctx.endpoint, src, mr, dst.offset, nbytes,
-            remote_hca=remote_hca, delivered=delivered, posted=posted,
-        )
-        recover = None
-        if self.health is not None:
-            recover = partial(
-                self._recover, ctx, route, write, self._PUT_HANDLERS,
-                (src, dst, dst_ptr, nbytes), pe,
-                before=partial(self._wait_device_path_clear, ctx, src, dst, nbytes, pe),
-            )
-        done = None
-        if recover is None or not (
+            mr, remote_hca, planned = plan.mr, plan.remote_hca, plan.write
+        health = self.health
+        post = health is None or not (
             self.spec.device_initiated and self._device_path_blocked(ctx, src, dst, nbytes, pe)
-        ):
-            try:
-                done = RdmaWrite(
-                    self.verbs, ctx.endpoint, src, mr, dst.offset, nbytes, remote_hca,
-                    delivered, posted, recover=recover, detached=True,
-                    planned=None if plan is None else (plan.dst_ptr, plan.path, plan.dst_hca),
+        )
+        posted, delivered, done = self._post_write(
+            ctx, src, dst, nbytes, pe, mr, remote_hca, planned, post=post
+        )
+        if health is not None or done is None:
+            attempt = partial(
+                self.verbs.rdma_write, ctx.endpoint, src, mr, dst.offset, nbytes,
+                remote_hca=remote_hca, delivered=delivered, posted=posted,
+            )
+            recover = None
+            if health is not None:
+                recover = partial(
+                    self._recover, ctx, route, attempt, self._PUT_HANDLERS,
+                    (src, dst, dst_ptr, nbytes), pe,
+                    before=partial(self._wait_device_path_clear, ctx, src, dst, nbytes, pe),
                 )
-            except Exception:
-                done = None  # invalid: the process below raises it
-        if done is None:
-            gen = write() if recover is None else recover()
-            done = self.sim.process(gen, name=f"pe{ctx.pe}:rdma-put")
-        ctx.track(done)
-        self._bridge_failure(done, posted)
+            if done is not None:
+                done.recover = recover  # read only once the write has posted
+            else:
+                done = self.sim.process(
+                    attempt() if recover is None else recover(), name=f"pe{ctx.pe}:rdma-put"
+                )
+                ctx.track(done)
+                self._bridge_failure(done, posted)
         yield posted
 
     def _device_path_blocked(self, ctx, src, dst, nbytes, pe) -> bool:

@@ -73,10 +73,11 @@ class SimStats:
     copies that took the closed-form path.
 
     The tiered analytic engine adds its own population counters:
-    ``analytic_flows`` counts tier-2 RDMA writes committed as
-    callback-driven flows (no Process, no per-op generator),
-    ``contended_windows`` counts link holds — of any transfer, in every
-    mode — whose grant was queued behind other traffic.
+    ``analytic_flows`` counts putmem's tier-2 commits, single-RDMA puts
+    whose ``RdmaWrite`` is posted at the op's call (no issue wake-up,
+    no resume of putmem's generator); ``contended_windows`` counts link
+    holds — of any transfer, in every mode — whose grant was queued
+    behind other traffic.
     ``collective_closed_forms``, ``vectorised_events`` and
     ``cq_errors`` are always 0: they counted analytic commits inside
     collective rounds, the numpy wake lane and flushed completion-queue
@@ -402,31 +403,28 @@ class Simulator:
     def __init__(self) -> None:
         self._queue: List[tuple] = []
         self._ready: Deque[Union[Event, tuple]] = deque()
-        self._now: float = 0.0
+        #: Current virtual time in seconds: set by :meth:`step` and
+        #: :meth:`run` only, read everywhere else.
+        self.now: float = 0.0
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         #: Span collector (:class:`repro.obs.spans.SpanTracer`) or None.
         #: Emission sites across the runtime/ib/hardware layers guard on
-        #: this; an attached tracer disarms the batched tiers and putmem's
-        #: tier-2 RDMA-write flow, as ``fastpath = False`` does, since
-        #: those elide the op spans.  The event path itself schedules
+        #: this; an attached tracer disarms tier 0 and putmem's tier-2
+        #: commit, as ``fastpath = False`` does, since those elide the
+        #: op spans.  The event path itself schedules
         #: the same work traced or not: spans and instants take their
         #: timestamps, so none waits for a wake-up of its own.
         self.tracer = None  # type: Optional[Any]
         self.stats = SimStats()
         self._flushed = SimStats()
-        #: Master switch for the batched closed-form tiers and putmem's
-        #: tier-2 RDMA-write flow in the shmem runtime.  They
-        #: additionally require no tracer and no fault plan; tests flip
-        #: this off to force the per-op generators.  Link holds ignore it.
+        #: Master switch for the tier-0 staged-host batch and putmem's
+        #: tier-2 commit in the shmem runtime.  They additionally require
+        #: no tracer and no fault plan; tests flip this off to force the
+        #: per-op generators.  Link holds and RDMA writes ignore it.
         self.fastpath = True
 
     # -- clock ---------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
@@ -473,8 +471,8 @@ class Simulator:
         ordered exactly as :meth:`wake_at`'s event would be, with no
         Event built.  The link-hold and RDMA-write machines schedule
         their fixed-instant wake-ups this way."""
-        if when < self._now:
-            raise SimulationError(f"call_at({when!r}) is in the past (now={self._now!r})")
+        if when < self.now:
+            raise SimulationError(f"call_at({when!r}) is in the past (now={self.now!r})")
         self._seq += 1
         self.stats.scheduled += 1
         heapq.heappush(self._queue, (when, self._seq, fn, arg))
@@ -506,7 +504,7 @@ class Simulator:
             self._ready.append(event)
         else:
             self._seq += 1
-            heapq.heappush(self._queue, (self._now + delay, self._seq, _run_callbacks, event))
+            heapq.heappush(self._queue, (self.now + delay, self._seq, _run_callbacks, event))
 
     def _push_resume(self, process: Process, value: Any, exc: Optional[BaseException]) -> None:
         self.stats.scheduled += 1
@@ -538,7 +536,7 @@ class Simulator:
             item._run_callbacks()
             return
         when, _seq, fn, arg = heapq.heappop(self._queue)
-        self._now = when
+        self.now = when
         fn(arg)
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
@@ -550,18 +548,18 @@ class Simulator:
         count = 0
         while self._ready or self._queue:
             if not self._ready and until is not None and self._queue[0][0] > until:
-                self._now = until
-                return self._now
+                self.now = until
+                return self.now
             self.step()
             count += 1
             if count > max_events:
                 raise SimulationError(f"exceeded max_events={max_events}; livelock?")
-        return self._now
+        return self.now
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""
         if self._ready:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     def flush_stats(self) -> SimStats:
@@ -580,7 +578,7 @@ class Simulator:
         return GLOBAL_STATS
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Simulator t={self._now:.9f} queued={len(self._queue) + len(self._ready)}>"
+        return f"<Simulator t={self.now:.9f} queued={len(self._queue) + len(self._ready)}>"
 
 
 # The condition events subclass Event, so they load after this module

@@ -1,7 +1,7 @@
 """Equivalence tests for the analytic fast paths.
 
 The closed-form fast paths in :mod:`repro.shmem.fastpath` (the tier-0
-staged-host batch and the tier-2 RDMA-write flows) may change
+staged-host batch and putmem's tier-2 commit) may change
 *wall-clock* cost only; every simulated timestamp, byte, and counter
 must be identical to the event-accurate path.  Each scenario here runs
 twice — ``sim.fastpath`` on and off — and demands exact float equality
@@ -235,8 +235,8 @@ def test_faulted_sweep_declines_fastpath_and_stays_deterministic():
 
 @pytest.mark.parametrize("design,op", sorted(GOLDEN))
 def test_fig8_golden_untraced_keeps_fastpath(design, op):
-    """No tracer, no trace: the tier-2 ``AnalyticFlow`` commits stay
-    armed."""
+    """No tracer, no trace: putmem's tier-2 commits
+    (``Runtime._fast_rdma_put``) stay armed."""
     job = _golden_job(design)
     job.run(lat._sweep_program(op, GOLDEN_SIZES, Domain.GPU, Domain.GPU, "far"))
     assert job.sim.now == GOLDEN[(design, op)]
@@ -305,7 +305,7 @@ def _ab_run_stats(make_job, program):
 
 
 #: No HCA post/receive overhead: ``rdma_write`` specs then have zero
-#: setup, so a tier-2 flow requests its first link direction
+#: setup, so a tier-2 commit's write requests its first link direction
 #: synchronously at the post instant instead of from a setup wake-up.
 _ZERO_HCA = wilkes_params(hca_tx_overhead=0.0, hca_rx_overhead=0.0)
 
@@ -318,7 +318,7 @@ _ZERO_HCA = wilkes_params(hca_tx_overhead=0.0, hca_rx_overhead=0.0)
     pytest.param(3, _ZERO_HCA, id="3-zero-hca"),
 ])
 def test_contended_flows_share_one_link_identical(flows, params):
-    """2..8 concurrent analytic flows queueing on one HCA port with
+    """2..8 concurrent tier-2 writes queueing on one HCA port with
     asymmetric sizes: FIFO grant hand-offs must price bit-identically."""
 
     def main(ctx):
@@ -347,8 +347,8 @@ def test_contended_flows_share_one_link_identical(flows, params):
 
 
 def test_mid_window_fault_fallback_identical():
-    """A port dies while committed analytic flows are mid-window: every
-    flow must fail with the event path's exception at its instant, and
+    """A port dies while tier-2 writes are mid-window: every
+    write must fail with the event path's exception at its instant, and
     quiet must surface it identically."""
     from repro.errors import LinkDown
 
@@ -381,7 +381,7 @@ def test_mid_window_fault_fallback_identical():
 
 
 def test_zero_setup_flow_down_at_post_identical():
-    """With zero HCA overhead a flow requests its first direction
+    """With zero HCA overhead a tier-2 write requests its first direction
     synchronously at the post instant; a direction already down there
     must fail the put with the event path's exception at the same
     instant."""
@@ -423,7 +423,7 @@ _COLLECTIVES = ["barrier", "bcast", "reduce", "alltoall", "fcollect", "collect"]
 @pytest.mark.parametrize("coll", _COLLECTIVES)
 def test_collective_closed_form_identical(coll):
     """Each collective against its event twin: the puts its rounds
-    commit through the tier-2 flow must leave results, heap bytes, and
+    commit through tier 2 must leave results, heap bytes, and
     the end time bit-identical."""
 
     def main(ctx):

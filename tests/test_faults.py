@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import CompletionError, IBError, LinkDown, RetryExceeded
 from repro.faults import DEGRADED, FaultPlan, HealthTracker, HEALTHY, PROBING
-from repro.hardware.links import Link, LinkDirection, TransferSpec
+from repro.hardware.links import AnalyticTransfer, Link, LinkDirection, TransferSpec
 from repro.hardware.params import wilkes_params
 from repro.ib.rc import RCTransport, retry
 from repro.shmem import Domain, ShmemJob
@@ -585,18 +585,17 @@ def _run_hold_case(case, monkeypatch):
     )
     faulted = job(plan)
 
-    # Every hold that raised: (instant, spec label, direction, in_flight).
+    # Every hold that died: (instant, spec label, direction, in_flight).
+    # Recorded in the link-hold machine itself, which every hold runs,
+    # RDMA writes' first attempts included.
     lost = []
-    execute = TransferSpec.execute
+    die = AnalyticTransfer._die
 
-    def recording_execute(spec, sim):
-        try:
-            return (yield from execute(spec, sim))
-        except LinkDown as exc:
-            lost.append((sim.now, spec.label, exc.direction.name, exc.in_flight))
-            raise
+    def recording_die(hold, exc):
+        lost.append((hold.sim.now, hold.spec.label, exc.direction.name, exc.in_flight))
+        die(hold, exc)
 
-    monkeypatch.setattr(TransferSpec, "execute", recording_execute)
+    monkeypatch.setattr(AnalyticTransfer, "_die", recording_die)
 
     # Grant instants on the direction the second transfer queues on.  A
     # grant pops at the instant it is pushed (the ready queue drains

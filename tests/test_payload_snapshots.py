@@ -292,7 +292,7 @@ def test_put_delivery_is_copied_only_when_read(site, fast):
 def test_tier_coverage_of_the_put_sites():
     """The parametrised sites above really exercise each execution tier."""
     _, job = run_put("enhanced-gdr", 2, 1, H, H, 4 * KiB, fast=True)
-    assert job.sim.stats.analytic_flows > 0  # tier-2 AnalyticFlow
+    assert job.sim.stats.analytic_flows > 0  # tier-2 commit (_fast_rdma_put)
     _, job = run_put("host-pipeline", 1, 2, G, H, 600 * KiB, fast=True)
     assert job.sim.stats.fastpath_batches > 0  # tier-0 _fast_staged
     _, job = run_put("host-pipeline", 1, 2, G, H, 600 * KiB, fast=False)
@@ -784,23 +784,26 @@ def test_non_overlapping_write_leaves_snapshot_pending(space, count_copies):
 
 
 def test_analytic_flow_death_releases_its_snapshot(monkeypatch):
-    """``AnalyticFlow._die`` (the tier-2 failure path) releases."""
-    from repro.shmem.fastpath import AnalyticFlow
+    """The tier-2 commit's write dying at its first hold end, instead of
+    landing (``RdmaWrite._die``), releases its payload."""
+    from repro.ib.verbs import RdmaWrite
 
     died = []
-    finish = AnalyticFlow._finish
+    held = RdmaWrite._held
 
-    def die_instead(flow, ev):
+    def die_instead(write, ev):
         if not died:
-            died.append(flow)
-            flow._die(CudaError("injected mid-flight death"))
+            died.append(write)
+            write._die(CudaError("injected mid-flight death"))
             return
-        finish(flow, ev)
+        held(write, ev)
 
-    monkeypatch.setattr(AnalyticFlow, "_finish", die_instead)
+    monkeypatch.setattr(RdmaWrite, "_held", die_instead)
     with pytest.raises(CudaError, match="injected"):
         run_put("enhanced-gdr", 2, 1, H, H, 4 * KiB, fast=True)
-    payload = died[0].payload
+    write = died[0]
+    assert write.sim.stats.analytic_flows > 0  # the writes were tier-2 commits
+    payload = write.payload
     assert payload.alloc is None and payload.data is None  # released, not copied
 
 

@@ -2,7 +2,7 @@
 
 A dissemination barrier is rounds of flag put + quiet + wait.  These
 pins hold each round's schedule exactly: the end time and every
-``SimStats`` field of a 50-barrier loop on the flow path, on
+``SimStats`` field of a 50-barrier loop on the tier-2 path, on
 intra-node copies mixed with RDMA, on the device-initiated design and
 on the event path under each faulted check shape's health tracker.
 The put plan (``Runtime._put_plan``) resolves each put signature once;
