@@ -4,8 +4,8 @@ Three cooperating parts, per the correctness-tooling direction in the
 ROADMAP:
 
 - :mod:`repro.check.workload` — a seeded generator of *valid* random
-  SHMEM programs (puts/gets, typed puts, atomics, collectives, locks,
-  host+GPU domains, 8 B-4 MiB, 2-8 PEs, every runtime design);
+  SHMEM programs (puts/gets, non-blocking puts, atomics, collectives,
+  locks, host+GPU domains, 8 B-4 MiB, 2-8 PEs, every runtime design);
 - :mod:`repro.check.reference` — an untimed sequential executor giving
   the expected final symmetric-heap bytes and atomic values;
 - :mod:`repro.check.oracles` — invariant checkers run over real

@@ -1,4 +1,4 @@
-"""Simulated CUDA: allocations, memcpy, streams, IPC, UVA.
+"""Simulated CUDA: allocations, memcpy, UVA.
 
 This is a *functional + timed* model: every allocation is backed by a
 real numpy byte buffer, every memcpy actually moves bytes (so the test
@@ -9,23 +9,21 @@ The surface mirrors the subset of CUDA the paper's runtime uses:
 
 * ``cudaMalloc`` / ``cudaMallocHost``  -> :meth:`CudaContext.malloc`,
   :meth:`CudaContext.malloc_host`
-* ``cudaMemcpy`` (+Async, streams)     -> :meth:`CudaContext.memcpy`,
-  :meth:`CudaContext.memcpy_async`, :class:`Stream`
+* ``cudaMemcpy`` / ``cudaMemset``      -> :meth:`CudaContext.memcpy`,
+  :meth:`CudaContext.memset`
 * UVA pointer queries                  -> :attr:`Ptr.kind`
-* CUDA IPC                             -> :meth:`CudaContext.ipc_get_handle`,
-  :meth:`CudaContext.ipc_open_handle`
+* CUDA IPC (intra-node peer copies)    -> the ``via_ipc`` cost terms of
+  :class:`~repro.hardware.pcie.PCIeTopology`, charged by ``memcpy``
+  when an endpoint belongs to another process
 """
 
 from repro.cuda.memory import Allocation, MemKind, MemorySpace, Ptr
-from repro.cuda.api import CudaContext, Stream
-from repro.cuda.ipc import IpcHandle
+from repro.cuda.api import CudaContext
 
 __all__ = [
     "Allocation",
     "CudaContext",
-    "IpcHandle",
     "MemKind",
     "MemorySpace",
     "Ptr",
-    "Stream",
 ]

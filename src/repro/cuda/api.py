@@ -1,58 +1,22 @@
-"""The per-process CUDA API surface: malloc, memcpy, streams, IPC.
+"""The per-process CUDA API surface: malloc, memcpy, memset, kernels.
 
 A :class:`CudaContext` binds a process (PE) to one GPU of one node.
 ``memcpy`` infers the copy kind from pointer locations (UVA style),
 resolves a timed :class:`~repro.hardware.links.TransferSpec` through
 the node's PCIe topology, and moves the actual bytes when the transfer
 completes.  Copies whose endpoints belong to a *different process on
-the same node* are routed via the CUDA-IPC cost model when the pointer
-was obtained from an IPC handle.
+the same node* are charged the CUDA-IPC cost model.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import CudaError
-from repro.cuda import ipc as ipc_mod
 from repro.cuda.memory import MemKind, MemorySpace, Ptr
 from repro.hardware.links import TransferSpec
 from repro.hardware.node import Node
-from repro.simulator import Process, Resource, Simulator
-
-
-class Stream:
-    """An in-order CUDA stream: operations queued on it serialize."""
-
-    def __init__(self, sim: Simulator, name: str = "stream"):
-        self.sim = sim
-        self.name = name
-        self._order = Resource(sim, capacity=1, name=name)
-        self._pending: list = []
-
-    def run_in_order(self, gen) -> Process:
-        """Queue a generator on the stream; returns its completion event."""
-
-        def _wrapped():
-            req = self._order.request()
-            yield req
-            try:
-                result = yield from gen
-            finally:
-                self._order.release(req)
-            return result
-
-        proc = self.sim.process(_wrapped(), name=f"{self.name}:op")
-        self._pending.append(proc)
-        return proc
-
-    def synchronize(self) -> Generator:
-        """Wait for everything queued so far (``cudaStreamSynchronize``)."""
-        pending, self._pending = self._pending, []
-        live = [p for p in pending if not p.processed]
-        if live:
-            yield self.sim.all_of(live)
-        return None
+from repro.simulator import Simulator
 
 
 class CudaContext:
@@ -66,7 +30,6 @@ class CudaContext:
         self.device_id = device_id
         self.owner = owner
         self.space = space
-        self.default_stream = Stream(sim, name=f"pe{owner}.stream0")
         self._device_bytes = 0
 
     @property
@@ -106,13 +69,6 @@ class CudaContext:
             self._device_bytes -= ptr.alloc.size
         self.space.free(ptr.alloc)
 
-    # ----------------------------------------------------------------- IPC
-    def ipc_get_handle(self, ptr: Ptr) -> ipc_mod.IpcHandle:
-        return ipc_mod.get_handle(ptr.alloc)
-
-    def ipc_open_handle(self, handle: ipc_mod.IpcHandle) -> Ptr:
-        return handle.open(self.node.node_id)
-
     # -------------------------------------------------------------- memcpy
     def _spec_for(self, dst: Ptr, src: Ptr, nbytes: int) -> TransferSpec:
         """Resolve the timed path for a copy (UVA kind inference)."""
@@ -149,11 +105,6 @@ class CudaContext:
             payload.release()
         return nbytes
 
-    def memcpy_async(self, dst: Ptr, src: Ptr, nbytes: int, stream: Optional[Stream] = None) -> Process:
-        """``cudaMemcpyAsync``: returns a completion event immediately."""
-        stream = stream or self.default_stream
-        return stream.run_in_order(self.memcpy(dst, src, nbytes))
-
     def memset(self, ptr: Ptr, value: int, nbytes: int) -> Generator:
         """Timed ``cudaMemset`` (charged like a device-local fill)."""
         spec = self.node.pcie.d2d_local(self.device_id, nbytes) if ptr.kind is MemKind.DEVICE \
@@ -166,7 +117,3 @@ class CudaContext:
     def launch_kernel(self, duration: float) -> Generator:
         """Run a kernel of a given modeled duration on this GPU."""
         yield from self.gpu.kernel(duration)
-
-    def device_synchronize(self) -> Generator:
-        """``cudaDeviceSynchronize``: drain the default stream."""
-        yield from self.default_stream.synchronize()

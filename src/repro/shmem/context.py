@@ -19,8 +19,7 @@ from repro.shmem.constants import Domain
 from repro.shmem import collectives as _coll
 from repro.shmem.locks import LockOps
 from repro.shmem.teams import TeamOps
-from repro.shmem.typed import TypedOps
-from repro.simulator import Event
+from repro.simulator import Event, Process
 
 _CMP = {
     "==": lambda a, b: a == b,
@@ -32,13 +31,12 @@ _CMP = {
 }
 
 
-class ShmemContext(TypedOps, LockOps, TeamOps):
+class ShmemContext(LockOps, TeamOps):
     """One PE's handle on the runtime.
 
-    Mixins provide the wider standard surface: typed/strided/non-blocking
-    data movement (:class:`~repro.shmem.typed.TypedOps`), distributed
-    locks (:class:`~repro.shmem.locks.LockOps`), and active-set
-    collectives (:class:`~repro.shmem.teams.TeamOps`).
+    Mixins provide the wider standard surface: distributed locks
+    (:class:`~repro.shmem.locks.LockOps`) and active-set collectives
+    (:class:`~repro.shmem.teams.TeamOps`).
     """
 
     def __init__(self, job, pe: int):
@@ -193,6 +191,16 @@ class ShmemContext(TypedOps, LockOps, TeamOps):
         finally:
             self._exit()
         return None
+
+    def putmem_nbi(self, dst: Union[SymPtr, SymAddr], src: Union[Ptr, SymPtr], nbytes: int, pe: int) -> Process:
+        """``shmem_putmem_nbi``: returns immediately; the transfer (and
+        even its local completion) is deferred — ``quiet`` completes it.
+
+        Per the standard, the source buffer may not be modified until
+        after ``quiet``."""
+        proc = self.sim.process(self.putmem(dst, src, nbytes, pe), name=f"pe{self.pe}:put_nbi")
+        self.track(proc)
+        return proc
 
     def getmem(self, dst: Union[Ptr, SymPtr], src: Union[SymPtr, SymAddr], nbytes: int, pe: int) -> Generator:
         """``shmem_getmem``: blocking fetch from PE ``pe``."""

@@ -12,11 +12,11 @@ The engine is intentionally small but complete:
   process until the event fires; it is itself an event that succeeds
   with the generator's return value.
 * :class:`Timeout` — an event scheduled ``delay`` into virtual time.
-* :class:`AllOf` / :class:`AnyOf` — composite conditions.
+* :class:`AllOf` — waits for every event of a set.
 * :class:`Resource` / :class:`Store` — FIFO capacity and message-queue
-  primitives for processes (GPU compute slots, HCA atomic units, CUDA
-  stream order; mailboxes).  Link occupancy does not use them: a link
-  direction grants its slots through ready-queue tuples.
+  primitives for processes (GPU compute slots, HCA atomic units;
+  mailboxes).  Link occupancy does not use them: a link direction
+  grants its slots through ready-queue tuples.
 * :class:`Probe` — named sample series for benchmark measurements.
 
 Per-layer tracing lives in :mod:`repro.obs` (spans), not in the engine.
@@ -29,14 +29,12 @@ from repro.simulator.core import (
     Simulator,
     Timeout,
 )
-from repro.simulator.conditions import AllOf, AnyOf, ConditionValue
+from repro.simulator.conditions import AllOf
 from repro.simulator.resources import Request, Resource, Store
 from repro.simulator.monitor import Probe
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "ConditionValue",
     "Event",
     "Probe",
     "Process",

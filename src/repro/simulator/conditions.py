@@ -1,84 +1,36 @@
-"""Composite condition events: wait for all / any of a set of events.
+"""Composite condition event: wait for all of a set of events.
 
-``AllOf`` succeeds when every child has succeeded; it fails as soon as
-any child fails (remaining children are defused so their failures do
-not abort the run).  ``AnyOf`` succeeds with the first child that
-*succeeds* — a faulting sibling is defused and remembered, and only
-when every child has failed does ``AnyOf`` fail (with the first
-failure's exception).  Both succeed with a :class:`ConditionValue`
-mapping each *triggered* child event to its value, preserving
-submission order.
+``AllOf`` succeeds (with ``None``) when every child has succeeded; it
+fails as soon as any child fails (remaining children are defused so
+their failures do not abort the run).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List
+from typing import List
 
 from repro.simulator.core import Event, SimulationError, Simulator
 
 
-class ConditionValue:
-    """Ordered mapping of child event -> value for fired children."""
+class AllOf(Event):
+    """Succeeds once every child event has succeeded."""
 
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-        self._values: Dict[int, Any] = {}
+    __slots__ = ("_pending",)
 
-    def _add(self, event: Event) -> None:
-        self.events.append(event)
-        self._values[id(event)] = event._value
-
-    def __getitem__(self, event: Event) -> Any:
-        return self._values[id(event)]
-
-    def __contains__(self, event: Event) -> bool:
-        return id(event) in self._values
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-    def values(self) -> List[Any]:
-        """Child values in completion order."""
-        return [self._values[id(e)] for e in self.events]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<ConditionValue {len(self.events)} events>"
-
-
-class _Condition(Event):
-    __slots__ = ("_children", "_pending", "_result")
-
-    def __init__(self, sim: Simulator, children: List[Event], name: str):
+    def __init__(self, sim: Simulator, children: List[Event], name: str = "all_of"):
         super().__init__(sim, name)
         for child in children:
             if child.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
-        self._children = children
         self._pending = len(children)
-        self._result = ConditionValue()
         if not children:
-            self.succeed(self._result)
+            self.succeed()
             return
         for child in children:
             if child._processed:
                 self._on_child(child)
             else:
                 child.callbacks.append(self._on_child)
-
-    def _on_child(self, child: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Succeeds once every child event has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: Simulator, children: List[Event], name: str = "all_of"):
-        super().__init__(sim, children, name)
 
     def _on_child(self, child: Event) -> None:
         if self._triggered:
@@ -89,40 +41,6 @@ class AllOf(_Condition):
             child.defuse()
             self.fail(child._exc)
             return
-        self._result._add(child)
         self._pending -= 1
         if self._pending == 0:
-            self.succeed(self._result)
-
-
-class AnyOf(_Condition):
-    """Succeeds with the first child *success*; fails only when every
-    child has failed (propagating the first failure's exception).
-
-    A faulting sibling is defused so its failure never aborts the run —
-    under fault injection, one path dying must not mask a redundant
-    path that is about to deliver."""
-
-    __slots__ = ("_first_exc",)
-
-    def __init__(self, sim: Simulator, children: List[Event], name: str = "any_of"):
-        if not children:
-            raise SimulationError("AnyOf requires at least one event")
-        self._first_exc = None
-        super().__init__(sim, children, name)
-
-    def _on_child(self, child: Event) -> None:
-        if self._triggered:
-            if child._exc is not None:
-                child.defuse()
-            return
-        if child._exc is not None:
-            child.defuse()
-            if self._first_exc is None:
-                self._first_exc = child._exc
-            self._pending -= 1
-            if self._pending == 0:
-                self.fail(self._first_exc)
-            return
-        self._result._add(child)
-        self.succeed(self._result)
+            self.succeed()

@@ -491,9 +491,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> Event:
         return AllOf(self, list(events))
 
-    def any_of(self, events: Iterable[Event]) -> Event:
-        return AnyOf(self, list(events))
-
     # -- scheduling -----------------------------------------------------
     def _push(self, event: Event, delay: float, priority: int) -> None:
         self.stats.scheduled += 1
@@ -581,6 +578,6 @@ class Simulator:
         return f"<Simulator t={self.now:.9f} queued={len(self._queue) + len(self._ready)}>"
 
 
-# The condition events subclass Event, so they load after this module
+# The condition event subclasses Event, so it loads after this module
 # is complete; the package imports this module first.
-from repro.simulator.conditions import AllOf, AnyOf  # noqa: E402
+from repro.simulator.conditions import AllOf  # noqa: E402

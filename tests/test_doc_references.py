@@ -1,10 +1,11 @@
 """The docs name only code that exists.
 
 Every backticked dotted ``repro.…`` name in the user-facing docs must
-import as a module or resolve as an attribute, and every backticked
+import as a module or resolve as an attribute, every backticked
 ``….py`` path must name a file of the repo (``file.py::name`` must also
-define ``name``).  ``ROADMAP.md`` and ``CHANGES.md`` are left out: they
-name deleted code as history.
+define ``name``), and every method ``docs/api.md`` lists for
+``ShmemContext`` must exist on it.  ``ROADMAP.md`` and ``CHANGES.md``
+are left out: they name deleted code as history.
 """
 
 import importlib
@@ -72,3 +73,29 @@ def test_docs_name_only_existing_py_paths():
             elif name and not re.search(rf"^\s*(?:def|class) {name}\b", found.read_text(), re.M):
                 stale.add(f"{doc}: {path}::{name}")
     assert not stale, sorted(stale)
+
+
+# Backticked lowercase names in the ShmemContext section that are not
+# methods: the program argument and a collective's parameter.
+_NOT_METHODS = {"program", "sync_slot"}
+_METHOD = re.compile(r"([a-z_][a-z0-9_]*)(?:\(|$)")
+
+
+def _shmem_context_section() -> str:
+    text = (ROOT / "docs" / "api.md").read_text()
+    start = text.index("\n## ShmemContext")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_api_names_only_existing_shmem_context_methods():
+    from repro.shmem.context import ShmemContext
+
+    named = set()
+    for m in _SPAN.finditer(_shmem_context_section()):
+        method = _METHOD.match(m.group(2))
+        if method:
+            named.add(method.group(1))
+    assert named - _NOT_METHODS, "no method names found in docs/api.md's ShmemContext section"
+    missing = sorted(n for n in named - _NOT_METHODS if not hasattr(ShmemContext, n))
+    assert not missing, missing

@@ -1,5 +1,6 @@
 """Smoke tests: examples run, the CLI works, probes collect samples."""
 
+import statistics
 import subprocess
 import sys
 from glob import glob
@@ -82,4 +83,4 @@ def test_probe_collects_protocol_samples():
     assert f"put:{Protocol.DIRECT_GDR.value}" in names
     assert f"put:{Protocol.PIPELINE_GDR_WRITE.value}" in names
     assert f"get:{Protocol.PROXY.value}" in names
-    assert job.probe.mean(f"put:{Protocol.DIRECT_GDR.value}") > 0
+    assert statistics.mean(job.probe.series(f"put:{Protocol.DIRECT_GDR.value}")) > 0

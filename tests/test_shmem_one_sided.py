@@ -164,3 +164,50 @@ def test_put_returns_before_delivery_for_rdma_paths():
     put_time, quiet_extra = res.results[0]
     assert put_time < usec(2.0)  # returns right after posting
     assert quiet_extra > usec(1.0)  # the wire+landing happen afterwards
+
+
+# ------------------------------------------------------------- non-blocking
+def test_putmem_nbi_completes_at_quiet():
+    def main(ctx):
+        sym = yield from ctx.shmalloc(4096, domain=Domain.GPU)
+        src = ctx.cuda.malloc_host(4096)
+        src.fill(0x5C, 4096)
+        yield from ctx.barrier_all()
+        if ctx.my_pe() == 0:
+            t0 = ctx.now
+            ctx.putmem_nbi(sym, src, 4096, pe=ctx.npes - 1)
+            assert ctx.now == t0  # returned without yielding any time
+            yield from ctx.quiet()
+        yield from ctx.barrier_all()
+        if ctx.my_pe() == ctx.npes - 1:
+            return sym.read(4096) == bytes([0x5C]) * 4096
+        return None
+
+    res = ShmemJob(nodes=2).run(main)
+    assert res.results[-1] is True
+
+
+def test_multiple_nbi_puts_pipeline():
+    """Several nbi puts issued back-to-back all land after one quiet."""
+
+    def main(ctx):
+        syms = []
+        for _ in range(4):
+            s = yield from ctx.shmalloc(512, domain=Domain.GPU)
+            syms.append(s)
+        bufs = []
+        yield from ctx.barrier_all()
+        if ctx.my_pe() == 0:
+            for i, s in enumerate(syms):
+                b = ctx.cuda.malloc_host(512)
+                b.fill(i + 1, 512)
+                bufs.append(b)
+                ctx.putmem_nbi(s, b, 512, pe=ctx.npes - 1)
+            yield from ctx.quiet()
+        yield from ctx.barrier_all()
+        if ctx.my_pe() == ctx.npes - 1:
+            return [s.read(1)[0] for s in syms]
+        return None
+
+    res = ShmemJob(nodes=2).run(main)
+    assert res.results[-1] == [1, 2, 3, 4]

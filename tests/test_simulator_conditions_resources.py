@@ -1,10 +1,8 @@
-"""Tests for condition events, resources, stores, and monitoring."""
+"""Tests for the AllOf condition, resources, stores, and monitoring."""
 
 import pytest
 
 from repro.simulator import (
-    AllOf,
-    AnyOf,
     Probe,
     Resource,
     SimulationError,
@@ -21,11 +19,11 @@ def test_all_of_waits_for_slowest():
         t1 = sim.timeout(1.0, value="a")
         t2 = sim.timeout(3.0, value="b")
         result = yield sim.all_of([t1, t2])
-        return (sim.now, result[t1], result[t2])
+        return (sim.now, result)
 
     p = sim.process(proc(sim))
     sim.run()
-    assert p.value == (3.0, "a", "b")
+    assert p.value == (3.0, None)
 
 
 def test_all_of_empty_succeeds_immediately():
@@ -38,27 +36,6 @@ def test_all_of_empty_succeeds_immediately():
     p = sim.process(proc(sim))
     sim.run()
     assert p.value == 0.0
-
-
-def test_any_of_takes_first():
-    sim = Simulator()
-
-    def proc(sim):
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(1.0, value="fast")
-        result = yield sim.any_of([t1, t2])
-        return (sim.now, result.values())
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value[0] == 1.0
-    assert p.value[1] == ["fast"]
-
-
-def test_any_of_empty_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.any_of([])
 
 
 def test_all_of_failure_propagates():
@@ -79,21 +56,6 @@ def test_all_of_failure_propagates():
     sim.process(failer(sim))
     sim.run()
     assert p.value == "failed"
-
-
-def test_condition_value_mapping():
-    sim = Simulator()
-
-    def proc(sim):
-        evs = [sim.timeout(float(i), value=i * 10) for i in range(1, 4)]
-        result = yield sim.all_of(evs)
-        assert len(result) == 3
-        assert all(e in result for e in evs)
-        return [result[e] for e in evs]
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == [10, 20, 30]
 
 
 # ----------------------------------------------------------------- resources
@@ -238,33 +200,23 @@ def test_probe_statistics():
     probe = Probe()
     for v in (1.0, 2.0, 3.0, 10.0):
         probe.sample("lat", v)
-    assert probe.count("lat") == 4
-    assert probe.mean("lat") == pytest.approx(4.0)
-    assert probe.median("lat") == pytest.approx(2.5)
-    assert probe.maximum("lat") == pytest.approx(10.0)
-    assert probe.total("lat") == pytest.approx(16.0)
+    probe.sample("bw", 5.0)
     assert probe.series("lat") == [1.0, 2.0, 3.0, 10.0]
-    assert probe.names() == ["lat"]
+    assert probe.names() == ["bw", "lat"]
 
 
 def test_probe_missing_series_raises_everywhere():
-    """A typo'd series name must never read as "zero samples": every
-    accessor raises KeyError; ``get`` is the one lenient lookup."""
+    """A typo'd series name must never read as "zero samples"."""
     probe = Probe()
-    for accessor in (
-        probe.mean, probe.median, probe.maximum,
-        probe.series, probe.count, probe.total,
-    ):
-        with pytest.raises(KeyError, match="nope"):
-            accessor("nope")
-    assert probe.get("nope") is None
-    assert probe.get("nope", []) == []
+    with pytest.raises(KeyError, match="nope"):
+        probe.series("nope")
 
 
 def test_probe_get_returns_a_copy():
+    """Reading a series hands back a copy, never the probe's own list."""
     probe = Probe()
     probe.sample("lat", 1.0)
-    xs = probe.get("lat")
+    xs = probe.series("lat")
     assert xs == [1.0]
     xs.append(99.0)
     assert probe.series("lat") == [1.0]
@@ -292,63 +244,3 @@ def test_all_of_defuses_later_faulting_children():
     sim.process(faulter(sim))
     sim.run()  # ev2's late failure must not abort the simulation
     assert p.value == (1.0, "'first'")
-
-
-def test_any_of_propagates_first_success_when_sibling_faults():
-    """A redundant path dying must not mask the sibling that delivers."""
-    sim = Simulator()
-    bad = sim.event("bad-path")
-
-    def proc(sim):
-        good = sim.timeout(2.0, value="delivered")
-        result = yield sim.any_of([bad, good])
-        return (sim.now, result.values())
-
-    def faulter(sim):
-        yield sim.timeout(1.0)
-        bad.fail(RuntimeError("path died"))
-
-    p = sim.process(proc(sim))
-    sim.process(faulter(sim))
-    sim.run()
-    assert p.value == (2.0, ["delivered"])
-
-
-def test_any_of_fails_only_when_every_child_failed():
-    sim = Simulator()
-    e1, e2 = sim.event(), sim.event()
-
-    def proc(sim):
-        try:
-            yield sim.any_of([e1, e2])
-        except RuntimeError as exc:
-            return (sim.now, str(exc))
-
-    def faulter(sim):
-        yield sim.timeout(1.0)
-        e1.fail(RuntimeError("first"))
-        yield sim.timeout(1.0)
-        e2.fail(RuntimeError("second"))
-
-    p = sim.process(proc(sim))
-    sim.process(faulter(sim))
-    sim.run()
-    # Fails only once BOTH children failed, with the FIRST exception.
-    assert p.value == (2.0, "first")
-
-
-def test_any_of_with_prefailed_child_still_succeeds():
-    sim = Simulator()
-    dead = sim.event("already-dead")
-    dead.fail(RuntimeError("pre-failed"))
-    dead.defuse()
-    sim.run()  # process the failure so AnyOf sees a settled child
-
-    def proc(sim):
-        good = sim.timeout(1.0, value="ok")
-        result = yield sim.any_of([dead, good])
-        return result.values()
-
-    p = sim.process(proc(sim))
-    sim.run()
-    assert p.value == ["ok"]
