@@ -11,7 +11,7 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m repro run all
 
 check:
 	PYTHONPATH=src $(PYTHON) -m repro check --seeds 50 --repro-out check-repro.py

@@ -1,9 +1,8 @@
 """OMB-GPU-style micro-benchmarks and experiment drivers.
 
 These are the measurement loops behind every table and figure in the
-paper's evaluation (§V); the ``benchmarks/`` directory wraps them in
-pytest-benchmark targets, and :mod:`repro.reporting.experiments` maps
-each paper artifact to its driver.
+paper's evaluation (§V) and its ablations; :mod:`repro.reporting.experiments`
+maps each artifact to its driver.
 """
 
 from repro.bench.bandwidth import (
@@ -11,7 +10,6 @@ from repro.bench.bandwidth import (
     BandwidthPoint,
     atomics_latency,
     bandwidth_sweep,
-    bibandwidth_sweep,
     message_rate,
 )
 from repro.bench.crossover import (
@@ -38,7 +36,6 @@ __all__ = [
     "Table2Row",
     "atomics_latency",
     "bandwidth_sweep",
-    "bibandwidth_sweep",
     "crossover_report",
     "find_crossover",
     "latency_sweep",

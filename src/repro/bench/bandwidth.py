@@ -2,8 +2,6 @@
 
 * ``bandwidth_sweep``    — uni-directional: a window of ``window_size``
   non-blocking puts followed by one quiet, reported in MB/s.
-* ``bibandwidth_sweep``  — bi-directional: both PEs stream windows at
-  each other simultaneously.
 * ``message_rate``       — millions of (small) messages per second from
   the same windowed loop.
 * ``atomics_latency``    — fetch-add / compare-swap round-trip time
@@ -29,7 +27,7 @@ class BandwidthPoint:
         return [str(self.nbytes), f"{self.mbps:,.0f}"]
 
 
-def _bw_program(sizes, local_domain, remote_domain, window, bidirectional):
+def _bw_program(sizes, local_domain, remote_domain, window):
     def main(ctx):
         cap = max(sizes)
         sym = yield from ctx.shmalloc(cap * window, domain=remote_domain)
@@ -38,20 +36,18 @@ def _bw_program(sizes, local_domain, remote_domain, window, bidirectional):
         else:
             local = ctx.cuda.malloc_host(cap)
         peer = ctx.npes - 1 - ctx.pe  # 0 <-> last
-        sender = ctx.pe == 0 or (bidirectional and ctx.pe == ctx.npes - 1)
         points = []
         for nbytes in sizes:
             yield from ctx.barrier_all()
             t0 = ctx.now
-            if sender:
+            if ctx.pe == 0:
                 for w in range(window):
                     # distinct target offsets: no false serialization
                     ctx.putmem_nbi(sym.addr + w * nbytes, local, nbytes, peer)
                 yield from ctx.quiet()
             yield from ctx.barrier_all()
             elapsed = ctx.now - t0
-            moved = nbytes * window * (2 if bidirectional else 1)
-            points.append(BandwidthPoint(nbytes, to_MBps(moved / elapsed)))
+            points.append(BandwidthPoint(nbytes, to_MBps(nbytes * window / elapsed)))
         return points
 
     return main
@@ -65,7 +61,6 @@ def bandwidth_sweep(
     *,
     window: int = 16,
     nodes: int = 2,
-    bidirectional: bool = False,
     params=None,
 ) -> Optional[List[BandwidthPoint]]:
     """Windowed streaming bandwidth; None for unsupported configs."""
@@ -78,14 +73,10 @@ def bandwidth_sweep(
         gpu_heap_size=max(heap, 32 << 20),
     )
     try:
-        res = job.run(_bw_program(list(sizes), local_domain, remote_domain, window, bidirectional))
+        res = job.run(_bw_program(list(sizes), local_domain, remote_domain, window))
     except UnsupportedConfiguration:
         return None
     return res.results[0]
-
-
-def bibandwidth_sweep(design, local_domain, remote_domain, sizes, **kw):
-    return bandwidth_sweep(design, local_domain, remote_domain, sizes, bidirectional=True, **kw)
 
 
 def message_rate(

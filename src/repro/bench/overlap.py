@@ -73,3 +73,36 @@ def overlap_percentage(points: List[OverlapPoint]) -> float:
         return 100.0
     extra = max(0.0, worst.comm_usec - base)
     return 100.0 * (1.0 - extra / worst.compute_usec)
+
+
+def service_thread_overlap(design: str, service_thread: bool) -> float:
+    """Fig 10's 1 MB overlap metric with or without the reference
+    implementation's per-process progress thread (§III-C), over target
+    compute times of 0, 200 and 800 usec."""
+    points = []
+    for cu in (0, 200, 800):
+        job = ShmemJob(nodes=2, pes_per_node=1, design=design, service_thread=service_thread)
+        res = job.run(_overlap_program(1 << 20, usec(cu)))
+        points.append(OverlapPoint(cu, to_usec(res.results[0])))
+    return overlap_percentage(points)
+
+
+def app_loop_ms(design: str, service_thread: bool) -> float:
+    """Wall time (ms) of a compute-heavy loop with light communication:
+    20 rounds of 100 usec CPU work then an 8 KB D-D put and quiet.  A
+    progress thread's CPU share shows up as lost application time."""
+
+    def main(ctx):
+        sym = yield from ctx.shmalloc(8 * 1024, domain=Domain.GPU)
+        src = ctx.cuda.malloc(8 * 1024)  # device source: D-D, legal everywhere
+        yield from ctx.barrier_all()
+        t0 = ctx.now
+        for _ in range(20):
+            yield from ctx.compute(usec(100))  # CPU phase
+            yield from ctx.putmem(sym, src, 8 * 1024, pe=(ctx.my_pe() + 1) % ctx.npes)
+            yield from ctx.quiet()
+        yield from ctx.barrier_all()
+        return ctx.now - t0
+
+    job = ShmemJob(nodes=2, pes_per_node=1, design=design, service_thread=service_thread)
+    return max(job.run(main).results) * 1e3

@@ -4,9 +4,8 @@ The paper's Table I compares the three solutions (Naive, Host-based
 Pipeline [15], Proposed) on supported configurations, schemes,
 performance, true one-sidedness, and productivity.  Each runtime's row
 lives in its :class:`~repro.shmem.designs.DesignSpec` (the unified
-design registry); the feature bench (``bench_table1_features``) can
-regenerate the table and the test-suite can assert the qualitative
-claims.
+design registry); the ``table1`` experiment renders the table and
+its claim asserts the qualitative points.
 """
 
 from __future__ import annotations

@@ -295,7 +295,8 @@ class EnhancedNoProxySelector(EnhancedGDRSelector):
     """Ablation variant: the proposed design *without* the proxy
     framework.  Routes that would use the proxy fall back to Direct
     GDR — eating the P2P bottlenecks the proxy exists to avoid.  Used
-    by ``bench_ablation_proxy`` to quantify Fig 5's contribution."""
+    by the ``ablation_proxy`` experiment to quantify Fig 5's
+    contribution."""
 
     design = "enhanced-gdr-noproxy"
 

@@ -4,7 +4,9 @@ Every backticked dotted ``repro.…`` name in the user-facing docs must
 import as a module or resolve as an attribute, every backticked
 ``….py`` path must name a file of the repo (``file.py::name`` must also
 define ``name``), and every method ``docs/api.md`` lists for
-``ShmemContext`` must exist on it.  ``ROADMAP.md`` and ``CHANGES.md``
+``ShmemContext`` must exist on it.  A backticked ``bench_…`` name
+must be the stem of a repo ``.py`` file, and a backticked
+``benchmarks/results/….txt`` path an archived golden.  ``ROADMAP.md`` and ``CHANGES.md``
 are left out: they name deleted code as history.
 """
 
@@ -24,6 +26,8 @@ DOCS = [
 _SPAN = re.compile(r"(`+)([^`]+?)\1")
 _NAME = re.compile(r"\brepro(?:\.\w+)+")
 _PATH = re.compile(r"([\w./-]+\.py)(?:::(\w+))?")
+_BENCH = re.compile(r"(?<![\w.])bench_\w+")
+_GOLDEN = re.compile(r"benchmarks/results/[\w.-]+\.txt")
 _PY_FILES = sorted(p.relative_to(ROOT) for p in ROOT.rglob("*.py") if ".git" not in p.parts)
 
 
@@ -74,6 +78,15 @@ def test_docs_name_only_existing_py_paths():
                 stale.add(f"{doc}: {path}::{name}")
     assert not stale, sorted(stale)
 
+
+
+def test_docs_name_only_existing_benchmark_files():
+    stems = {p.stem for p in _PY_FILES}
+    stale = set()
+    for doc, span in _spans():
+        stale.update(f"{doc}: {name}" for name in _BENCH.findall(span) if name not in stems)
+        stale.update(f"{doc}: {path}" for path in _GOLDEN.findall(span) if not (ROOT / path).is_file())
+    assert not stale, sorted(stale)
 
 # Backticked lowercase names in the ShmemContext section that are not
 # methods: the program argument and a collective's parameter.

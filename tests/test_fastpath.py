@@ -380,7 +380,7 @@ def test_mid_window_fault_fallback_identical():
     assert stats.analytic_flows > 0
 
 
-def test_zero_setup_flow_down_at_post_identical():
+def test_zero_setup_write_down_at_post_identical():
     """With zero HCA overhead a tier-2 write requests its first direction
     synchronously at the post instant; a direction already down there
     must fail the put with the event path's exception at the same

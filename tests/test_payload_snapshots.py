@@ -783,7 +783,7 @@ def test_non_overlapping_write_leaves_snapshot_pending(space, count_copies):
     assert not a.pending
 
 
-def test_analytic_flow_death_releases_its_snapshot(monkeypatch):
+def test_committed_write_death_releases_its_snapshot(monkeypatch):
     """The tier-2 commit's write dying at its first hold end, instead of
     landing (``RdmaWrite._die``), releases its payload."""
     from repro.ib.verbs import RdmaWrite

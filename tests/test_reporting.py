@@ -69,7 +69,6 @@ def test_registry_covers_every_paper_artifact():
 
 
 def test_registry_entries_have_claims():
-    assert len(EXPERIMENTS) == 27
     for exp in EXPERIMENTS.values():
         assert exp.title and exp.paper_claim.text and exp.paper_claim.conditions
         assert callable(exp.measure) and callable(exp.render)

@@ -196,7 +196,7 @@ def test_store_get_nowait():
 
 
 # ------------------------------------------------------------------- monitor
-def test_probe_statistics():
+def test_probe_series_and_names():
     probe = Probe()
     for v in (1.0, 2.0, 3.0, 10.0):
         probe.sample("lat", v)
@@ -205,14 +205,14 @@ def test_probe_statistics():
     assert probe.names() == ["bw", "lat"]
 
 
-def test_probe_missing_series_raises_everywhere():
+def test_probe_missing_series_raises():
     """A typo'd series name must never read as "zero samples"."""
     probe = Probe()
     with pytest.raises(KeyError, match="nope"):
         probe.series("nope")
 
 
-def test_probe_get_returns_a_copy():
+def test_probe_series_returns_a_copy():
     """Reading a series hands back a copy, never the probe's own list."""
     probe = Probe()
     probe.sample("lat", 1.0)
